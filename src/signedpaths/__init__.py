@@ -15,13 +15,13 @@ The package is organized around one pipeline of exact structures:
 * :mod:`signedpaths.eulerian` — Eulerian numbers of all three types,
   identity verification, and threshold-graph counting formulas;
 * :mod:`signedpaths.posets` — weak orders and the threshold-pair poset;
-* :mod:`signedpaths.kernels` — exhaustive counting backends (compiled
-  when available, pure Python otherwise);
+* :mod:`signedpaths.kernels` — descent histograms of whole groups by a
+  dynamic program over window prefixes;
 * :mod:`signedpaths.cli` — the ``signedpaths`` command-line tool.
 
 Every number the package produces is exact; floating point is never
 involved.  All exhaustive routines run over deterministic enumeration
-orders so scans can be partitioned and reproduced.
+orders so scans can be reproduced.
 """
 
 from .barred import (
@@ -38,7 +38,7 @@ from .eulerian import (
     threshold_counts,
     verify_identity,
 )
-from .kernels import BACKEND, descent_histogram, positive_descent_histogram
+from .kernels import descent_histogram, positive_descent_histogram
 from .pathrep import (
     PathRepresentation,
     height_function,
@@ -75,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BACKEND",
     "LooselyBarredPermutation",
     "SimplyBarredPermutation",
     "psi",

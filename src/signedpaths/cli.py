@@ -12,8 +12,7 @@ Subcommands::
 Exit codes: 0 on success, 1 when a verification or audit fails, 2 on
 usage or domain errors.  Output is deterministic for fixed flags; the
 ``--format`` option switches between a human table, JSON and CSV, and
-``--jobs`` fans exhaustive scans out over worker processes (results are
-independent of the worker count).
+``--max-elements`` caps the size of every exhaustive scan.
 """
 
 from __future__ import annotations
@@ -88,17 +87,9 @@ def _cmd_eulerian(args: argparse.Namespace) -> int:
             args.max_elements,
             f"brute force over {args.kind}_{args.n}",
         )
-    coeffs = eulerian_polynomial(args.n, args.kind, args.method)
-    if args.method == "bruteforce":
-        # eulerian_polynomial routes each coefficient through the cached
-        # histogram, so re-evaluating per k costs nothing extra
-        coeffs = tuple(
-            eulerian_number(
-                args.n, k, args.kind, "bruteforce", jobs=args.jobs,
-                max_elements=args.max_elements,
-            )
-            for k in range(len(coeffs))
-        )
+    coeffs = eulerian_polynomial(
+        args.n, args.kind, args.method, max_elements=args.max_elements
+    )
     if args.format == "json":
         _emit(json.dumps({
             "kind": args.kind,
@@ -133,7 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 args.max_elements,
                 f"brute force over {kind}_{n}",
             )
-        reports.append(verify_identity(name, n, jobs=args.jobs))
+        reports.append(verify_identity(name, n))
     ok = all(r.holds for r in reports)
     if args.format == "json":
         _emit(json.dumps({
@@ -438,12 +429,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=("table", "json", "csv"),
         default="table",
         help="output format (default: table)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for exhaustive scans (default: 1)",
     )
     parser.add_argument(
         "--max-elements",

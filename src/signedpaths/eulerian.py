@@ -10,10 +10,11 @@ families of (signed) permutation groups:
   against u_1.
 
 Every number is available through two independent routes: closed-form or
-summation formulas on one side and brute-force enumeration (backed by the
-counting kernels) on the other.  ``verify_identity`` pits the two routes
-against each other and returns an exact row-by-row report; a formula is
-never checked against itself.
+summation formulas on one side and brute-force counting (the prefix dynamic
+program in ``kernels``, which counts every group element once) on the
+other.  ``verify_identity`` pits the two routes against each other and
+returns an exact row-by-row report; a formula is never checked against
+itself.
 """
 
 from __future__ import annotations
@@ -88,17 +89,16 @@ def _eul_d(n: int, k: int) -> int:
 _FORMULAS = {"A": _eul_a, "B": _eul_b, "D": _eul_d}
 
 
-# Histograms are deterministic, so the cache key ignores the worker count.
 _HISTOGRAMS: dict[tuple[str, int], tuple[int, ...]] = {}
 
 
-def _brute_histogram(kind: str, n: int, jobs: int = 1) -> tuple[int, ...]:
+def _brute_histogram(kind: str, n: int) -> tuple[int, ...]:
     key = (kind, n)
     if key not in _HISTOGRAMS:
         if kind == "positive":
-            _HISTOGRAMS[key] = kernels.positive_descent_histogram(n, jobs=jobs)
+            _HISTOGRAMS[key] = kernels.positive_descent_histogram(n)
         else:
-            _HISTOGRAMS[key] = kernels.descent_histogram(kind, n, jobs=jobs)
+            _HISTOGRAMS[key] = kernels.descent_histogram(kind, n)
     return _HISTOGRAMS[key]
 
 
@@ -107,16 +107,14 @@ def eulerian(
     k: int,
     kind: str = "A",
     method: str = "formula",
-    jobs: int = 1,
     max_elements: int | None = None,
 ) -> int:
     """Number of kind-X group elements of rank n with exactly k descents.
 
     The ``formula`` method evaluates the closed summation formulas; the
-    ``bruteforce`` method enumerates the group through the counting
-    kernels, capped at ``max_elements`` (``MAX_BRUTE_ELEMENTS`` when not
-    given) and optionally spread over ``jobs`` workers.  Type D needs
-    n >= 2.
+    ``bruteforce`` method counts the group's descent histogram with the
+    counting kernel, allowed only for groups of at most ``max_elements``
+    elements (``MAX_BRUTE_ELEMENTS`` when not given).  Type D needs n >= 2.
 
     >>> [eulerian(4, k) for k in range(4)]
     [1, 11, 11, 1]
@@ -144,14 +142,19 @@ def eulerian(
             raise ValueError(
                 f"brute force over {kind}_{n} exceeds the element budget"
             )
-        return _brute_histogram(kind, n, jobs)[k]
+        return _brute_histogram(kind, n)[k]
     raise ValueError(f"unknown method: {method!r}")
 
 
 def eulerian_polynomial(
-    n: int, kind: str = "A", method: str = "formula"
+    n: int,
+    kind: str = "A",
+    method: str = "formula",
+    max_elements: int | None = None,
 ) -> tuple[int, ...]:
     """Coefficient vector (by ascending power of t) of the descent polynomial.
+
+    ``method`` and ``max_elements`` mean what they mean for :func:`eulerian`.
 
     >>> eulerian_polynomial(3)
     (1, 4, 1)
@@ -165,7 +168,9 @@ def eulerian_polynomial(
     if kind == "D" and n < 2:
         raise ValueError("type D Eulerian polynomials need n >= 2")
     hi = n - 1 if kind == "A" and n > 0 else n
-    return tuple(eulerian(n, k, kind, method) for k in range(max(hi, 0) + 1))
+    return tuple(
+        eulerian(n, k, kind, method, max_elements) for k in range(max(hi, 0) + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -220,25 +225,25 @@ def _pad(p: tuple[int, ...], size: int) -> tuple[int, ...]:
     return p + (0,) * (size - len(p))
 
 
-def _check_alternating(n: int, jobs: int = 1) -> tuple[IdentityRow, ...]:
+def _check_alternating(n: int) -> tuple[IdentityRow, ...]:
     # brute-force type A histogram against the alternating-sum formula
-    hist = _brute_histogram("A", n, jobs)
+    hist = _brute_histogram("A", n)
     return tuple(
         IdentityRow(k, hist[k], _eul_a(n, k)) for k in range(max(n, 1))
     )
 
 
-def _check_eul_b_even(n: int, jobs: int = 1) -> tuple[IdentityRow, ...]:
+def _check_eul_b_even(n: int) -> tuple[IdentityRow, ...]:
     # brute-force type B histogram against the even-indexed binomial sum
-    hist = _brute_histogram("B", n, jobs)
+    hist = _brute_histogram("B", n)
     return tuple(IdentityRow(k, hist[k], _eul_b(n, k)) for k in range(n + 1))
 
 
-def _check_eul_b_odd(n: int, jobs: int = 1) -> tuple[IdentityRow, ...]:
+def _check_eul_b_odd(n: int) -> tuple[IdentityRow, ...]:
     # 2^n Eul_A(n, k) against the odd-indexed binomial sum, with the
     # brute-force count of signed windows having k strictly positive
     # descents as the third, enumerative face of the same statement
-    hist = _brute_histogram("positive", n, jobs)
+    hist = _brute_histogram("positive", n)
     rows = []
     for k in range(max(n, 1)):
         lhs = 2**n * _eul_a(n, k)
@@ -249,7 +254,7 @@ def _check_eul_b_odd(n: int, jobs: int = 1) -> tuple[IdentityRow, ...]:
     return tuple(rows)
 
 
-def _check_main(n: int, jobs: int = 1) -> tuple[IdentityRow, ...]:
+def _check_main(n: int) -> tuple[IdentityRow, ...]:
     # (1 + t)^(n+1) S_n(t) = B_n(t^2) + 2^n t S_n(t^2), coefficientwise
     s_n = tuple(_eul_a(n, k) for k in range(max(n, 1)))
     b_n = tuple(_eul_b(n, k) for k in range(n + 1))
@@ -265,25 +270,21 @@ def _check_main(n: int, jobs: int = 1) -> tuple[IdentityRow, ...]:
     return tuple(IdentityRow(i, lhs[i], rhs[i]) for i in range(size))
 
 
-def _check_stembridge(n: int, jobs: int = 1) -> tuple[IdentityRow, ...]:
+def _check_stembridge(n: int) -> tuple[IdentityRow, ...]:
     # brute-force type D histogram against Eul_B - n 2^(n-1) Eul_A
     if n < 2:
         raise ValueError("the type D identity needs n >= 2")
-    hist = _brute_histogram("D", n, jobs)
+    hist = _brute_histogram("D", n)
     return tuple(IdentityRow(k, hist[k], _eul_d(n, k)) for k in range(n + 1))
 
 
-def _closed_form_rows(n: int, kind: str, jobs: int = 1) -> tuple[IdentityRow, ...]:
+def _closed_form_rows(n: int, kind: str) -> tuple[IdentityRow, ...]:
     if n < 2:
         raise ValueError("the closed forms for k = 1 need n >= 2")
     closed = 3**n - n - 1
     if kind == "D":
         closed -= n * 2 ** (n - 1)
-    brute = (
-        eulerian(n, 1, kind, "bruteforce", jobs=jobs)
-        if group_order(n, kind) <= MAX_BRUTE_ELEMENTS
-        else None
-    )
+    brute = _brute_histogram(kind, n)[1]
     return (IdentityRow(1, _FORMULAS[kind](n, 1), closed, brute=brute),)
 
 
@@ -293,15 +294,15 @@ _CHECKS = {
     "eulBodd": _check_eul_b_odd,
     "main": _check_main,
     "stembridge": _check_stembridge,
-    "B_n1": lambda n, jobs=1: _closed_form_rows(n, "B", jobs),
-    "D_n1": lambda n, jobs=1: _closed_form_rows(n, "D", jobs),
+    "B_n1": lambda n: _closed_form_rows(n, "B"),
+    "D_n1": lambda n: _closed_form_rows(n, "D"),
 }
 
 #: The identity names accepted by :func:`verify_identity`.
 IDENTITY_NAMES = tuple(sorted(_CHECKS))
 
 
-def verify_identity(name: str, n: int, jobs: int = 1) -> IdentityReport:
+def verify_identity(name: str, n: int) -> IdentityReport:
     """Check one named identity exactly at rank n and report every row.
 
     Identities whose statement involves a group count pit a brute-force
@@ -321,7 +322,7 @@ def verify_identity(name: str, n: int, jobs: int = 1) -> IdentityReport:
         )
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return IdentityReport(name, n, _CHECKS[name](n, jobs))
+    return IdentityReport(name, n, _CHECKS[name](n))
 
 
 @dataclass(frozen=True)

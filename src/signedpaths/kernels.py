@@ -1,94 +1,68 @@
-"""Backend selection and dispatch for the counting kernels.
+"""The counting kernel: descent histograms by a dynamic program over prefixes.
 
-At import time this module picks the compiled extension ``_kernels`` when
-it is available and otherwise falls back to the pure-Python twin
-``_pykernels``; ``BACKEND`` records the choice.  Both backends expose the
-same four histogram functions with identical semantics, and the test
-suite cross-checks them against each other on overlapping ranges.
+A window is built one letter at a time (the transfer-matrix method of
+Stanley, *Enumerative Combinatorics I*, §4.7).  Whether the next letter
+makes a descent depends only on its rank among the letters still free, not
+on their values, so the prefixes are lumped into standardized states:
 
-The unit of work everywhere is one permutation of [n] together with its
-whole block of sign vectors; permutations are ranked lexicographically.
-``descent_histogram`` can split that rank space across worker processes,
-which is deterministic because every chunk boundary is a permutation
-rank and histogram addition is associative.
+* after a prefix of a signed window, m absolute values are still unused,
+  so the 2m letters ``±v`` remain; the state is j, the number of those
+  letters below the last placed letter (plus, for type D, the parity of
+  the negative signs so far);
+* taking the letter at position p (0-based) of the sorted remaining
+  letters adds a descent iff p < j; the next state is j' = p - [p >= m],
+  because the mirror ``-v`` of a positive letter lies below it, and the
+  parity flips iff p < m, i.e. the letter is negative;
+* type A is the same program on the m unsigned letters, with j' = p.
+
+The sentinels: type B starts from u_0 = 0, which lies above the n negative
+letters (j = n); type D adds a descent at the second letter when
+u_1 + u_2 < 0, i.e. p < 2m - j, and keeps only even parity at the end; the
+positive histogram has no sentinel.  Each state carries the descent-count
+vector of the prefixes it stands for, so every group element is counted
+exactly once in O(n^4) work, and no closed formula is used: the result stays
+an independent check on the formulas in ``eulerian``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from math import factorial
-
-from . import _pykernels
-
-try:  # pragma: no cover - exercised only when the extension is present
-    from . import _kernels  # type: ignore[attr-defined]
-
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    _kernels = None  # type: ignore[assignment]
-    BACKEND = "pure"
-
 __all__ = [
-    "BACKEND",
-    "available_backends",
     "descent_histogram",
     "positive_descent_histogram",
 ]
 
-_FUNCTIONS = {
-    "A": "hist_a",
-    "B": "hist_b",
-    "D": "hist_d",
-    "positive": "hist_b_positive",
-}
+
+def _histogram(kind: str, n: int) -> tuple[int, ...]:
+    # kind is "A", "B", "D" or "positive"; see the module docstring.
+    # states maps (j, parity) to a descent-count vector.
+    signed = kind != "A"
+    states = {(n if kind == "B" else 0, 0): [1] + [0] * n}
+    for i in range(n):
+        m = n - i
+        size = 2 * m if signed else m
+        nxt: dict[tuple[int, int], list[int]] = {}
+        for (j, parity), counts in states.items():
+            for p in range(size):
+                step = p < j
+                if kind == "D" and i == 1:
+                    step += p < size - j
+                negative = signed and p < m
+                key = (
+                    p - (signed and not negative),
+                    parity ^ (kind == "D" and negative),
+                )
+                target = nxt.setdefault(key, [0] * (n + 1))
+                for k in range(n + 1 - step):
+                    target[k + step] += counts[k]
+        states = nxt
+    total = [0] * (n + 1)
+    for (_, parity), counts in states.items():
+        if not parity:
+            total = [a + b for a, b in zip(total, counts)]
+    return tuple(total)
 
 
-def available_backends() -> tuple[str, ...]:
-    """Names of the kernel backends importable in this installation."""
-    return ("compiled", "pure") if _kernels is not None else ("pure",)
-
-
-def _module(backend: str | None):
-    if backend is None:
-        backend = BACKEND
-    if backend == "pure":
-        return _pykernels
-    if backend == "compiled":
-        if _kernels is None:
-            raise ValueError("the compiled kernel backend is not available")
-        return _kernels
-    raise ValueError(f"unknown kernel backend: {backend!r}")
-
-
-def _chunk(name: str, n: int, lo: int, hi: int, backend: str | None) -> list[int]:
-    return list(getattr(_module(backend), name)(n, lo, hi))
-
-
-def _run(
-    name: str, n: int, jobs: int, backend: str | None
-) -> tuple[int, ...]:
-    total = factorial(n)
-    jobs = max(1, min(jobs, total)) if total else 1
-    if jobs == 1:
-        return tuple(_chunk(name, n, 0, total, backend))
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    args = [
-        (name, n, bounds[i], bounds[i + 1], backend)
-        for i in range(jobs)
-        if bounds[i] < bounds[i + 1]
-    ]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        parts = pool.starmap(_chunk, args)
-    counts = [0] * (n + 1)
-    for part in parts:
-        for k, value in enumerate(part):
-            counts[k] += value
-    return tuple(counts)
-
-
-def descent_histogram(
-    kind: str, n: int, jobs: int = 1, backend: str | None = None
-) -> tuple[int, ...]:
+def descent_histogram(kind: str, n: int) -> tuple[int, ...]:
     """Histogram of descent counts over the whole group of the given kind.
 
     ``kind`` is "A" (permutations of [n]), "B" (signed permutations) or
@@ -108,12 +82,10 @@ def descent_histogram(
         raise ValueError("n must be nonnegative")
     if kind == "D" and n < 2:
         raise ValueError("type D histograms need n >= 2")
-    return _run(_FUNCTIONS[kind], n, jobs, backend)
+    return _histogram(kind, n)
 
 
-def positive_descent_histogram(
-    n: int, jobs: int = 1, backend: str | None = None
-) -> tuple[int, ...]:
+def positive_descent_histogram(n: int) -> tuple[int, ...]:
     """Histogram of strictly positive descent counts over signed windows.
 
     Entry ``k`` counts the signed permutations of [n] whose descent set
@@ -125,4 +97,4 @@ def positive_descent_histogram(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _run(_FUNCTIONS["positive"], n, jobs, backend)
+    return _histogram("positive", n)

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
-from .sgnperm import enumerate_group, inversion_set, is_even_signed
+from .sgnperm import enumerate_group, inversion_set
 from .threshold import ThresholdPair, enumerate_tg
 
 __all__ = [
@@ -251,10 +251,6 @@ def weak_poset(n: int, kind: str = "A") -> FinitePoset:
     >>> len(weak_poset(3).covers())
     6
     """
-    if kind == "D" and not all(
-        is_even_signed(u) for u in enumerate_group(n, kind)
-    ):  # pragma: no cover - enumerate_group guarantees this
-        raise AssertionError
     elements = list(enumerate_group(n, kind))
     cache: dict[tuple[int, ...], object] = {
         u: inversion_set(u, kind) for u in elements

@@ -52,17 +52,15 @@ class TestEulerianCommand:
         formula = run_ok(capsys, ["eulerian", "--kind", "D", "--n", "4"])
         assert brute == formula == "1 44 102 44 1\n"
 
-    def test_jobs_do_not_change_output(self, capsys):
-        base = run_ok(
+    def test_raised_budget_admits_bruteforce(self, capsys):
+        # B_9 has more elements than the default budget of 10^8
+        argv = ["eulerian", "--kind", "B", "--n", "9"]
+        brute = run_ok(
             capsys,
-            ["eulerian", "--kind", "B", "--n", "4", "--method", "bruteforce"],
+            argv + ["--method", "bruteforce", "--max-elements", "1000000000"],
         )
-        split = run_ok(
-            capsys,
-            ["eulerian", "--kind", "B", "--n", "4", "--method", "bruteforce",
-             "--jobs", "2"],
-        )
-        assert base == split
+        assert brute == run_ok(capsys, argv)
+        assert "budget" in run_err(capsys, argv + ["--method", "bruteforce"])
 
     def test_budget_violation(self, capsys):
         err = run_err(
@@ -94,6 +92,15 @@ class TestVerifyCommand:
         assert all(line.endswith("true") for line in lines[1:])
         # the brute column is populated for this identity
         assert all(line.split(",")[5] for line in lines[1:])
+
+    def test_closed_form_keeps_brute_column_at_raised_budget(self, capsys):
+        out = run_ok(
+            capsys,
+            ["verify", "--identity", "B_n1", "--max-n", "9",
+             "--max-elements", "1000000000", "--format", "csv"],
+        )
+        last = out.splitlines()[-1].split(",")
+        assert last[1] == "9" and last[5] and last[6] == "true"
 
     def test_json(self, capsys):
         out = run_ok(

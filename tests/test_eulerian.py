@@ -178,6 +178,12 @@ class TestIdentities:
             2**4 * eulerian(4, k) for k in range(4)
         ]
 
+    def test_closed_form_identities_carry_brute_column(self):
+        # B_9 has more elements than MAX_BRUTE_ELEMENTS; it is counted anyway
+        for name in ("B_n1", "D_n1"):
+            (row,) = verify_identity(name, 9).rows
+            assert row.brute == row.lhs == row.rhs
+
     def test_closed_forms(self):
         for n in range(2, 9):
             assert eulerian(n, 1, "B") == 3**n - n - 1
