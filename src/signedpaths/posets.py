@@ -1,12 +1,26 @@
 """Finite posets: weak orders on (signed) permutation groups and the
 componentwise order on threshold pairs.
 
-A :class:`FinitePoset` wraps an explicit element list and a comparison
-callable.  On construction it materializes the full order relation as
-integer bitmasks over a linear extension of the elements, which makes the
-derived computations cheap and exact: cover relations by interval
-emptiness, lattice checks by a least-upper-bound scan that exploits the
-extension order, and join-irreducibility by counting lower covers.
+A :class:`FinitePoset` holds its order relation as integer bitmasks over a
+linear extension of the elements: one down-set and one up-set per element.
+The generic constructor takes an element list and a comparison callable
+and makes N^2 calls to it.  The weak and threshold-pair posets are
+containment orders, so they are built from feature masks instead: each
+element is an int over its M features (inversion pairs, plus edges for
+threshold pairs), and with col(f) the bitmask of the elements having
+feature f, down(b) = ALL & ~OR{col(f) : f not in mask(b)} -- N*M big-int
+operations.  Both routes then sort into a linear extension and run the
+same distinctness, reflexivity, antisymmetry and transitivity checks.  The
+transitivity check peels the highest-ranked element off each strict
+down-set, which yields the lower covers; the up-sets are unions along
+them.
+
+A finite bounded poset is a lattice as soon as any two elements covering
+a common element have a join (Bjorner, Edelman and Ziegler, *Hyperplane
+arrangements with a lattice of regions*, Discrete Comput. Geom. 5 (1990),
+Lemma 2.1), so the lattice check of a bounded poset tests only those
+pairs.  Otherwise it scans every pair, which also finds a witness.
+Join-irreducibility counts lower covers.
 
 The weak order on a group of kind A/B/D is containment of inversion sets;
 its cover relations step one inversion at a time, and the number of lower
@@ -19,7 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from itertools import combinations
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .sgnperm import enumerate_group, inversion_set
 from .threshold import ThresholdPair, enumerate_tg
@@ -65,9 +80,6 @@ class FinitePoset:
         self, elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]
     ):
         items = list(elements)
-        if len(set(items)) != len(items):
-            raise ValueError("poset elements must be distinct")
-        n = len(items)
         downs = []
         for b in items:
             mask = 0
@@ -75,45 +87,84 @@ class FinitePoset:
                 if leq(a, b):
                     mask |= 1 << i
             downs.append(mask)
+        self._build(items, downs)
+
+    @classmethod
+    def _from_feature_sets(
+        cls, elements: Sequence[Hashable], feature_sets: Iterable[Iterable[Hashable]]
+    ) -> FinitePoset:
+        """The containment order: a <= b iff the features of a are among
+        those of b.  ``feature_sets`` runs parallel to ``elements``."""
+        items = list(elements)
+        index: dict[Hashable, int] = {}
+        masks = [
+            sum(1 << index.setdefault(f, len(index)) for f in features)
+            for features in feature_sets
+        ]
+        # list the elements in the linear extension the build will choose,
+        # so that it finds every bit already in place
+        order = _extension_order(_containment_downs(masks, len(index)))
+        poset = cls.__new__(cls)
+        poset._build(
+            [items[i] for i in order],
+            _containment_downs([masks[i] for i in order], len(index)),
+        )
+        return poset
+
+    def _build(self, items: list[Hashable], downs: list[int]) -> None:
+        # downs[b] has bit a set iff items[a] <= items[b]
+        n = len(items)
+        if len(set(items)) != n:
+            raise ValueError("poset elements must be distinct")
         for i in range(n):
             if not (downs[i] >> i) & 1:
                 raise ValueError("the order relation is not reflexive")
-        # sort by down-set size: a linear extension, since a < b forces
-        # down(a) to be a proper subset of down(b)
-        order = sorted(range(n), key=lambda i: (downs[i].bit_count(), i))
-        rank_of = [0] * n
-        for new, old in enumerate(order):
-            rank_of[old] = new
-        self._elements = [items[old] for old in order]
-        self._index = {e: i for i, e in enumerate(self._elements)}
-        self._down = [0] * n
-        for old, mask in enumerate(downs):
-            new_mask = 0
-            while mask:
-                low = mask & -mask
-                new_mask |= 1 << rank_of[low.bit_length() - 1]
-                mask ^= low
-            self._down[rank_of[old]] = new_mask
-        for i, mask in enumerate(self._down):
+        order = _extension_order(downs)
+        if order != list(range(n)):  # move every bit to its element's rank
+            rank_of = [0] * n
+            for new, old in enumerate(order):
+                rank_of[old] = new
+            relabelled = [0] * n
+            for old, mask in enumerate(downs):
+                new_mask = 0
+                while mask:
+                    low = mask & -mask
+                    new_mask |= 1 << rank_of[low.bit_length() - 1]
+                    mask ^= low
+                relabelled[rank_of[old]] = new_mask
+            items = [items[old] for old in order]
+            downs = relabelled
+        for i, mask in enumerate(downs):
             if mask >> (i + 1):
                 raise ValueError("the order relation is not antisymmetric/transitive"
                                  " with respect to itself")
-        self._up = [0] * n
-        for b in range(n):
-            mask = self._down[b]
-            while mask:
-                low = mask & -mask
-                self._up[low.bit_length() - 1] |= 1 << b
-                mask ^= low
-        for a in range(n):
-            da = self._down[a]
-            mask = da
-            while mask:
-                low = mask & -mask
-                if self._down[low.bit_length() - 1] & ~da:
+        # Transitivity, finding the lower covers on the way.  The
+        # highest-ranked element left in a strict down-set is maximal in
+        # it, so a lower cover; once its down-set is seen to lie inside,
+        # all of that down-set is settled (by induction along the
+        # extension) and is peeled off.
+        lower = []
+        for b, db in enumerate(downs):
+            rest = db ^ (1 << b)
+            found = []
+            while rest:
+                a = rest.bit_length() - 1
+                if downs[a] & ~db:
                     raise ValueError("the order relation is not transitive")
-                mask ^= low
-        self._covers: list[tuple[Hashable, Hashable]] | None = None
+                found.append(a)
+                rest &= ~downs[a]
+            found.reverse()
+            lower.append(found)
+        # up(a) is a plus the up-sets of its upper covers, settled top down
+        ups = [1 << i for i in range(n)]
+        for b in reversed(range(n)):
+            for a in lower[b]:
+                ups[a] |= ups[b]
+        self._elements = items
+        self._index = {e: i for i, e in enumerate(items)}
+        self._down = downs
+        self._up = ups
+        self._lower = lower
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -129,65 +180,60 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[Hashable, Hashable]]:
         """All cover pairs (a, b): a < b with nothing strictly between."""
-        if self._covers is None:
-            out = []
-            for b in range(len(self._elements)):
-                strict = self._down[b] & ~(1 << b)
-                mask = strict
-                while mask:
-                    low = mask & -mask
-                    a = low.bit_length() - 1
-                    mask ^= low
-                    # a is covered iff no other strict predecessor of b
-                    # lies strictly above a
-                    if not (strict & self._up[a] & ~(1 << a)):
-                        out.append((self._elements[a], self._elements[b]))
-            self._covers = out
-        return list(self._covers)
+        els = self._elements
+        return [(els[a], els[b]) for b, lower in enumerate(self._lower) for a in lower]
 
     def lower_cover_counts(self) -> dict[Hashable, int]:
         """Map each element to its number of lower covers."""
-        counts = {e: 0 for e in self._elements}
-        for _, b in self.covers():
-            counts[b] += 1
-        return counts
+        return {e: len(lower) for e, lower in zip(self._elements, self._lower)}
 
-    def _bound(self, x: int, y: int, rel: list[int]) -> int | None:
-        # least element of rel-up(x) & rel-up(y), or None; rel is up for
-        # joins, down (with bit order reversed implicitly by symmetry)
-        common = rel[x] & rel[y]
+    def _join(self, x: int, y: int) -> int | None:
+        # the join, if any, is the lowest-ranked common upper bound, and it
+        # is the join iff every common upper bound lies above it
+        common = self._up[x] & self._up[y]
         if not common:
             return None
-        low = common & -common
-        m = low.bit_length() - 1
-        # m is the candidate in extension order; it is the bound iff it
-        # relates to everything in the common set
-        return m if not (common & ~rel[m]) else None
+        m = (common & -common).bit_length() - 1
+        return m if not (common & ~self._up[m]) else None
 
     def lattice_check(self) -> LatticeReport:
         """Exactly decide whether every pair has a meet and a join.
 
-        The scan uses the linear extension: a join of x and y, if it
-        exists, must be the lowest-ranked common upper bound, so one
-        subset test per pair settles each bound.
+        A bounded poset in which every two upper covers of a common
+        element have a join is a lattice (Bjorner-Edelman-Ziegler, Lemma
+        2.1).  An unbounded poset, or a covering pair without a join,
+        goes to the scan over all pairs, which names the first witness.
         """
         n = len(self._elements)
-        ups = self._up
-        downs_rev = self._down
+        everything = (1 << n) - 1
+        if n and self._up[0] == everything and self._down[-1] == everything:
+            upper: list[list[int]] = [[] for _ in range(n)]
+            for b, lower in enumerate(self._lower):
+                for a in lower:
+                    upper[a].append(b)
+            if all(
+                self._join(x, y) is not None
+                for covers in upper
+                for x, y in combinations(covers, 2)
+            ):
+                return LatticeReport(True)
+        return self._scan_pairs()
+
+    def _scan_pairs(self) -> LatticeReport:
+        # Every pair in turn.  In the linear extension a join of x and y,
+        # if it exists, is the lowest-ranked common upper bound and a meet
+        # the highest-ranked common lower bound, so one subset test per
+        # pair settles each bound.
+        n = len(self._elements)
+        downs = self._down
         for x in range(n):
             for y in range(x + 1, n):
-                if self._bound(x, y, ups) is None:
+                if self._join(x, y) is None:
                     return LatticeReport(
                         False, (self._elements[x], self._elements[y]), "join"
                     )
-                common = downs_rev[x] & downs_rev[y]
-                if not common:
-                    return LatticeReport(
-                        False, (self._elements[x], self._elements[y]), "meet"
-                    )
-                # the meet must be the highest-ranked common lower bound
-                m = common.bit_length() - 1
-                if common & ~downs_rev[m]:
+                common = downs[x] & downs[y]
+                if not common or common & ~downs[common.bit_length() - 1]:
                     return LatticeReport(
                         False, (self._elements[x], self._elements[y]), "meet"
                     )
@@ -205,7 +251,7 @@ class FinitePoset:
                 f"join-irreducibility needs a lattice; {report.missing} "
                 f"missing for {report.witness}"
             )
-        return sum(1 for c in self.lower_cover_counts().values() if c == 1)
+        return sum(1 for lower in self._lower if len(lower) == 1)
 
     def to_dot(self, label: Callable[[Hashable], str] = str) -> str:
         """Hasse diagram in DOT format (edges point from lower to upper)."""
@@ -226,6 +272,32 @@ class FinitePoset:
             },
             indent=2,
         )
+
+
+def _extension_order(downs: list[int]) -> list[int]:
+    # indices sorted by down-set size, ties by index: a linear extension,
+    # since a < b forces down(a) to be a proper subset of down(b)
+    return sorted(range(len(downs)), key=lambda i: downs[i].bit_count())
+
+
+def _containment_downs(masks: list[int], width: int) -> list[int]:
+    # bit a of down(b) is set iff masks[a] lies inside masks[b]: down(b) is
+    # everything outside the columns of the features that b lacks
+    columns = [0] * width
+    for i, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= 1 << i
+            mask ^= low
+    everything = (1 << len(masks)) - 1
+    downs = []
+    for mask in masks:
+        outside = 0
+        for f, column in enumerate(columns):
+            if not (mask >> f) & 1:
+                outside |= column
+        downs.append(everything & ~outside)
+    return downs
 
 
 def weak_leq(a: tuple[int, ...], b: tuple[int, ...], kind: str = "A") -> bool:
@@ -252,17 +324,13 @@ def weak_poset(n: int, kind: str = "A") -> FinitePoset:
     6
     """
     elements = list(enumerate_group(n, kind))
-    cache: dict[tuple[int, ...], object] = {
-        u: inversion_set(u, kind) for u in elements
-    }
-
-    def leq(a, b) -> bool:
-        ia, ib = cache[a], cache[b]
-        return ia.positive_pairs <= ib.positive_pairs and (
-            ia.negative_pairs <= ib.negative_pairs
-        )
-
-    return FinitePoset(elements, leq)
+    return FinitePoset._from_feature_sets(
+        elements,
+        (
+            inv.positive_pairs | inv.negative_pairs
+            for inv in (inversion_set(u, kind) for u in elements)
+        ),
+    )
 
 
 def tg_order_leq(a: ThresholdPair, b: ThresholdPair) -> bool:
@@ -281,15 +349,15 @@ def tg_poset(n: int) -> FinitePoset:
     4
     """
     elements = list(enumerate_tg(n))
-    inv_cache = {pair.w: inversion_set(pair.w, "A") for pair in elements}
-
-    def leq(a: ThresholdPair, b: ThresholdPair) -> bool:
-        return (
-            inv_cache[a.w].positive_pairs <= inv_cache[b.w].positive_pairs
-            and a.edges <= b.edges
-        )
-
-    return FinitePoset(elements, leq)
+    inversions = {pair.w: inversion_set(pair.w, "A").positive_pairs for pair in elements}
+    return FinitePoset._from_feature_sets(
+        elements,
+        (
+            {("inversion", p) for p in inversions[pair.w]}
+            | {("edge", e) for e in pair.edges}
+            for pair in elements
+        ),
+    )
 
 
 def order_isomorphism_check(
@@ -308,8 +376,15 @@ def order_isomorphism_check(
     images = [mapping(e) for e in p.elements]
     if len(p) != len(q) or set(images) != set(q.elements):
         return False
-    for a, fa in zip(p.elements, images):
-        for b, fb in zip(p.elements, images):
-            if p.le(a, b) != q.le(fa, fb):
-                return False
+    # p's down-set rows in q's indices, built up along p's lower covers,
+    # against q's own rows
+    f = [q._index[x] for x in images]
+    rows: list[int] = []
+    for a, lower in enumerate(p._lower):
+        row = 1 << f[a]
+        for c in lower:
+            row |= rows[c]
+        if row != q._down[f[a]]:
+            return False
+        rows.append(row)
     return True

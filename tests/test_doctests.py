@@ -1,8 +1,9 @@
-"""Run the docstring examples of every ``signedpaths`` module."""
+"""Run the docstring examples of every ``signedpaths`` module and the README."""
 
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +21,10 @@ def test_docstring_examples(name):
     result = doctest.testmod(module)
     assert result.failed == 0
     assert result.attempted == examples
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted > 0

@@ -1,8 +1,10 @@
 """Unit tests for finite posets, weak orders, and the threshold-pair order."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from signedpaths.eulerian import eulerian
 from signedpaths.posets import (
@@ -15,7 +17,7 @@ from signedpaths.posets import (
     weak_poset,
 )
 from signedpaths.sgnperm import descent_count, descent_set, enumerate_group
-from signedpaths.threshold import ThresholdPair, tg_pair
+from signedpaths.threshold import ThresholdPair, enumerate_tg, tg_pair
 
 DIVISORS = [1, 2, 3, 4, 6, 12]
 
@@ -100,6 +102,60 @@ class TestFinitePoset:
         assert data["covers"] == [["0", "1"], ["1", "2"]]
 
 
+def dag_poset(k, arcs, bottom, top, elements=None):
+    """The transitive closure of a DAG on 0..k-1, whose arcs (i, j) with
+    i < j are marked in ``arcs[i * k + j]``, optionally under a bottom "0"
+    and over a top "1"; listed as ``elements`` if given."""
+    reach = [set() for _ in range(k)]
+    for i in reversed(range(k)):
+        reach[i] = {i}.union(*(reach[j] for j in range(i + 1, k) if arcs[i * k + j]))
+
+    def leq(a, b):
+        if a == b or a == "0" or b == "1":
+            return True
+        if a == "1" or b == "0":
+            return False
+        return b in reach[a]
+
+    if elements is None:
+        elements = list(range(k)) + ["0"] * bottom + ["1"] * top
+    return FinitePoset(elements, leq)
+
+
+@st.composite
+def random_posets(draw):
+    """A random poset of at most 10 elements, listed in a random order."""
+    k = draw(st.integers(0, 8))
+    arcs = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    bottom, top = draw(st.booleans()), draw(st.booleans())
+    elements = list(range(k)) + ["0"] * bottom + ["1"] * top
+    return dag_poset(k, arcs, bottom, top, draw(st.permutations(elements)))
+
+
+class TestLatticeCheck:
+    @given(random_posets())
+    def test_matches_the_pair_scan(self, p):
+        assert p.lattice_check() == p._scan_pairs()
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_matches_the_pair_scan_on_every_small_dag(self, k):
+        slots = [i * k + j for i in range(k) for j in range(i + 1, k)]
+        for choice in itertools.product((False, True), repeat=len(slots) + 2):
+            arcs = [False] * (k * k)
+            for slot, on in zip(slots, choice):
+                arcs[slot] = on
+            p = dag_poset(k, arcs, *choice[-2:])
+            assert p.lattice_check() == p._scan_pairs()
+
+    def test_bounded_non_lattice_names_the_scan_witness(self):
+        # 0 < a, b < c, d < 1: bounded, but a and b have no join
+        uppers = {"0": "0abcd1", "a": "acd1", "b": "bcd1", "c": "c1", "d": "d1", "1": "1"}
+        p = FinitePoset("0abcd1", lambda x, y: y in uppers[x])
+        report = p.lattice_check()
+        assert report == p._scan_pairs()
+        assert report.missing == "join" and set(report.witness) == {"a", "b"}
+
+
 class TestWeakOrder:
     def test_weak_leq_examples(self):
         assert weak_leq((1, 2, 3), (3, 2, 1))
@@ -155,6 +211,33 @@ class TestWeakOrder:
             assert p.join_irreducible_count() == eulerian(n, 1, kind)
 
 
+class TestMaskBuild:
+    """The feature-mask build against the generic comparison-callable one."""
+
+    @staticmethod
+    def assert_same(p, q):
+        assert p.elements == q.elements
+        assert p.covers() == q.covers()
+        for a in p.elements:
+            for b in p.elements:
+                assert p.le(a, b) == q.le(a, b)
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 1), ("B", 2), ("B", 3),
+         ("D", 2), ("D", 3), ("D", 4)],
+    )
+    def test_weak_poset(self, kind, n):
+        generic = FinitePoset(
+            list(enumerate_group(n, kind)), lambda a, b: weak_leq(a, b, kind)
+        )
+        self.assert_same(weak_poset(n, kind), generic)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tg_poset(self, n):
+        self.assert_same(tg_poset(n), FinitePoset(list(enumerate_tg(n)), tg_order_leq))
+
+
 class TestThresholdOrder:
     def test_tg_order_leq(self):
         empty = ThresholdPair((1, 2), frozenset())
@@ -181,6 +264,13 @@ class TestThresholdOrder:
         p = tg_poset(n)
         assert p.lattice_check().is_lattice
         assert p.join_irreducible_count() == eulerian(n, 1, "D")
+
+    def test_rank_five(self):
+        weak_d, tg = weak_poset(5, "D"), tg_poset(5)
+        assert order_isomorphism_check(weak_d, tg, tg_pair)
+        for p in (weak_d, tg):
+            assert p.lattice_check().is_lattice
+            assert p.join_irreducible_count() == eulerian(5, 1, "D")
 
 
 class TestIsomorphismCheck:
