@@ -29,12 +29,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .pathrep import LatticePath, east_south_turns, path_representation
+from .pathrep import LatticePath
 from .sgnperm import (
     Permutation,
     SignedPermutation,
     as_permutation,
+    as_window,
     descent_set,
+    full_notation,
 )
 from . import pathrep
 
@@ -93,6 +95,16 @@ class LooselyBarredPermutation:
             raise ValueError(f"bars must lie in 0..{n}: {sorted(self.bars)}")
 
 
+def _trusted(cls, **fields):
+    # An instance of a frozen dataclass from fields that are valid by
+    # construction: skips the checks of __post_init__, which the public
+    # constructors keep.  Fields must already have their normal form
+    # (tuples, frozensets, sorted edge pairs) so equality and hashing agree.
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # psi and the descent formulas
 
@@ -129,11 +141,33 @@ def psi(sbp: SimplyBarredPermutation) -> SignedPermutation:
     """The signed permutation whose path is the bar staircase of ``sbp``
     and whose column labels are ``sbp.w``.
 
+    With blocks ``B_0, ..., B_m`` the staircase runs
+    ``S^|B_m| E^|B_0| S^|B_(m-1)| E^|B_1| ... S^|B_0| E^|B_m|``, so the
+    full notation is ``-rev(B_m) B_0 -rev(B_(m-1)) B_1 ... -rev(B_0) B_m``.
+    Its second half, the window, reads the blocks outward from the cut
+    after the first ``ceil(m / 2)`` of them, alternating between blocks
+    to the right (kept) and to the left (negated and reversed) and
+    starting on the left when ``m`` is odd.  So with ``neg`` negative
+    letters, the positive ones are ``w[neg:]`` in order and the negative
+    ones ``-w[neg-1], ..., -w[0]``.  No step word is built.
+
     >>> psi(SimplyBarredPermutation((7, 4, 2, 3, 1, 6, 5), frozenset({2, 3, 6})))
     (-2, 3, 1, 6, -4, -7, 5)
     """
-    path = upper_antidiagonal(sbp.bars, len(sbp.w))
-    return pathrep.signed_from_path(path, sbp.w)
+    w = sbp.w
+    cuts = [0, *sorted(sbp.bars), len(w)]
+    lo = hi = (len(cuts) - 1) // 2
+    left = len(cuts) % 2 == 1
+    window: list[int] = []
+    for _ in range(len(cuts) - 1):
+        if left:
+            window.extend(-x for x in reversed(w[cuts[lo - 1]:cuts[lo]]))
+            lo -= 1
+        else:
+            window.extend(w[cuts[hi]:cuts[hi + 1]])
+            hi += 1
+        left = not left
+    return tuple(window)
 
 
 def psi_inverse(u: SignedPermutation) -> SimplyBarredPermutation:
@@ -143,9 +177,16 @@ def psi_inverse(u: SignedPermutation) -> SimplyBarredPermutation:
     >>> psi_inverse((-2, 3, 1, 6, -4, -7, 5))
     SimplyBarredPermutation(w=(7, 4, 2, 3, 1, 6, 5), bars=frozenset({2, 3, 6}))
     """
-    rep = path_representation(u)
-    bars = frozenset(x for x, _ in east_south_turns(rep.path))
-    return SimplyBarredPermutation(rep.lambda_x, bars)
+    w: list[int] = []
+    bars = []
+    east = False
+    for x in full_notation(as_window(u)):
+        if x > 0:
+            w.append(x)
+        elif east:
+            bars.append(len(w))
+        east = x > 0
+    return _trusted(SimplyBarredPermutation, w=tuple(w), bars=frozenset(bars))
 
 
 def descB_formula(sbp: SimplyBarredPermutation) -> int:
@@ -190,7 +231,7 @@ def xi_preimages(d: Iterable[int], c: Iterable[int]) -> tuple[frozenset[int], fr
 def theta(lbp: LooselyBarredPermutation) -> SimplyBarredPermutation:
     """Forget the loose bar structure through ``xi`` with ``D = Desc(w)``."""
     c = xi(descent_set(lbp.w, "A"), lbp.bars)
-    return SimplyBarredPermutation(lbp.w, c)
+    return _trusted(SimplyBarredPermutation, w=lbp.w, bars=c)
 
 
 def descent_sum(lbp: LooselyBarredPermutation) -> int:
@@ -213,20 +254,14 @@ def theta_inverse(
         raise ValueError(f"sum_parity must be 'even' or 'odd': {sum_parity!r}")
     d = descent_set(sbp.w, "A")
     b1, b2 = xi_preimages(d, sbp.bars)
-    even_bars = len(sbp.bars) % 2 == 0
-    if sum_parity == "even":
-        if descB_formula(sbp) != k:
-            raise ValueError(
-                f"{sbp} is not in the descent class k = {k} (even sum)"
-            )
-        bars = b1 if even_bars else b2
-    else:
-        if positive_descB_formula(sbp) != k:
-            raise ValueError(
-                f"{sbp} is not in the positive-descent class k = {k} (odd sum)"
-            )
-        bars = b2 if even_bars else b1
-    return LooselyBarredPermutation(sbp.w, bars)
+    m = len(sbp.bars)
+    even_sum = sum_parity == "even"
+    # descB_formula (even sum) or positive_descB_formula (odd sum), from d
+    if len(d - sbp.bars) + (m + even_sum) // 2 != k:
+        cls = "descent class" if even_sum else "positive-descent class"
+        raise ValueError(f"{sbp} is not in the {cls} k = {k} ({sum_parity} sum)")
+    bars = b1 if (m % 2 == 0) == even_sum else b2
+    return _trusted(LooselyBarredPermutation, w=sbp.w, bars=bars)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +324,18 @@ def _subsets(ground: list[int]) -> Iterator[frozenset[int]]:
 
 def enumerate_sbp(n: int) -> Iterator[SimplyBarredPermutation]:
     """All ``2^n n!`` simply barred permutations of [n]."""
+    subsets = list(_subsets(list(range(1, n + 1))))
     for w in itertools.permutations(range(1, n + 1)):
-        for bars in _subsets(list(range(1, n + 1))):
-            yield SimplyBarredPermutation(w, bars)
+        for bars in subsets:
+            yield _trusted(SimplyBarredPermutation, w=w, bars=bars)
 
 
 def enumerate_lbp(n: int) -> Iterator[LooselyBarredPermutation]:
     """All ``2^(n+1) n!`` loosely barred permutations of [n]."""
+    subsets = list(_subsets(list(range(n + 1))))
     for w in itertools.permutations(range(1, n + 1)):
-        for bars in _subsets(list(range(n + 1))):
-            yield LooselyBarredPermutation(w, bars)
+        for bars in subsets:
+            yield _trusted(LooselyBarredPermutation, w=w, bars=bars)
 
 
 def parse_sbp(text: str) -> SimplyBarredPermutation:

@@ -18,6 +18,7 @@ usage or domain errors.  Output is deterministic for fixed flags; the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterable, Sequence
@@ -438,7 +439,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves no state on the parser, and
+    # building it costs more than a small render request.
     parser = argparse.ArgumentParser(
         prog="signedpaths",
         description="Exact combinatorics of signed permutations, lattice "

@@ -31,6 +31,7 @@ from .sgnperm import (
     Permutation,
     SignedPermutation,
     as_permutation,
+    as_window,
     full_notation,
     inversion_set,
 )
@@ -119,7 +120,7 @@ def path_representation(u: SignedPermutation) -> PathRepresentation:
     >>> path_representation((1, 2, 3)).path
     'SSSEEE'
     """
-    full = full_notation(u)
+    full = full_notation(as_window(u))
     path = "".join(EAST if x > 0 else SOUTH for x in full)
     lam = tuple(x for x in full if x > 0)
     return PathRepresentation(path, lam)

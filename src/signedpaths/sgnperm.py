@@ -103,7 +103,7 @@ def as_window(values: Sequence[int]) -> SignedPermutation:
     (-2, 3, 1, 6, -4, -7, 5)
     """
     u = tuple(values)
-    if sorted(abs(x) for x in u) != list(range(1, len(u) + 1)):
+    if sorted(map(abs, u)) != list(range(1, len(u) + 1)):
         raise ValueError(f"window letters must have absolute values [n]: {u}")
     return u
 
@@ -312,6 +312,7 @@ def chi(u: SignedPermutation) -> tuple[int, SignedPermutation]:
     >>> chi((-2, 3, 1, 6, -4, -7, 5))
     (2, (2, 1, 5, -3, -6, 4))
     """
+    u = as_window(u)
     if is_smooth(u):
         raise ValueError(f"chi is defined only on non-smooth windows: {u}")
     x = abs(u[0])

@@ -33,6 +33,8 @@ from .sgnperm import (
     Permutation,
     SignedPermutation,
     as_permutation,
+    as_window,
+    full_notation,
     is_even_signed,
     is_smooth,
     mate,
@@ -248,6 +250,25 @@ class ThresholdPair:
             raise ValueError(f"{self.w} is not a degree ordering of the edge set")
 
 
+def _labels_and_edges(u: SignedPermutation) -> tuple[Permutation, frozenset[Edge]]:
+    # lambda_x and E(u) of a valid window, from one pass over the full
+    # notation: the x-th East step runs at height f(x), and column x is
+    # joined to the columns y < x with y <= f(x).
+    height = len(u)
+    labels: list[int] = []
+    edges = set()
+    for letter in full_notation(u):
+        if letter > 0:
+            edges.update(
+                (min(letter, b), max(letter, b))
+                for b in labels[: min(len(labels), height)]
+            )
+            labels.append(letter)
+        else:
+            height -= 1
+    return tuple(labels), frozenset(edges)
+
+
 def edges_from_signed(u: SignedPermutation) -> frozenset[Edge]:
     """The threshold edge set of ``u``: off-diagonal cells weakly below the
     path, relabeled through ``lambda_x``.  Mate-invariant.
@@ -255,39 +276,37 @@ def edges_from_signed(u: SignedPermutation) -> frozenset[Edge]:
     >>> sorted(edges_from_signed((-2, 3, 1, 6, -4, -7, 5)))
     [(1, 4), (1, 7), (2, 4), (2, 7), (3, 4), (3, 7), (4, 6), (4, 7), (6, 7)]
     """
-    rep = pathrep.path_representation(u)
-    f = pathrep.height_function(rep.path)
-    n = len(rep.lambda_x)
-    out = set()
-    for x in range(1, n + 1):
-        for y in range(1, min(x, f[x] + 1)):
-            a, b = rep.lambda_x[x - 1], rep.lambda_x[y - 1]
-            out.add((min(a, b), max(a, b)))
-    return frozenset(out)
+    return _labels_and_edges(as_window(u))[1]
 
 
 def tg_pair(u: SignedPermutation) -> ThresholdPair:
     """The pair (column labels, edge set) of ``u``."""
-    rep = pathrep.path_representation(u)
-    return ThresholdPair(rep.lambda_x, edges_from_signed(u))
+    w, edges = _labels_and_edges(as_window(u))
+    return barred._trusted(ThresholdPair, w=w, edges=edges)
 
 
 def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
     """The unique even-signed ``u`` with ``tg_pair(u) = pair``.
 
-    Relabels the edges through ``w^{-1}`` so the identity orders degrees,
-    reads off the height function, rebuilds the path, labels it with ``w``,
-    and finally picks the even-signed mate.
+    Relabels the edges through ``w^{-1}`` so the identity orders degrees
+    and reads off the height function ``f(x) = max N(x)``.  The path of
+    ``f`` has its East-South turns where ``f`` drops, so ``u`` is ``psi``
+    of ``w`` with bars at those abscissas, or its even-signed mate.  The
+    pair is already valid, so nothing is checked again.
 
     >>> signed_from_tg(ThresholdPair((1, 2, 3), frozenset()))
     (1, 2, 3)
     """
     n = len(pair.w)
     pos = {v: i for i, v in enumerate(pair.w, start=1)}
-    relabeled = [(pos[a], pos[b]) for a, b in pair.edges]
-    f = height_from_edges(relabeled, n)
-    path = pathrep.path_from_height(f)
-    u = pathrep.signed_from_path(path, pair.w)
+    f = [n] + [0] * (n + 1)  # f(n + 1) = 0 closes the last drop
+    for a, b in pair.edges:
+        i, j = pos[a], pos[b]
+        f[i] = max(f[i], j)
+        f[j] = max(f[j], i)
+    bars = frozenset(x for x in range(1, n + 1) if f[x] > f[x + 1])
+    sbp = barred._trusted(barred.SimplyBarredPermutation, w=pair.w, bars=bars)
+    u = barred.psi(sbp)
     return u if is_even_signed(u) else mate(u)
 
 
@@ -341,26 +360,72 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
 # Enumeration, counting, text forms
 
 
+def _graph_from_mask(n: int, pairs: list[Edge], bits: int) -> SimpleGraph:
+    # bit i of the mask stands for pairs[i], the i-th pair in lexicographic order
+    return SimpleGraph(
+        n, frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+    )
+
+
 def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     """All ``2^C(n,2)`` simple graphs on [n], by edge-subset order."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for bits in range(2 ** len(pairs)):
-        edges = frozenset(
-            pairs[i] for i in range(len(pairs)) if bits >> i & 1
-        )
-        yield SimpleGraph(n, edges)
+        yield _graph_from_mask(n, pairs, bits)
+
+
+def _layered_masks(
+    vertices: tuple[int, ...], dominating: bool, bit: dict[Edge, int]
+) -> Iterator[int]:
+    # Edge masks of the threshold graphs on ``vertices`` (at least two)
+    # whose outer layer, the set of all isolated or of all dominating
+    # vertices, has the given kind.  That set is never empty and never of
+    # both kinds, and removing it leaves nothing or a threshold graph on at
+    # least two vertices whose outer layer has the other kind, so each
+    # graph comes out once.  ``bit`` maps both orientations of a pair to
+    # its bit.
+    k = len(vertices)
+    for r in range(1, k + 1):
+        if k - r == 1:
+            continue
+        for layer in itertools.combinations(vertices, r):
+            rest = tuple(v for v in vertices if v not in layer)
+            own = 0
+            if dominating:  # joined to each other and to everything inside
+                own = sum({bit[a, b] for a in layer for b in vertices if a != b})
+            if not rest:
+                yield own
+                continue
+            for inner in _layered_masks(rest, not dominating, bit):
+                yield own | inner
 
 
 def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
-    """All labeled threshold graphs on [n]."""
-    return (g for g in enumerate_graphs(n) if is_threshold(g))
+    """All labeled threshold graphs on [n], in the order of
+    :func:`enumerate_graphs`.
+
+    They are built from creation sequences (Chvatal and Hammer, 1977):
+    vertices are added in layers, each layer all isolated or all
+    dominating, so no graph outside the class is examined.
+    """
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    if n < 2:
+        yield _graph_from_mask(n, pairs, 0)
+        return
+    bit = {}
+    for i, (a, b) in enumerate(pairs):
+        bit[a, b] = bit[b, a] = 1 << i
+    vertices = tuple(range(1, n + 1))
+    masks = [*_layered_masks(vertices, False, bit), *_layered_masks(vertices, True, bit)]
+    for bits in sorted(masks):
+        yield _graph_from_mask(n, pairs, bits)
 
 
 def enumerate_tg(n: int) -> Iterator[ThresholdPair]:
     """All pairs of a threshold graph with one of its degree orderings."""
     for g in enumerate_threshold_graphs(n):
         for w in degree_orderings(g):
-            yield ThresholdPair(w, g.edges)
+            yield barred._trusted(ThresholdPair, w=w, edges=g.edges)
 
 
 def unlabeled_threshold_count(n: int) -> int:

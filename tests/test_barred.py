@@ -29,7 +29,12 @@ from signedpaths.barred import (
     xi_preimages,
 )
 from signedpaths.eulerian import eulerian
-from signedpaths.pathrep import east_south_turns, is_diagonal_symmetric
+from signedpaths.pathrep import (
+    east_south_turns,
+    is_diagonal_symmetric,
+    path_representation,
+    signed_from_path,
+)
 from signedpaths.sgnperm import (
     descent_count,
     descent_set,
@@ -80,6 +85,31 @@ class TestConstruction:
         assert hash(sbp) == hash(SimplyBarredPermutation((2, 1), frozenset({1})))
 
 
+class TestTrustedConstruction:
+    """Objects built without the constructor's checks equal, and hash like,
+    their rebuilds through the validating public constructor."""
+
+    @staticmethod
+    def assert_rebuilds(obj, cls):
+        rebuilt = cls(obj.w, obj.bars)
+        assert type(obj) is cls
+        assert obj == rebuilt and hash(obj) == hash(rebuilt)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_producers(self, n):
+        sbp_cls, lbp_cls = SimplyBarredPermutation, LooselyBarredPermutation
+        for sbp in enumerate_sbp(n):
+            self.assert_rebuilds(sbp, sbp_cls)
+            k_even, k_odd = descB_formula(sbp), positive_descB_formula(sbp)
+            self.assert_rebuilds(theta_inverse(sbp, k_even, "even"), lbp_cls)
+            self.assert_rebuilds(theta_inverse(sbp, k_odd, "odd"), lbp_cls)
+        for lbp in enumerate_lbp(n):
+            self.assert_rebuilds(lbp, lbp_cls)
+            self.assert_rebuilds(theta(lbp), sbp_cls)
+        for u in enumerate_group(n, "B"):
+            self.assert_rebuilds(psi_inverse(u), sbp_cls)
+
+
 class TestUpperAntidiagonal:
     def test_worked_examples(self):
         assert upper_antidiagonal({2, 3, 6}, 7) == "SEESSSESEEESSE"
@@ -112,6 +142,11 @@ class TestPsi:
         assert psi(ANCHOR) == ANCHOR_IMAGE
         assert psi_inverse(ANCHOR_IMAGE) == ANCHOR
 
+    @pytest.mark.parametrize("u", [(1, 1), (2, -2), (0, 1), (1, 3)])
+    def test_inverse_rejects_malformed_window(self, u):
+        with pytest.raises(ValueError):
+            psi_inverse(u)
+
     def test_no_bars_keeps_letters_positive(self):
         # the "SSSEEE" path has no cells below it, hence no negative letters
         image = psi(SimplyBarredPermutation((2, 3, 1), frozenset()))
@@ -137,6 +172,21 @@ class TestPsi:
     def test_inverse_then_forward(self, n):
         for u in enumerate_group(n, "B"):
             assert psi(psi_inverse(u)) == u
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_path_route(self, n):
+        # the step-word route: label the bar staircase with w
+        for sbp in enumerate_sbp(n):
+            path = upper_antidiagonal(sbp.bars, n)
+            assert psi(sbp) == signed_from_path(path, sbp.w)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_inverse_matches_path_route(self, n):
+        # the step-word route: column labels and East-South turns of the path
+        for u in enumerate_group(n, "B"):
+            rep = path_representation(u)
+            bars = frozenset(x for x, _ in east_south_turns(rep.path))
+            assert psi_inverse(u) == SimplyBarredPermutation(rep.lambda_x, bars)
 
     def test_descent_formula_anchor(self):
         assert descB_formula(ANCHOR) == 4

@@ -314,3 +314,29 @@ class TestParsing:
     def test_unknown_choice(self, capsys):
         assert cli.run(["eulerian", "--kind", "Z", "--n", "3"]) == 2
         capsys.readouterr()
+
+
+class TestParserReuse:
+    def test_one_parser_serves_a_request_stream(self, capsys, tmp_path):
+        svg = tmp_path / "path.svg"
+        stream = [
+            ["render", "--perm", "-2,3,1,6,-4,-7,5", "--svg", str(svg)],
+            ["render", "--perm", "3,-1,2"],  # ASCII, and no file
+            ["render"],  # usage error
+            ["render", "--perm", "1,1"],  # bad window
+            ["render", "--perm", "-2,3,1"],
+        ]
+        cli._build_parser.cache_clear()
+        got, files = [], []
+        for argv in stream:
+            got.append((cli.run(argv), capsys.readouterr()))
+            files.append(sorted(p.name for p in tmp_path.iterdir()))
+        assert cli._build_parser.cache_info().misses == 1
+        assert [code for code, _ in got] == [0, 0, 2, 2, 0]
+        assert files == [["path.svg"]] * 5
+        reused_svg = svg.read_text()
+
+        for argv, result in zip(stream, got):
+            cli._build_parser.cache_clear()  # a fresh parser per call
+            assert (cli.run(argv), capsys.readouterr()) == result
+        assert svg.read_text() == reused_svg

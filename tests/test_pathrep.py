@@ -80,6 +80,11 @@ class TestPathRepresentation:
         assert path_representation((1, 2, 3)).path == "SSSEEE"
         assert path_representation((1, 2, 3)).lambda_x == (1, 2, 3)
 
+    @pytest.mark.parametrize("u", [(1, 1), (2, -2), (0, 1), (1, 3)])
+    def test_rejects_malformed_window(self, u):
+        with pytest.raises(ValueError):
+            path_representation(u)
+
     def test_round_trip_exhaustive(self):
         for n in (1, 2, 3, 4):
             for u in enumerate_group(n, "B"):

@@ -272,6 +272,11 @@ class TestChi:
         with pytest.raises(ValueError):
             chi((1, 2, 3))
 
+    def test_rejects_malformed_window(self):
+        # |letters| = {1, 2, 3, 5} is not [4]; this used to return (3, (-1, 2, 4))
+        with pytest.raises(ValueError):
+            chi((3, -1, 2, 5))
+
     def test_round_trip_and_descent_shift(self):
         for n in (2, 3, 4):
             images = set()

@@ -12,7 +12,14 @@ from signedpaths.barred import (
     classify_sbp,
     enumerate_sbp,
 )
-from signedpaths.pathrep import classify_height, height_function, symmetric_paths
+from signedpaths.pathrep import (
+    classify_height,
+    height_function,
+    path_from_height,
+    path_representation,
+    signed_from_path,
+    symmetric_paths,
+)
 from signedpaths.sgnperm import (
     descent_count,
     enumerate_group,
@@ -188,6 +195,14 @@ class TestSignedCorrespondence:
     def test_identity_has_no_edges(self):
         assert edges_from_signed((1, 2, 3)) == frozenset()
 
+    @pytest.mark.parametrize("u", [(2, -2), (1, 1), (0, 1), (1, 3)])
+    def test_rejects_malformed_window(self, u):
+        # (2, -2) used to give the loop {(2, 2)}
+        with pytest.raises(ValueError):
+            edges_from_signed(u)
+        with pytest.raises(ValueError):
+            tg_pair(u)
+
     @pytest.mark.parametrize("n", range(2, 5))
     def test_mate_invariance(self, n):
         for u in enumerate_group(n, "B"):
@@ -203,6 +218,38 @@ class TestSignedCorrespondence:
             ThresholdPair((1, 2, 3, 4), frozenset({(1, 2), (3, 4)}))
         with pytest.raises(ValueError):
             ThresholdPair((3, 1, 2), frozenset({(1, 2), (1, 3)}))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_edges_match_height_route(self, n):
+        # edges of the height function of the path, relabeled by lambda_x
+        for u in enumerate_group(n, "B"):
+            rep = path_representation(u)
+            lam = rep.lambda_x
+            expected = {
+                tuple(sorted((lam[y - 1], lam[x - 1])))
+                for y, x in edges_from_height(height_function(rep.path))
+            }
+            assert edges_from_signed(u) == expected
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_signed_from_tg_matches_path_route(self, n):
+        # height_from_edges -> path_from_height -> signed_from_path
+        for u in enumerate_group(n, "D"):
+            pair = tg_pair(u)
+            pos = {v: i for i, v in enumerate(pair.w, start=1)}
+            f = height_from_edges([(pos[a], pos[b]) for a, b in pair.edges], n)
+            v = signed_from_path(path_from_height(f), pair.w)
+            assert signed_from_tg(pair) == (v if is_even_signed(v) else mate(v))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_trusted_pairs_rebuild(self, n):
+        # tg_pair and enumerate_tg skip ThresholdPair's checks; the
+        # validating constructor must accept and reproduce what they build
+        pairs = list(enumerate_tg(n)) + [tg_pair(u) for u in enumerate_group(n, "B")]
+        for pair in pairs:
+            rebuilt = ThresholdPair(pair.w, pair.edges)
+            assert type(pair) is ThresholdPair
+            assert pair == rebuilt and hash(pair) == hash(rebuilt)
 
     @pytest.mark.parametrize("n", range(5))
     def test_bijection_with_even_signed(self, n):
@@ -285,6 +332,12 @@ class TestCountsAndText:
     def test_tg_cardinality(self, n):
         # pairs (graph, degree ordering) match the even-signed group
         assert sum(1 for _ in enumerate_tg(n)) == 2 ** (n - 1) * math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_creation_sequences_match_filter(self, n):
+        # same graphs, same edge-subset order as filtering every graph
+        expected = [g for g in enumerate_graphs(n) if is_threshold(g)]
+        assert list(enumerate_threshold_graphs(n)) == expected
 
     def test_enumerate_graphs_counts(self):
         for n in range(5):
