@@ -373,9 +373,3 @@ def format_sbp(sbp: SimplyBarredPermutation) -> str:
     """
     sep = "" if len(sbp.w) <= 9 else ","
     return "|".join(sep.join(str(x) for x in blk) for blk in blocks(sbp))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -11,8 +11,15 @@ Subcommands::
 
 Exit codes: 0 on success, 1 when a verification or audit fails, 2 on
 usage or domain errors.  Output is deterministic for fixed flags; the
-``--format`` option switches between a human table, JSON and CSV, and
-``--max-elements`` caps the size of every exhaustive scan.
+``--format`` option switches between a human table, JSON and CSV.
+
+``--max-elements`` (default 10^8) is the work budget, checked by
+``eulerian.check_budget`` before any work starts; the module doing the
+work counts it.  One unit is a step of the counting DP for ``eulerian
+--method bruteforce`` and ``verify`` (summed over the ranks; ``main``
+reads no histogram), a relation bit of each N x N ``poset``, an edge slot
+(C(n, 2) per graph) for ``threshold --list`` and the bijtgsbps audit, a
+round trip for the other audits, and a grid cell for ``render``.
 """
 
 from __future__ import annotations
@@ -21,13 +28,17 @@ import argparse
 import functools
 import json
 import sys
-from typing import Iterable, Sequence
+from math import factorial
+from typing import Sequence
 
 from . import barred, pathrep, posets, sgnperm, threshold
 from .eulerian import (
     IDENTITY_NAMES,
+    MAX_BRUTE_ELEMENTS,
+    check_budget,
     eulerian as eulerian_number,
     eulerian_polynomial,
+    identity_cost,
     report_to_json,
     threshold_counts,
     verify_identity,
@@ -35,28 +46,7 @@ from .eulerian import (
 
 __all__ = ["main", "run"]
 
-_DEFAULT_BUDGET = 10**8
-
-_MIN_N = {
-    "alternating": 1,
-    "eulBeven": 1,
-    "eulBodd": 1,
-    "main": 1,
-    "stembridge": 2,
-    "B_n1": 2,
-    "D_n1": 2,
-}
-
-# Group whose enumeration each identity's brute-force side needs.
-_SCAN_KIND = {
-    "alternating": "A",
-    "eulBeven": "B",
-    "eulBodd": "B",
-    "main": None,
-    "stembridge": "D",
-    "B_n1": "B",
-    "D_n1": "D",
-}
+_MIN_N = dict.fromkeys(IDENTITY_NAMES, 1) | {"stembridge": 2, "B_n1": 2, "D_n1": 2}
 
 
 class _UsageError(Exception):
@@ -67,14 +57,6 @@ def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _check_budget(elements: int, budget: int, what: str) -> None:
-    if elements > budget:
-        raise _UsageError(
-            f"{what} needs {elements} elements, over the budget of {budget}"
-            " (raise --max-elements to allow it)"
-        )
-
-
 # ---------------------------------------------------------------------------
 # eulerian
 
@@ -82,12 +64,6 @@ def _check_budget(elements: int, budget: int, what: str) -> None:
 def _cmd_eulerian(args: argparse.Namespace) -> int:
     if args.kind == "D" and args.n < 2:
         raise _UsageError("type D needs --n at least 2")
-    if args.method == "bruteforce":
-        _check_budget(
-            sgnperm.group_order(args.n, args.kind),
-            args.max_elements,
-            f"brute force over {args.kind}_{args.n}",
-        )
     coeffs = eulerian_polynomial(
         args.n, args.kind, args.method, max_elements=args.max_elements
     )
@@ -116,16 +92,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lo = _MIN_N[name]
     if args.max_n < lo:
         raise _UsageError(f"identity {name} needs --max-n >= {lo}")
-    kind = _SCAN_KIND[name]
-    reports = []
-    for n in range(lo, args.max_n + 1):
-        if kind is not None:
-            _check_budget(
-                sgnperm.group_order(n, kind),
-                args.max_elements,
-                f"brute force over {kind}_{n}",
-            )
-        reports.append(verify_identity(name, n))
+    ranks = range(lo, args.max_n + 1)
+    what = f"verifying {name} up to n={args.max_n}"
+    # the cost grows with n, so the top rank alone refuses a long range at
+    # once, and a top rank within the budget keeps the sum over ranks short
+    top = identity_cost(name, args.max_n)
+    check_budget(top, args.max_elements, what)
+    if top:
+        check_budget(
+            sum(identity_cost(name, n) for n in ranks), args.max_elements, what
+        )
+    reports = [verify_identity(name, n) for n in ranks]
     ok = all(r.holds for r in reports)
     if args.format == "json":
         _emit(json.dumps({
@@ -249,18 +226,22 @@ def _audit_bijtgsbps(n: int) -> tuple[int, str | None]:
     return checked, None
 
 
+# audit -> (the audit, its cost: the round trips it makes, or for
+# bijtgsbps the edge slots of the graphs it keeps)
 _AUDITS = {
-    "psi": (_audit_psi, lambda n: 2 ** (n + 1) * sgnperm.group_order(n, "A")),
-    "theta": (_audit_theta, lambda n: 2 ** (n + 1) * sgnperm.group_order(n, "A")),
-    "chi": (_audit_chi, lambda n: sgnperm.group_order(n, "B")),
-    "tgdo": (_audit_tgdo, lambda n: 2 * sgnperm.group_order(max(n, 1), "D")),
-    "bijtgsbps": (_audit_bijtgsbps, lambda n: 2 ** (n * (n - 1) // 2)),
+    "psi": (_audit_psi, lambda n: 2 ** (n + 1) * factorial(n)),
+    "theta": (_audit_theta, lambda n: 2 ** (n + 1) * factorial(n)),
+    "chi": (_audit_chi, lambda n: 2**n * factorial(n)),
+    "tgdo": (_audit_tgdo, lambda n: 2**n * factorial(n)),
+    "bijtgsbps": (_audit_bijtgsbps, threshold.listing_cost),
 }
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise _UsageError("--n must be nonnegative")
     audit, cost = _AUDITS[args.check]
-    _check_budget(cost(args.n), args.max_elements, f"the {args.check} audit")
+    check_budget(cost(args.n), args.max_elements, f"the {args.check} audit")
     checked, failure = audit(args.n)
     if failure is None:
         _emit(f"{args.check} at n={args.n}: {checked} round trips verified")
@@ -277,16 +258,16 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 def _cmd_threshold(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise _UsageError("--n must be at least 1")
-    show_counts = args.counts or not args.list
-    data = threshold_counts(args.n) if show_counts else None
     listing: list[threshold.SimpleGraph] = []
     if args.list:
-        _check_budget(
-            2 ** (args.n * (args.n - 1) // 2),
+        check_budget(
+            threshold.listing_cost(args.n),
             args.max_elements,
-            "listing threshold graphs",
+            f"listing the threshold graphs on [{args.n}]",
         )
         listing = list(threshold.enumerate_threshold_graphs(args.n))
+    show_counts = args.counts or not args.list
+    data = threshold_counts(args.n) if show_counts else None
     if args.format == "json":
         payload: dict = {"n": args.n}
         if data is not None:
@@ -331,6 +312,11 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     u = sgnperm.parse_signed(args.perm)
+    check_budget(
+        pathrep.render_cost(len(u)),
+        args.max_elements,
+        f"drawing a window of {len(u)} letters",
+    )
     rep = pathrep.path_representation(u)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:
@@ -350,25 +336,20 @@ def _pair_label(pair: threshold.ThresholdPair) -> str:
     return f"{sgnperm.format_signed(pair.w)}:{edges or 'empty'}"
 
 
-def _build_poset(kind: str, n: int, budget: int) -> posets.FinitePoset:
-    if kind == "TG":
-        _check_budget(2 * sgnperm.group_order(max(n, 1), "D"), budget, "the TG poset")
-        return posets.tg_poset(n)
-    _check_budget(sgnperm.group_order(n, kind), budget, f"the weak {kind} poset")
-    return posets.weak_poset(n, kind)
-
-
 def _cmd_poset(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
     if kind == "D" and n < 2:
         raise _UsageError("type D posets need --n at least 2")
+    if args.check == "iso" and kind not in ("D", "TG"):
+        raise _UsageError("--check iso compares weak D with TG; use --kind D or TG")
+    built = ("D", "TG") if args.check == "iso" else (kind,)
+    check_budget(
+        sum(posets.poset_cost(k, n) for k in built),
+        args.max_elements,
+        f"the {' and '.join(built)} poset at n={n}",
+    )
     if args.check == "iso":
-        if kind not in ("D", "TG"):
-            raise _UsageError(
-                "--check iso compares weak D with TG; use --kind D or TG"
-            )
-        p = _build_poset("D", n, args.max_elements)
-        q = _build_poset("TG", n, args.max_elements)
+        p, q = posets.weak_poset(n, "D"), posets.tg_poset(n)
         ok = posets.order_isomorphism_check(p, q, threshold.tg_pair)
         _emit(
             f"tg_pair on weak D_{n} -> TG_{n}: "
@@ -376,7 +357,7 @@ def _cmd_poset(args: argparse.Namespace) -> int:
         )
         return 0 if ok else 1
 
-    p = _build_poset(kind, n, args.max_elements)
+    p = posets.tg_poset(n) if kind == "TG" else posets.weak_poset(n, kind)
     label = _pair_label if kind == "TG" else sgnperm.format_signed
     exit_code = 0
     if args.check == "lattice":
@@ -434,8 +415,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-elements",
         type=int,
-        default=_DEFAULT_BUDGET,
-        help=f"largest enumeration allowed (default: {_DEFAULT_BUDGET})",
+        default=MAX_BRUTE_ELEMENTS,
+        help="work budget: DP steps, relation bits, edge slots, round trips or "
+        f"grid cells, as the command counts them (default: {MAX_BRUTE_ELEMENTS})",
     )
 
 

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from math import comb, factorial
+from typing import Callable, Iterator
 
 from . import kernels
-from .sgnperm import group_order
 
 __all__ = [
     "MAX_BRUTE_ELEMENTS",
+    "check_budget",
+    "identity_cost",
     "stirling2",
     "eulerian",
     "eulerian_polynomial",
@@ -42,11 +44,42 @@ __all__ = [
     "triangle_rows",
 ]
 
-#: Largest group size the brute-force route will enumerate by default.
+#: Default work budget of every gated operation, the brute-force route
+#: and every CLI command alike.
 MAX_BRUTE_ELEMENTS = 10**8
 
 
-@lru_cache(maxsize=None)
+def check_budget(cost: int, limit: int, what: str) -> None:
+    """The one work-budget gate: refuse ``what`` when ``cost`` exceeds ``limit``.
+
+    The costs come from functions beside the code that does the work, such
+    as ``kernels.histogram_cost`` and ``posets.poset_cost``.
+
+    >>> check_budget(10, 10, "a scan")
+    >>> check_budget(11, 10, "a scan")  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    ValueError: a scan costs 11, over the budget of 10 (raise max_elements...
+    """
+    if cost > limit:
+        bits = cost.bit_length()
+        shown = cost if bits <= 64 else f"more than 2^{bits - 1}"
+        raise ValueError(
+            f"{what} costs {shown}, over the budget of {limit}"
+            " (raise max_elements, or --max-elements, to allow it)"
+        )
+
+
+def _stirling_rows(n: int, width: int) -> Iterator[list[int]]:
+    # S(m, 0..width-1) for m = 0, ..., n, one row at a time by
+    # S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)
+    row = [1] + [0] * (width - 1)
+    yield row
+    for _ in range(n):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, width)]
+        yield row
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: set partitions of [n] into k blocks.
 
@@ -57,9 +90,10 @@ def stirling2(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("arguments must be nonnegative")
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    if k > n:
+        return 0
+    *_, row = _stirling_rows(n, k + 1)
+    return row[k]
 
 
 def _eul_a(n: int, k: int) -> int:
@@ -89,17 +123,11 @@ def _eul_d(n: int, k: int) -> int:
 _FORMULAS = {"A": _eul_a, "B": _eul_b, "D": _eul_d}
 
 
-_HISTOGRAMS: dict[tuple[str, int], tuple[int, ...]] = {}
-
-
+@cache
 def _brute_histogram(kind: str, n: int) -> tuple[int, ...]:
-    key = (kind, n)
-    if key not in _HISTOGRAMS:
-        if kind == "positive":
-            _HISTOGRAMS[key] = kernels.positive_descent_histogram(n)
-        else:
-            _HISTOGRAMS[key] = kernels.descent_histogram(kind, n)
-    return _HISTOGRAMS[key]
+    if kind == "positive":
+        return kernels.positive_descent_histogram(n)
+    return kernels.descent_histogram(kind, n)
 
 
 def eulerian(
@@ -113,8 +141,9 @@ def eulerian(
 
     The ``formula`` method evaluates the closed summation formulas; the
     ``bruteforce`` method counts the group's descent histogram with the
-    counting kernel, allowed only for groups of at most ``max_elements``
-    elements (``MAX_BRUTE_ELEMENTS`` when not given).  Type D needs n >= 2.
+    counting kernel, allowed only when its ``kernels.histogram_cost`` is at
+    most ``max_elements`` DP steps (``MAX_BRUTE_ELEMENTS`` when not given).
+    Type D needs n >= 2.
 
     >>> [eulerian(4, k) for k in range(4)]
     [1, 11, 11, 1]
@@ -137,11 +166,11 @@ def eulerian(
     if method == "formula":
         return _FORMULAS[kind](n, k)
     if method == "bruteforce":
-        budget = MAX_BRUTE_ELEMENTS if max_elements is None else max_elements
-        if group_order(n, kind) > budget:
-            raise ValueError(
-                f"brute force over {kind}_{n} exceeds the element budget"
-            )
+        check_budget(
+            kernels.histogram_cost(kind, n),
+            MAX_BRUTE_ELEMENTS if max_elements is None else max_elements,
+            f"brute force over {kind}_{n}",
+        )
         return _brute_histogram(kind, n)[k]
     raise ValueError(f"unknown method: {method!r}")
 
@@ -225,25 +254,22 @@ def _pad(p: tuple[int, ...], size: int) -> tuple[int, ...]:
     return p + (0,) * (size - len(p))
 
 
-def _check_alternating(n: int) -> tuple[IdentityRow, ...]:
+def _check_alternating(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
     # brute-force type A histogram against the alternating-sum formula
-    hist = _brute_histogram("A", n)
     return tuple(
         IdentityRow(k, hist[k], _eul_a(n, k)) for k in range(max(n, 1))
     )
 
 
-def _check_eul_b_even(n: int) -> tuple[IdentityRow, ...]:
+def _check_eul_b_even(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
     # brute-force type B histogram against the even-indexed binomial sum
-    hist = _brute_histogram("B", n)
     return tuple(IdentityRow(k, hist[k], _eul_b(n, k)) for k in range(n + 1))
 
 
-def _check_eul_b_odd(n: int) -> tuple[IdentityRow, ...]:
+def _check_eul_b_odd(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
     # 2^n Eul_A(n, k) against the odd-indexed binomial sum, with the
     # brute-force count of signed windows having k strictly positive
     # descents as the third, enumerative face of the same statement
-    hist = _brute_histogram("positive", n)
     rows = []
     for k in range(max(n, 1)):
         lhs = 2**n * _eul_a(n, k)
@@ -254,7 +280,7 @@ def _check_eul_b_odd(n: int) -> tuple[IdentityRow, ...]:
     return tuple(rows)
 
 
-def _check_main(n: int) -> tuple[IdentityRow, ...]:
+def _check_main(n: int, hist: None) -> tuple[IdentityRow, ...]:
     # (1 + t)^(n+1) S_n(t) = B_n(t^2) + 2^n t S_n(t^2), coefficientwise
     s_n = tuple(_eul_a(n, k) for k in range(max(n, 1)))
     b_n = tuple(_eul_b(n, k) for k in range(n + 1))
@@ -270,36 +296,56 @@ def _check_main(n: int) -> tuple[IdentityRow, ...]:
     return tuple(IdentityRow(i, lhs[i], rhs[i]) for i in range(size))
 
 
-def _check_stembridge(n: int) -> tuple[IdentityRow, ...]:
-    # brute-force type D histogram against Eul_B - n 2^(n-1) Eul_A
-    if n < 2:
-        raise ValueError("the type D identity needs n >= 2")
-    hist = _brute_histogram("D", n)
+def _check_stembridge(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
+    # brute-force type D histogram (the kernel needs n >= 2) against
+    # Eul_B - n 2^(n-1) Eul_A
     return tuple(IdentityRow(k, hist[k], _eul_d(n, k)) for k in range(n + 1))
 
 
-def _closed_form_rows(n: int, kind: str) -> tuple[IdentityRow, ...]:
+def _closed_form_rows(
+    n: int, kind: str, hist: tuple[int, ...]
+) -> tuple[IdentityRow, ...]:
     if n < 2:
         raise ValueError("the closed forms for k = 1 need n >= 2")
     closed = 3**n - n - 1
     if kind == "D":
         closed -= n * 2 ** (n - 1)
-    brute = _brute_histogram(kind, n)[1]
-    return (IdentityRow(1, _FORMULAS[kind](n, 1), closed, brute=brute),)
+    return (IdentityRow(1, _FORMULAS[kind](n, 1), closed, brute=hist[1]),)
 
 
+# identity -> (the kernel histogram its check reads, or None; the check)
 _CHECKS = {
-    "alternating": _check_alternating,
-    "eulBeven": _check_eul_b_even,
-    "eulBodd": _check_eul_b_odd,
-    "main": _check_main,
-    "stembridge": _check_stembridge,
-    "B_n1": lambda n: _closed_form_rows(n, "B"),
-    "D_n1": lambda n: _closed_form_rows(n, "D"),
+    "alternating": ("A", _check_alternating),
+    "eulBeven": ("B", _check_eul_b_even),
+    "eulBodd": ("positive", _check_eul_b_odd),
+    "main": (None, _check_main),
+    "stembridge": ("D", _check_stembridge),
+    "B_n1": ("B", lambda n, hist: _closed_form_rows(n, "B", hist)),
+    "D_n1": ("D", lambda n, hist: _closed_form_rows(n, "D", hist)),
 }
 
 #: The identity names accepted by :func:`verify_identity`.
 IDENTITY_NAMES = tuple(sorted(_CHECKS))
+
+
+def _identity(name: str) -> tuple[str | None, Callable]:
+    if name not in _CHECKS:
+        raise ValueError(
+            f"unknown identity {name!r}; expected one of {', '.join(IDENTITY_NAMES)}"
+        )
+    return _CHECKS[name]
+
+
+def identity_cost(name: str, n: int) -> int:
+    """DP steps of the kernel histogram that ``verify_identity(name, n)`` reads.
+
+    The formula-only identity ``main`` reads none and costs 0.
+
+    >>> identity_cost("stembridge", 14), identity_cost("main", 40)
+    (94020, 0)
+    """
+    kind, _ = _identity(name)
+    return 0 if kind is None else kernels.histogram_cost(kind, n)
 
 
 def verify_identity(name: str, n: int) -> IdentityReport:
@@ -316,13 +362,11 @@ def verify_identity(name: str, n: int) -> IdentityReport:
     >>> (report.holds, len(report.rows))
     (True, 7)
     """
-    if name not in _CHECKS:
-        raise ValueError(
-            f"unknown identity {name!r}; expected one of {', '.join(IDENTITY_NAMES)}"
-        )
+    kind, check = _identity(name)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return IdentityReport(name, n, _CHECKS[name](n))
+    hist = None if kind is None else _brute_histogram(kind, n)
+    return IdentityReport(name, n, check(n, hist))
 
 
 @dataclass(frozen=True)
@@ -361,12 +405,9 @@ def threshold_counts(n: int) -> ThresholdCounts:
     if n == 1:
         by_classes: tuple[int, ...] = (1,)
     else:
+        *_, before, row = _stirling_rows(n, n + 1)
         by_classes = tuple(
-            2
-            * (
-                factorial(i) * stirling2(n, i)
-                - n * factorial(i - 1) * stirling2(n - 1, i - 1)
-            )
+            2 * (factorial(i) * row[i] - n * factorial(i - 1) * before[i - 1])
             for i in range(1, n + 1)
         )
     by_partition_descents = tuple(

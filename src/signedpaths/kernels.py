@@ -28,6 +28,7 @@ from __future__ import annotations
 
 __all__ = [
     "descent_histogram",
+    "histogram_cost",
     "positive_descent_histogram",
 ]
 
@@ -60,6 +61,29 @@ def _histogram(kind: str, n: int) -> tuple[int, ...]:
         if not parity:
             total = [a + b for a, b in zip(total, counts)]
     return tuple(total)
+
+
+def histogram_cost(kind: str, n: int) -> int:
+    """Inner steps of the DP behind the rank-n histogram of ``kind``.
+
+    Each (state, letter) pair of the loops adds an (n + 1)-entry count
+    vector into a successor; the pairs are summed in closed form: after the
+    first letter, m + 1 states meet m free letters in type A, 2m + 1 states
+    2m letters in types B and "positive", and type D doubles the states
+    from the third letter on (the sign parity).  O(1) arithmetic.
+
+    >>> histogram_cost("B", 9), histogram_cost("D", 14)
+    (9060, 94020)
+    """
+    if kind == "A":
+        pairs = n + (n - 1) * n * (n + 1) // 3
+    elif kind == "D":
+        m = n - 2
+        pairs = 2 * n + 4 * n * (n - 1) + 2 * m * (m + 1) * (4 * m + 5) // 3
+    else:
+        m = n - 1
+        pairs = 2 * n + m * (m + 1) * (4 * m + 5) // 3
+    return (n + 1) * pairs
 
 
 def descent_histogram(kind: str, n: int) -> tuple[int, ...]:

@@ -57,6 +57,7 @@ __all__ = [
     "symmetric_paths",
     "render_ascii",
     "render_svg",
+    "render_cost",
 ]
 
 LatticePath = str
@@ -312,6 +313,11 @@ def symmetric_paths(n: int):
 # Rendering
 
 
+def render_cost(n: int) -> int:
+    """Grid cells that drawing the path of a rank-n window covers: n^2."""
+    return n * n
+
+
 def render_ascii(rep: PathRepresentation) -> str:
     """Draw the path region as a text grid.
 
@@ -398,9 +404,3 @@ def render_svg(rep: PathRepresentation, cell: int = 32) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -36,12 +36,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .sgnperm import enumerate_group, inversion_set
+from .sgnperm import enumerate_group, group_order, inversion_set
 from .threshold import ThresholdPair, enumerate_tg
 
 __all__ = [
     "FinitePoset",
     "LatticeReport",
+    "poset_cost",
     "weak_leq",
     "weak_poset",
     "tg_poset",
@@ -298,6 +299,20 @@ def _containment_downs(masks: list[int], width: int) -> list[int]:
                 outside |= column
         downs.append(everything & ~outside)
     return downs
+
+
+def poset_cost(kind: str, n: int) -> int:
+    """Relation bits that building the rank-n poset of ``kind`` stores: N^2.
+
+    N is the group order for the weak orders "A", "B" and "D", and for
+    "TG" it is |D_n| = 2^(n-1) n! (1 at n = 0): the pairs (w, E)
+    correspond to the even-signed permutations.
+
+    >>> poset_cost("B", 2), poset_cost("TG", 3)
+    (64, 576)
+    """
+    size = group_order(max(n, 1), "D") if kind == "TG" else group_order(n, kind)
+    return size * size
 
 
 def weak_leq(a: tuple[int, ...], b: tuple[int, ...], kind: str = "A") -> bool:

@@ -372,29 +372,14 @@ def group_order(n: int, kind: str = "A") -> int:
     return 2 ** (n - 1) * factorial(n)
 
 
-def _subtree_count(r: int, kind: str, parity_even: bool) -> int:
-    # Completions of a prefix with r letters still unplaced.  For type D the
-    # count is independent of the prefix parity except at r = 0.
-    if kind == "A":
-        return factorial(r)
-    if kind == "B":
-        return factorial(r) * 2**r
-    if r == 0:
-        return 1 if parity_even else 0
-    return factorial(r) * 2 ** (r - 1)
-
-
-def enumerate_group(
-    n: int, kind: str = "A", start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def enumerate_group(n: int, kind: str = "A") -> Iterator[tuple[int, ...]]:
     """Yield the elements of A_n/B_n/D_n in window-lexicographic order.
 
     Words are compared as integer tuples, so the all-negative window
     (-n, ..., -1) comes first and the decreasing positive window
-    (n, ..., 1) last.  ``start``/``stop``
-    select a rank range of this fixed order, which is what makes parallel
-    exhaustive sweeps deterministic: partitioning by rank ranges yields the
-    same multiset of elements regardless of scheduling.
+    (n, ..., 1) last.  The signed windows come from a depth-first walk with
+    an explicit stack: each position takes the free letters in increasing
+    order, and the last one is forced in type D by the sign parity.
 
     >>> list(enumerate_group(2, "D"))
     [(-2, -1), (-1, -2), (1, 2), (2, 1)]
@@ -403,52 +388,47 @@ def enumerate_group(
     if n < 0 or (kind == "D" and n < 1):
         raise ValueError(f"enumeration undefined for kind {kind}, n = {n}")
     if n > MAX_ENUMERATION_N:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration cap {MAX_ENUMERATION_N}"
-        )
-    total = group_order(n, kind)
-    stop = total if stop is None else min(stop, total)
-    if not 0 <= start <= total:
-        raise ValueError(f"start must lie in [0, {total}], got {start}")
-    if start >= stop:
-        return
+        raise ValueError(f"n = {n} exceeds the enumeration cap {MAX_ENUMERATION_N}")
     if kind == "A":
         # itertools.permutations already yields in lexicographic order.
-        yield from itertools.islice(
-            itertools.permutations(range(1, n + 1)), start, stop
-        )
+        yield from itertools.permutations(range(1, n + 1))
         return
-
-    remaining = stop - start
-    skip = start
-    prefix: list[int] = []
-
-    def emit(avail: list[int], negatives: int) -> Iterator[tuple[int, ...]]:
-        nonlocal skip, remaining
-        if remaining == 0:
-            return
-        if not avail:
-            if skip == 0:
-                remaining -= 1
-                yield tuple(prefix)
-            else:  # pragma: no cover - skip never reaches completed leaves
-                skip -= 1
-            return
-        candidates = [-a for a in reversed(avail)] + avail
-        for c in candidates:
-            even_after = (negatives + (1 if c < 0 else 0)) % 2 == 0
-            t = _subtree_count(len(avail) - 1, kind, even_after)
-            if skip >= t:
-                skip -= t
-                continue
-            rest = [a for a in avail if a != abs(c)]
-            prefix.append(c)
-            yield from emit(rest, negatives + (1 if c < 0 else 0))
-            prefix.pop()
-            if remaining == 0:
-                return
-
-    yield from emit(list(range(1, n + 1)), 0)
+    if n == 0:
+        yield ()
+        return
+    letters = [*range(-n, 0), *range(1, n + 1)]
+    last = n - 1
+    free = [False] + [True] * n  # free[v]: neither v nor -v is placed
+    window = [0] * n
+    at = [0] * n  # at[d]: index in letters of the next candidate at depth d
+    odd = False  # parity of the negative letters in window[:depth]
+    depth = 0
+    while depth >= 0:
+        if depth == last:
+            v = free.index(True)
+            for x in (-v, v):
+                if kind == "B" or odd == (x < 0):
+                    window[last] = x
+                    yield tuple(window)
+            depth -= 1
+            continue
+        i = at[depth]
+        if i:  # take back the letter placed here before trying the next one
+            x = window[depth]
+            free[abs(x)] = True
+            odd ^= x < 0
+        while i < 2 * n and not free[abs(letters[i])]:
+            i += 1
+        if i == 2 * n:
+            at[depth] = 0
+            depth -= 1
+            continue
+        x = letters[i]
+        at[depth] = i + 1
+        window[depth] = x
+        free[abs(x)] = False
+        odd ^= x < 0
+        depth += 1
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +477,3 @@ def format_signed(u: Sequence[int]) -> str:
     '-2,3,1'
     """
     return ",".join(str(x) for x in u)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

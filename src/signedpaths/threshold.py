@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 from . import barred, pathrep
@@ -59,6 +60,7 @@ __all__ = [
     "enumerate_graphs",
     "enumerate_threshold_graphs",
     "enumerate_tg",
+    "listing_cost",
     "unlabeled_threshold_count",
     "sbp_from_threshold",
     "threshold_from_sbp",
@@ -421,6 +423,30 @@ def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
         yield _graph_from_mask(n, pairs, bits)
 
 
+def listing_cost(n: int) -> int:
+    """Edge slots that listing the threshold graphs on [n] stores.
+
+    Each graph that :func:`enumerate_threshold_graphs` yields holds up to
+    C(n, 2) edges, and there are 2(F(n) - n F(n-1)) graphs for n >= 2,
+    with F the ordered Bell numbers, F(m) = sum_k C(m, k) F(m - k).  The
+    recurrence takes O(n^2) steps, so above n = 100, where the class has
+    more than 10^170 graphs, the bound 2 n! (3/2)^n stands in for the
+    class size: F(m) <= m! (3/2)^m by induction on the recurrence, as
+    e^(2/3) - 1 < 1.  A graph with no edge slot costs one unit.
+
+    >>> [listing_cost(n) for n in range(1, 7)]
+    [1, 2, 24, 276, 3320, 43110]
+    """
+    if n < 2:
+        return 1
+    if n > 100:
+        return -(-2 * factorial(n) * 3**n // 2**n) * comb(n, 2)
+    fubini = [1]
+    for m in range(1, n + 1):
+        fubini.append(sum(comb(m, k) * fubini[m - k] for k in range(1, m + 1)))
+    return 2 * (fubini[n] - n * fubini[n - 1]) * comb(n, 2)
+
+
 def enumerate_tg(n: int) -> Iterator[ThresholdPair]:
     """All pairs of a threshold graph with one of its degree orderings."""
     for g in enumerate_threshold_graphs(n):
@@ -475,9 +501,3 @@ def graph_to_json(g: SimpleGraph) -> str:
 def graph_from_json(text: str) -> SimpleGraph:
     data = json.loads(text)
     return graph(int(data["n"]), data.get("edges", []))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

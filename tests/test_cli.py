@@ -1,10 +1,11 @@
 """End-to-end tests for the command-line interface (exit codes and output)."""
 
 import json
+import time
 
 import pytest
 
-from signedpaths import cli
+from signedpaths import cli, posets, threshold
 from signedpaths.eulerian import IdentityReport, IdentityRow
 
 
@@ -53,14 +54,21 @@ class TestEulerianCommand:
         assert brute == formula == "1 44 102 44 1\n"
 
     def test_raised_budget_admits_bruteforce(self, capsys):
-        # B_9 has more elements than the default budget of 10^8
         argv = ["eulerian", "--kind", "B", "--n", "9"]
         brute = run_ok(
             capsys,
             argv + ["--method", "bruteforce", "--max-elements", "1000000000"],
         )
         assert brute == run_ok(capsys, argv)
-        assert "budget" in run_err(capsys, argv + ["--method", "bruteforce"])
+        # the A_200 DP takes 536,026,800 steps, over the default of 10^8
+        a200 = ["eulerian", "--kind", "A", "--n", "200", "--method", "bruteforce"]
+        assert "budget" in run_err(capsys, a200)
+
+    def test_default_budget_admits_b9_bruteforce(self, capsys):
+        # the B_9 DP takes 9,060 steps; its group has 185,794,560 elements
+        argv = ["eulerian", "--kind", "B", "--n", "9"]
+        brute = run_ok(capsys, argv + ["--method", "bruteforce"])
+        assert brute == run_ok(capsys, argv)
 
     def test_budget_violation(self, capsys):
         err = run_err(
@@ -144,6 +152,11 @@ class TestBijectionCommand:
         out = run_ok(capsys, ["bijection", "--check", check, "--n", str(n)])
         assert f"{check} at n={n}:" in out
         assert "round trips verified" in out
+
+    @pytest.mark.parametrize("check", ["psi", "theta", "chi", "tgdo", "bijtgsbps"])
+    def test_negative_rank_is_a_domain_error(self, capsys, check):
+        err = run_err(capsys, ["bijection", "--check", check, "--n", "-1"])
+        assert "nonnegative" in err
 
     def test_chi_needs_two(self, capsys):
         assert "at least 2" in run_err(capsys, ["bijection", "--check", "chi", "--n", "1"])
@@ -299,6 +312,88 @@ class TestPosetCommand:
             ["poset", "--kind", "B", "--n", "8", "--check", "lattice",
              "--max-elements", "100"],
         )
+        assert "budget" in err
+
+
+# Every command that does charged work, at a rank its audit or build accepts.
+CHARGED = [
+    ["eulerian", "--kind", "A", "--n", "3", "--method", "bruteforce"],
+    *(
+        ["verify", "--identity", name, "--max-n", "3"]
+        for name in ("alternating", "eulBeven", "eulBodd", "stembridge", "B_n1", "D_n1")
+    ),
+    *(
+        ["poset", "--kind", kind, "--n", "3", "--check", "lattice"]
+        for kind in ("A", "B", "D", "TG")
+    ),
+    ["poset", "--kind", "D", "--n", "3", "--check", "iso"],
+    ["threshold", "--n", "3", "--list"],
+    *(
+        ["bijection", "--check", check, "--n", "3"]
+        for check in ("psi", "theta", "chi", "tgdo", "bijtgsbps")
+    ),
+    ["render", "--perm", "-2,3,1"],
+]
+
+
+class TestBudgetGate:
+    @pytest.mark.parametrize("argv", CHARGED, ids=lambda argv: "-".join(argv[:3]))
+    def test_every_charged_command_meets_the_gate(self, capsys, argv):
+        err = run_err(capsys, argv + ["--max-elements", "0"])
+        assert "budget" in err
+
+    def test_stembridge_to_fourteen_holds(self, capsys):
+        # D_2..D_14 take 307,632 DP steps in all; D_10 alone has 1.9e9 elements
+        out = run_ok(capsys, ["verify", "--identity", "stembridge", "--max-n", "14"])
+        lines = out.splitlines()
+        assert len(lines) == 13 and all(": holds (" in line for line in lines)
+
+    def test_verify_is_charged_before_the_first_rank(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a rank ran")
+
+        monkeypatch.setattr(cli, "verify_identity", forbidden)
+        err = run_err(
+            capsys,
+            ["verify", "--identity", "stembridge", "--max-n", "14",
+             "--max-elements", "307631"],
+        )
+        assert "budget" in err
+
+    def test_b7_poset_is_refused_before_the_build(self, capsys, monkeypatch):
+        # 645,120 elements would need 4.2e11 bits of down-set rows
+        def forbidden(*args):
+            raise AssertionError("the poset was built")
+
+        monkeypatch.setattr(posets, "weak_poset", forbidden)
+        err = run_err(capsys, ["poset", "--kind", "B", "--n", "7", "--check", "lattice"])
+        assert "budget" in err
+
+    @pytest.mark.parametrize("n", ["9", "10"])
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--list"], ["bijection", "--check", "bijtgsbps"],
+    ])
+    def test_large_threshold_listings_are_refused(self, capsys, monkeypatch, argv, n):
+        # 4.3e6 graphs at n = 9 and 6.3e7 at n = 10 would each be kept in memory
+        def forbidden(n):
+            raise AssertionError("the graphs were generated")
+
+        monkeypatch.setattr(threshold, "enumerate_threshold_graphs", forbidden)
+        assert "budget" in run_err(capsys, argv + ["--n", n])
+
+    def test_long_render_is_refused(self, capsys):
+        window = ",".join(str(v) for v in range(1, 20_001))
+        assert "budget" in run_err(capsys, ["render", "--perm", window])
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--n", "10000", "--list"],
+        ["poset", "--kind", "B", "--n", "12", "--check", "lattice"],
+        ["verify", "--identity", "alternating", "--max-n", str(10**9)],
+    ])
+    def test_refusal_is_cheap(self, capsys, argv):
+        start = time.perf_counter()
+        err = run_err(capsys, argv)
+        assert time.perf_counter() - start < 1.0
         assert "budget" in err
 
 

@@ -1,20 +1,25 @@
 """Unit tests for Eulerian numbers, identity checks, and threshold counts."""
 
+import importlib
 import itertools
 import json
 import math
 
 import pytest
 
+from signedpaths import kernels
 from signedpaths.eulerian import (
     IDENTITY_NAMES,
+    MAX_BRUTE_ELEMENTS,
     IdentityReport,
     IdentityRow,
+    check_budget,
     eulerian,
     eulerian_polynomial,
     report_to_json,
     stirling2,
     threshold_counts,
+    identity_cost,
     triangle_rows,
     verify_identity,
 )
@@ -24,6 +29,9 @@ from signedpaths.threshold import (
     enumerate_threshold_graphs,
     sbp_from_threshold,
 )
+
+# the package re-exports the function eulerian under the module's name
+eulerian_module = importlib.import_module("signedpaths.eulerian")
 
 # Rows frozen from brute-force descent histograms over the three groups.
 TRIANGLE_A = {
@@ -69,6 +77,12 @@ class TestStirling:
         for n in range(7):
             for k in range(n + 2):
                 assert stirling2(n, k) == brute_stirling2(n, k)
+
+    def test_deep_rows_against_closed_form(self):
+        # S(n, 3) = (3^n - 3 2^n + 3) / 6; the rows are built iteratively, so
+        # no recursion limit applies
+        assert stirling2(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
+        assert stirling2(3, 10**9) == 0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -129,9 +143,31 @@ class TestEulerianNumbers:
     def test_budget_is_enforced(self):
         with pytest.raises(ValueError):
             eulerian(3, 1, "B", method="bruteforce", max_elements=10)
-        # 13! exceeds the default budget; the call must refuse up front
-        with pytest.raises(ValueError):
-            eulerian(13, 1, "A", method="bruteforce")
+        # the A_200 DP takes 536,026,800 steps, over the default budget
+        with pytest.raises(ValueError, match="budget"):
+            eulerian(200, 1, "A", method="bruteforce")
+
+    def test_unaffordable_rank_is_refused_before_the_kernel(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(kernels, "descent_histogram", forbidden)
+        with pytest.raises(ValueError, match="budget"):
+            eulerian(200, 1, "A", method="bruteforce")
+
+    def test_gate_counts_dp_steps(self):
+        # B_9 has 185,794,560 elements but its DP takes 9,060 steps
+        assert eulerian(9, 1, "B", method="bruteforce") == eulerian(9, 1, "B")
+        with pytest.raises(ValueError, match="budget"):
+            eulerian(9, 1, "B", method="bruteforce", max_elements=9_059)
+        assert eulerian(9, 1, "B", method="bruteforce", max_elements=9_060)
+
+    def test_check_budget(self):
+        check_budget(MAX_BRUTE_ELEMENTS, MAX_BRUTE_ELEMENTS, "at the limit")
+        with pytest.raises(ValueError, match="budget of 7"):
+            check_budget(8, 7, "one over")
+        with pytest.raises(ValueError, match=r"more than 2\^99999"):
+            check_budget(2**99999, 7, "a huge cost")
 
     def test_edge_ranks(self):
         assert eulerian(0, 0, "A") == 1
@@ -179,10 +215,28 @@ class TestIdentities:
         ]
 
     def test_closed_form_identities_carry_brute_column(self):
-        # B_9 has more elements than MAX_BRUTE_ELEMENTS; it is counted anyway
+        # verify_identity is not budgeted; at n = 9 the kernel histograms
+        # take 9,060 (B) and 15,380 (D) DP steps
         for name in ("B_n1", "D_n1"):
             (row,) = verify_identity(name, 9).rows
             assert row.brute == row.lhs == row.rhs
+
+    @pytest.mark.parametrize("name", IDENTITY_NAMES)
+    def test_identity_cost_is_the_histogram_the_check_reads(self, name, monkeypatch):
+        read = []
+        original = eulerian_module._brute_histogram
+
+        def recording(kind, n):
+            read.append(kind)
+            return original(kind, n)
+
+        monkeypatch.setattr(eulerian_module, "_brute_histogram", recording)
+        for n in range(2, 7):
+            read.clear()
+            verify_identity(name, n)
+            expected = sum(kernels.histogram_cost(kind, n) for kind in read)
+            assert identity_cost(name, n) == expected, (name, n, read)
+        assert (identity_cost(name, 40) == 0) == (name == "main")
 
     def test_closed_forms(self):
         for n in range(2, 9):

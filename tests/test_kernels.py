@@ -5,7 +5,11 @@ import time
 import pytest
 
 from signedpaths.eulerian import verify_identity
-from signedpaths.kernels import descent_histogram, positive_descent_histogram
+from signedpaths.kernels import (
+    descent_histogram,
+    histogram_cost,
+    positive_descent_histogram,
+)
 from signedpaths.sgnperm import (
     descent_count,
     enumerate_group,
@@ -23,6 +27,38 @@ def object_level_histogram(kind, n):
         for u in enumerate_group(n, kind):
             counts[descent_count(u, kind)] += 1
     return tuple(counts)
+
+
+def replayed_cost(kind, n):
+    # second route to the cost: replay the DP's state sets and count the
+    # (state, letter) pairs it visits, each adding an (n + 1)-entry vector
+    signed = kind != "A"
+    states = {(n if kind == "B" else 0, 0)}
+    pairs = 0
+    for i in range(n):
+        m = n - i
+        size = 2 * m if signed else m
+        pairs += len(states) * size
+        states = {
+            (p - (signed and p >= m), parity ^ (kind == "D" and p < m))
+            for _, parity in states
+            for p in range(size)
+        }
+    return (n + 1) * pairs
+
+
+class TestHistogramCost:
+    @pytest.mark.parametrize("kind", ["A", "B", "D", "positive"])
+    def test_counts_the_pairs_the_dp_visits(self, kind):
+        for n in range(2 if kind == "D" else 0, 16):
+            assert histogram_cost(kind, n) == replayed_cost(kind, n), n
+
+    def test_anchors(self):
+        assert histogram_cost("B", 9) == 9_060
+        assert histogram_cost("D", 14) == 94_020
+        assert histogram_cost("A", 13) == 10_374
+        assert histogram_cost("A", 200) == 536_026_800
+        assert 1.3e8 < histogram_cost("B", 100) < 1.4e8
 
 
 class TestValidation:

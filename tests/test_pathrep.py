@@ -19,6 +19,7 @@ from signedpaths.pathrep import (
     path_representation,
     reflect_path,
     render_ascii,
+    render_cost,
     render_svg,
     signed_from_path,
     symmetric_paths,
@@ -215,6 +216,7 @@ class TestRendering:
         assert lines[-1] == ANCHOR_PATH
         # 21 cells lie below the anchor path
         assert art.count("#") == 21
+        assert art.count("#") + art.count(".") == render_cost(len(ANCHOR)) == 49
 
     def test_svg_structure(self):
         svg = render_svg(path_representation((-2, 3, 1)))

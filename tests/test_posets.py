@@ -11,6 +11,7 @@ from signedpaths.posets import (
     FinitePoset,
     LatticeReport,
     order_isomorphism_check,
+    poset_cost,
     tg_order_leq,
     tg_poset,
     weak_leq,
@@ -24,6 +25,16 @@ DIVISORS = [1, 2, 3, 4, 6, 12]
 
 def divides(a, b):
     return b % a == 0
+
+
+def test_poset_cost_is_the_squared_size():
+    for kind, ranks in [("A", range(5)), ("B", range(4)), ("D", range(2, 5))]:
+        for n in ranks:
+            assert poset_cost(kind, n) == len(weak_poset(n, kind)) ** 2
+    for n in range(5):
+        assert poset_cost("TG", n) == len(tg_poset(n)) ** 2
+    # |TG_n| = |D_n| = 2^(n-1) n!
+    assert poset_cost("B", 6) == 46_080**2 and poset_cost("TG", 6) == 23_040**2
 
 
 class TestFinitePoset:

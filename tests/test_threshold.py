@@ -26,6 +26,7 @@ from signedpaths.sgnperm import (
     is_even_signed,
     mate,
 )
+from signedpaths.eulerian import MAX_BRUTE_ELEMENTS, threshold_counts
 from signedpaths.threshold import (
     SimpleGraph,
     ThresholdPair,
@@ -44,6 +45,7 @@ from signedpaths.threshold import (
     height_from_edges,
     is_degree_ordering,
     is_threshold,
+    listing_cost,
     neighbors,
     parse_graph,
     sbp_from_threshold,
@@ -323,6 +325,22 @@ class TestCountsAndText:
     )
     def test_labeled_counts(self, n, total):
         assert sum(1 for _ in enumerate_threshold_graphs(n)) == total
+
+    def test_listing_cost_counts_edge_slots(self):
+        # one unit per graph on fewer than two vertices, C(n, 2) per graph above
+        for n in range(8):
+            graphs = sum(1 for _ in enumerate_threshold_graphs(n))
+            assert listing_cost(n) == graphs * max(n * (n - 1) // 2, 1)
+        for n in (8, 20, 60, 100):
+            assert listing_cost(n) == threshold_counts(n).total * n * (n - 1) // 2
+        # past n = 100 an upper bound stands in, and stays cheap
+        assert listing_cost(101) >= threshold_counts(101).total * 5050
+        assert listing_cost(10_000) > 10**35_000
+
+    def test_default_budget_lists_n8_but_not_n9(self):
+        # 334,982 graphs of 28 slots; 4,349,492 graphs of 36 slots at n = 9
+        assert listing_cost(8) == 9_379_496 <= MAX_BRUTE_ELEMENTS
+        assert listing_cost(9) == 156_581_712 > MAX_BRUTE_ELEMENTS
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_unlabeled_counts(self, n):
