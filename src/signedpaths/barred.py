@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+import operator
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .pathrep import LatticePath
@@ -36,7 +38,6 @@ from .sgnperm import (
     as_permutation,
     as_window,
     descent_set,
-    full_notation,
 )
 from . import pathrep
 
@@ -137,6 +138,69 @@ def upper_antidiagonal(bars: Iterable[int], n: int) -> LatticePath:
     return "".join(out)
 
 
+# A plan is an itemgetter over ``(*seq, *-seq)``: index ``i`` picks
+# ``seq[i]`` and index ``n + i`` picks ``-seq[i]``.  psi and its inverse are
+# fixed signed position maps, derived once from the bars or from the sign
+# pattern of the window and then applied to any letters.
+
+
+def _getter(picks: list[int]) -> itemgetter:
+    # itemgetter returns the bare item, not a 1-tuple, for a single index
+    # and needs at least one; a slice covers n = 0 and n = 1
+    if len(picks) > 1:
+        return itemgetter(*picks)
+    return itemgetter(slice(picks[0], picks[0] + 1) if picks else slice(0))
+
+
+def _apply(plan: itemgetter, seq: tuple[int, ...]) -> tuple[int, ...]:
+    return plan((*seq, *map(operator.neg, seq)))
+
+
+def _psi_plan(bars: frozenset[int], n: int) -> itemgetter:
+    # the blocks outward from the cut after the first ceil(|bars| / 2) of
+    # them: right ones kept, left ones reversed and negated; the walk
+    # starts on the left when |bars| is odd
+    cuts = [0, *sorted(bars), n]
+    lo = hi = (len(cuts) - 1) // 2
+    left = len(cuts) % 2 == 1
+    picks: list[int] = []
+    for _ in range(len(cuts) - 1):
+        if left:
+            lo -= 1
+            picks += range(n + cuts[lo + 1] - 1, n + cuts[lo] - 1, -1)
+        else:
+            picks += range(cuts[hi], cuts[hi + 1])
+            hi += 1
+        left = not left
+    return _getter(picks)
+
+
+def _psi_inverse_plan(u: SignedPermutation) -> tuple[itemgetter, frozenset[int]]:
+    # Reads only the signs of u.  w is the negative letters read backwards
+    # (the left blocks), then the positive ones (the right blocks).  With
+    # neg negative letters in all, a run of negative letters that has a
+    # negative and b positive letters before it starts the left block that
+    # ends at neg - a and follows the right block that ends at neg + b:
+    # those are the bars.
+    n = len(u)
+    lefts: list[int] = []
+    rights: list[int] = []
+    runs = []
+    prev = 1
+    for k, x in enumerate(u):
+        if x < 0:
+            if prev > 0:
+                runs.append((len(lefts), len(rights)))
+            lefts.append(n + k)
+        else:
+            rights.append(k)
+        prev = x
+    neg = len(lefts)
+    bars = frozenset([neg - a for a, _ in runs] + [neg + b for _, b in runs])
+    lefts.reverse()
+    return _getter(lefts + rights), bars
+
+
 def psi(sbp: SimplyBarredPermutation) -> SignedPermutation:
     """The signed permutation whose path is the bar staircase of ``sbp``
     and whose column labels are ``sbp.w``.
@@ -149,44 +213,31 @@ def psi(sbp: SimplyBarredPermutation) -> SignedPermutation:
     to the right (kept) and to the left (negated and reversed) and
     starting on the left when ``m`` is odd.  So with ``neg`` negative
     letters, the positive ones are ``w[neg:]`` in order and the negative
-    ones ``-w[neg-1], ..., -w[0]``.  No step word is built.
+    ones ``-w[neg-1], ..., -w[0]``.  The bars alone fix where each letter
+    goes and with which sign; no step word is built.
 
     >>> psi(SimplyBarredPermutation((7, 4, 2, 3, 1, 6, 5), frozenset({2, 3, 6})))
     (-2, 3, 1, 6, -4, -7, 5)
     """
-    w = sbp.w
-    cuts = [0, *sorted(sbp.bars), len(w)]
-    lo = hi = (len(cuts) - 1) // 2
-    left = len(cuts) % 2 == 1
-    window: list[int] = []
-    for _ in range(len(cuts) - 1):
-        if left:
-            window.extend(-x for x in reversed(w[cuts[lo - 1]:cuts[lo]]))
-            lo -= 1
-        else:
-            window.extend(w[cuts[hi]:cuts[hi + 1]])
-            hi += 1
-        left = not left
-    return tuple(window)
+    return _apply(_psi_plan(sbp.bars, len(sbp.w)), sbp.w)
 
 
 def psi_inverse(u: SignedPermutation) -> SimplyBarredPermutation:
     """Recover ``(w, B)`` from the path of ``u``: ``w`` is the column
     labelling and each East-South turn contributes a bar at its abscissa.
+    Both depend only on which letters of ``u`` are negative.
 
     >>> psi_inverse((-2, 3, 1, 6, -4, -7, 5))
     SimplyBarredPermutation(w=(7, 4, 2, 3, 1, 6, 5), bars=frozenset({2, 3, 6}))
     """
-    w: list[int] = []
-    bars = []
-    east = False
-    for x in full_notation(as_window(u)):
-        if x > 0:
-            w.append(x)
-        elif east:
-            bars.append(len(w))
-        east = x > 0
-    return _trusted(SimplyBarredPermutation, w=tuple(w), bars=frozenset(bars))
+    u = as_window(u)
+    plan, bars = _psi_inverse_plan(u)
+    return _trusted(SimplyBarredPermutation, w=_apply(plan, u), bars=bars)
+
+
+def _descB(d: frozenset[int], bars: frozenset[int], ceil: bool) -> int:
+    # descB_formula (ceil) or positive_descB_formula (floor) with d = Desc(w)
+    return len(d - bars) + (len(bars) + ceil) // 2
 
 
 def descB_formula(sbp: SimplyBarredPermutation) -> int:
@@ -195,20 +246,21 @@ def descB_formula(sbp: SimplyBarredPermutation) -> int:
     >>> descB_formula(SimplyBarredPermutation((7, 4, 2, 3, 1, 6, 5), frozenset({2, 3, 6})))
     4
     """
-    free = descent_set(sbp.w, "A") - sbp.bars
-    return len(free) + (len(sbp.bars) + 1) // 2
+    return _descB(descent_set(sbp.w, "A"), sbp.bars, True)
 
 
 def positive_descB_formula(sbp: SimplyBarredPermutation) -> int:
     """Strictly positive type B descents of ``psi(sbp)``: position 0 is a
     descent exactly when the number of bars is odd, so the ceiling in
     ``descB_formula`` drops to a floor."""
-    free = descent_set(sbp.w, "A") - sbp.bars
-    return len(free) + len(sbp.bars) // 2
+    return _descB(descent_set(sbp.w, "A"), sbp.bars, False)
 
 
 # ---------------------------------------------------------------------------
 # xi and theta
+
+
+_ZERO = frozenset({0})
 
 
 def xi(d: Iterable[int], bars: Iterable[int]) -> frozenset[int]:
@@ -228,15 +280,45 @@ def xi_preimages(d: Iterable[int], c: Iterable[int]) -> tuple[frozenset[int], fr
     return b1, b1 | {0}
 
 
+# The private cores take d = Desc(w) so that a caller walking many bar
+# sets of one w computes it once.
+
+
+def _xi(d: frozenset[int], bars: frozenset[int]) -> frozenset[int]:
+    return (d ^ bars) - _ZERO
+
+
+def _descent_sum(d: frozenset[int], bars: frozenset[int]) -> int:
+    return len(d) + len(bars)
+
+
+def _theta_inverse(
+    w: Permutation, d: frozenset[int], bars: frozenset[int], k: int, even: bool
+) -> frozenset[int]:
+    # the bars of the theta-preimage of (w, bars) with descent sum 2k
+    # (even) or 2k + 1, after the class check; the parity of |bars|
+    # decides which xi-preimage it is
+    b1 = d ^ bars
+    if 0 in b1:
+        raise ValueError("c must be a subset of [n], not contain 0")
+    if _descB(d, bars, even) != k:
+        sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
+        cls = "descent class" if even else "positive-descent class"
+        raise ValueError(
+            f"{sbp} is not in the {cls} k = {k} ({'even' if even else 'odd'} sum)"
+        )
+    return b1 if (len(bars) % 2 == 0) == even else b1 | _ZERO
+
+
 def theta(lbp: LooselyBarredPermutation) -> SimplyBarredPermutation:
     """Forget the loose bar structure through ``xi`` with ``D = Desc(w)``."""
-    c = xi(descent_set(lbp.w, "A"), lbp.bars)
+    c = _xi(descent_set(lbp.w, "A"), lbp.bars)
     return _trusted(SimplyBarredPermutation, w=lbp.w, bars=c)
 
 
 def descent_sum(lbp: LooselyBarredPermutation) -> int:
     """The grading ``des(w) + |B|`` that theta's inverses are indexed by."""
-    return len(descent_set(lbp.w, "A")) + len(lbp.bars)
+    return _descent_sum(descent_set(lbp.w, "A"), lbp.bars)
 
 
 def theta_inverse(
@@ -252,16 +334,11 @@ def theta_inverse(
     """
     if sum_parity not in ("even", "odd"):
         raise ValueError(f"sum_parity must be 'even' or 'odd': {sum_parity!r}")
-    d = descent_set(sbp.w, "A")
-    b1, b2 = xi_preimages(d, sbp.bars)
-    m = len(sbp.bars)
-    even_sum = sum_parity == "even"
-    # descB_formula (even sum) or positive_descB_formula (odd sum), from d
-    if len(d - sbp.bars) + (m + even_sum) // 2 != k:
-        cls = "descent class" if even_sum else "positive-descent class"
-        raise ValueError(f"{sbp} is not in the {cls} k = {k} ({sum_parity} sum)")
-    bars = b1 if (m % 2 == 0) == even_sum else b2
-    return _trusted(LooselyBarredPermutation, w=sbp.w, bars=bars)
+    w = sbp.w
+    bars = _theta_inverse(
+        w, descent_set(w, "A"), sbp.bars, k, sum_parity == "even"
+    )
+    return _trusted(LooselyBarredPermutation, w=w, bars=bars)
 
 
 # ---------------------------------------------------------------------------

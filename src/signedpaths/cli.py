@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import barred, pathrep, posets, sgnperm, threshold
 from .eulerian import (
@@ -139,39 +140,63 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _audit_psi(n: int) -> tuple[int, str | None]:
+    # psi runs as one plan per bar set and psi_inverse as one plan per sign
+    # pattern of the window, derived as the public maps derive them and
+    # kept for this audit only.  The loops run in the order of enumerate_sbp
+    # and enumerate_group, so a failure names the same first element after
+    # the same count.
+    subsets = list(barred._subsets(list(range(1, n + 1))))
+    forward = {bars: barred._psi_plan(bars, n) for bars in subsets}
+    backward: dict[tuple[bool, ...], tuple] = {}
+
+    def inverse(u):  # psi_inverse(u), as (w, bars)
+        signs = tuple(map((0).__gt__, sgnperm.as_window(u)))
+        if signs not in backward:
+            backward[signs] = barred._psi_inverse_plan(u)
+        plan, bars = backward[signs]
+        return barred._apply(plan, u), bars
+
     checked = 0
-    for sbp in barred.enumerate_sbp(n):
-        u = barred.psi(sbp)
-        back = barred.psi_inverse(u)
-        if back != sbp:
-            return checked, f"psi round trip broke at {barred.format_sbp(sbp)}"
-        if sgnperm.descent_count(u, "B") != barred.descB_formula(sbp):
-            return checked, f"descent formula broke at {barred.format_sbp(sbp)}"
-        checked += 1
+    for w in itertools.permutations(range(1, n + 1)):
+        for bars in subsets:
+            sbp = barred._trusted(barred.SimplyBarredPermutation, w=w, bars=bars)
+            u = barred._apply(forward[bars], w)
+            if inverse(u) != (w, bars):
+                return checked, f"psi round trip broke at {barred.format_sbp(sbp)}"
+            if sgnperm.descent_count(u, "B") != barred.descB_formula(sbp):
+                return checked, f"descent formula broke at {barred.format_sbp(sbp)}"
+            checked += 1
     for u in sgnperm.enumerate_group(n, "B"):
-        if barred.psi(barred.psi_inverse(u)) != u:
+        w, bars = inverse(u)
+        plan = forward.get(bars) or barred._psi_plan(bars, n)
+        if barred._apply(plan, w) != u:
             return checked, f"psi_inverse round trip broke at {u}"
         checked += 1
     return checked, None
 
 
 def _audit_theta(n: int) -> tuple[int, str | None]:
+    # Desc(w) once per permutation, handed to the cores of theta, the
+    # descent sum, the class formulas and theta_inverse; the loops run in
+    # the order of enumerate_lbp
     checked = 0
-    for lbp in barred.enumerate_lbp(n):
-        sbp = barred.theta(lbp)
-        s = barred.descent_sum(lbp)
-        if s % 2 == 0:
-            k, parity = s // 2, "even"
-            if barred.descB_formula(sbp) != k:
-                return checked, f"theta image off the target set at {lbp}"
-        else:
-            k, parity = (s - 1) // 2, "odd"
-            if barred.positive_descB_formula(sbp) != k:
-                return checked, f"theta image off the target set at {lbp}"
-        if barred.theta_inverse(sbp, k, parity) != lbp:
-            return checked, f"theta round trip broke at {lbp}"
-        checked += 1
+    subsets = list(barred._subsets(list(range(n + 1))))
+    for w in itertools.permutations(range(1, n + 1)):
+        d = sgnperm.descent_set(w, "A")
+        for bars in subsets:
+            c = barred._xi(d, bars)
+            s = barred._descent_sum(d, bars)
+            k, even = s // 2, s % 2 == 0
+            if barred._descB(d, c, even) != k:
+                return checked, f"theta image off the target set at {_lbp(w, bars)}"
+            if barred._theta_inverse(w, d, c, k, even) != bars:
+                return checked, f"theta round trip broke at {_lbp(w, bars)}"
+            checked += 1
     return checked, None
+
+
+def _lbp(w, bars) -> barred.LooselyBarredPermutation:
+    return barred._trusted(barred.LooselyBarredPermutation, w=w, bars=bars)
 
 
 def _audit_chi(n: int) -> tuple[int, str | None]:
@@ -258,14 +283,15 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 def _cmd_threshold(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise _UsageError("--n must be at least 1")
-    listing: list[threshold.SimpleGraph] = []
+    # the table and CSV formats print each graph as it is generated
+    listing: Iterable[threshold.SimpleGraph] = ()
     if args.list:
         check_budget(
             threshold.listing_cost(args.n),
             args.max_elements,
             f"listing the threshold graphs on [{args.n}]",
         )
-        listing = list(threshold.enumerate_threshold_graphs(args.n))
+        listing = threshold.enumerate_threshold_graphs(args.n)
     show_counts = args.counts or not args.list
     data = threshold_counts(args.n) if show_counts else None
     if args.format == "json":

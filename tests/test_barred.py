@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from signedpaths import barred
 from signedpaths.barred import (
     LooselyBarredPermutation,
     SimplyBarredPermutation,
@@ -208,6 +209,47 @@ class TestPsi:
         u = psi(sbp)
         assert psi_inverse(u) == sbp
         assert descB_formula(sbp) == descent_count(u, "B")
+
+
+class TestPlans:
+    """psi is a signed position map fixed by the bars and psi_inverse one
+    fixed by the sign pattern of the window: a plan is derived, then
+    applied.  Each plan must agree with the path-route oracle."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_psi_plan_matches_path_route(self, n):
+        for sbp in enumerate_sbp(n):
+            image = barred._apply(barred._psi_plan(sbp.bars, n), sbp.w)
+            assert type(image) is tuple
+            assert image == psi(sbp) == signed_from_path(upper_antidiagonal(sbp.bars, n), sbp.w)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_inverse_plan_matches_path_route(self, n):
+        for u in enumerate_group(n, "B"):
+            plan, bars = barred._psi_inverse_plan(u)
+            rep = path_representation(u)
+            turns = frozenset(x for x, _ in east_south_turns(rep.path))
+            w = barred._apply(plan, u)
+            assert type(w) is tuple
+            assert (w, bars) == (rep.lambda_x, turns)
+            assert psi_inverse(u) == SimplyBarredPermutation(rep.lambda_x, turns)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_inverse_plan_reads_only_signs(self, n):
+        plans = {}
+        for u in enumerate_group(n, "B"):
+            plan, bars = plans.setdefault(tuple(x < 0 for x in u), barred._psi_inverse_plan(u))
+            assert SimplyBarredPermutation(barred._apply(plan, u), bars) == psi_inverse(u)
+        assert len(plans) == 2**n
+
+    def test_empty_and_single_letter(self):
+        # itemgetter with one index returns the item, not a 1-tuple
+        assert psi(SimplyBarredPermutation((), frozenset())) == ()
+        assert psi(SimplyBarredPermutation((1,), frozenset())) == (1,)
+        assert psi(SimplyBarredPermutation((1,), frozenset({1}))) == (-1,)
+        assert psi_inverse(()) == SimplyBarredPermutation((), frozenset())
+        assert psi_inverse((1,)) == SimplyBarredPermutation((1,), frozenset())
+        assert psi_inverse((-1,)) == SimplyBarredPermutation((1,), frozenset({1}))
 
 
 class TestXi:

@@ -178,6 +178,75 @@ class TestBijectionCommand:
         assert "FAILED" in out
 
 
+def audit_failure(capsys, check, n):
+    code = cli.run(["bijection", "--check", check, "--n", str(n)])
+    out = capsys.readouterr()
+    assert code == 1 and not out.err
+    return out.out
+
+
+class TestAuditFailures:
+    # The expected lines are those of the audits that walked enumerate_sbp
+    # and enumerate_lbp element by element, with the same fault injected:
+    # a failure names the same first element after the same count.
+
+    def test_psi_fault_in_the_middle(self, capsys, monkeypatch):
+        from signedpaths import barred
+
+        target = barred.SimplyBarredPermutation((3, 4, 1, 2, 5), frozenset({1, 2, 4}))
+        formula = barred.descB_formula
+        monkeypatch.setattr(
+            barred, "descB_formula", lambda sbp: formula(sbp) + (sbp == target)
+        )
+        assert audit_failure(capsys, "psi", 5) == (
+            "psi at n=5: FAILED after 1937 round trips\n"
+            "  descent formula broke at 3|4|12|5\n"
+        )
+
+    @pytest.mark.parametrize("flip, message", [
+        ({1}, "theta round trip broke"),
+        ({4, 5}, "theta image off the target set"),
+    ])
+    def test_theta_fault_in_the_middle(self, capsys, monkeypatch, flip, message):
+        # a wrong image for the first w with Desc(w) = {1, 2} and bars {0, 3}
+        from signedpaths import barred
+
+        key = (frozenset({1, 2}), frozenset({0, 3}))
+        xi = barred._xi
+        monkeypatch.setattr(
+            barred, "_xi",
+            lambda d, bars: xi(d, bars) ^ (flip if (d, bars) == key else set()),
+        )
+        assert audit_failure(capsys, "theta", 5) == (
+            "theta at n=5: FAILED after 3465 round trips\n"
+            f"  {message} at LooselyBarredPermutation(w=(3, 2, 1, 4, 5), "
+            "bars=frozenset({0, 3}))\n"
+        )
+
+    def test_flipped_theta_inverse_parity(self, capsys, monkeypatch):
+        from signedpaths import barred
+
+        inverse = barred._theta_inverse
+        monkeypatch.setattr(barred, "_theta_inverse", lambda *a: inverse(*a) ^ {0})
+        assert audit_failure(capsys, "theta", 4) == (
+            "theta at n=4: FAILED after 0 round trips\n"
+            "  theta round trip broke at LooselyBarredPermutation(w=(1, 2, 3, 4), "
+            "bars=frozenset())\n"
+        )
+
+    def test_floor_in_the_class_formula(self, capsys, monkeypatch):
+        from signedpaths import barred
+
+        monkeypatch.setattr(
+            barred, "_descB", lambda d, bars, ceil: len(d - bars) + len(bars) // 2
+        )
+        assert audit_failure(capsys, "theta", 4) == (
+            "theta at n=4: FAILED after 6 round trips\n"
+            "  theta image off the target set at LooselyBarredPermutation("
+            "w=(1, 2, 3, 4), bars=frozenset({0, 1}))\n"
+        )
+
+
 class TestThresholdCommand:
     def test_counts_table(self, capsys):
         out = run_ok(capsys, ["threshold", "--n", "4"])
