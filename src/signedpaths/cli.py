@@ -36,11 +36,11 @@ from . import barred, pathrep, posets, sgnperm, threshold
 from .eulerian import (
     IDENTITY_NAMES,
     MAX_BRUTE_ELEMENTS,
+    _report_dict,
     check_budget,
     eulerian as eulerian_number,
     eulerian_polynomial,
     identity_cost,
-    report_to_json,
     threshold_counts,
     verify_identity,
 )
@@ -109,7 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _emit(json.dumps({
             "identity": name,
             "holds": ok,
-            "reports": [json.loads(report_to_json(r)) for r in reports],
+            "reports": [_report_dict(r) for r in reports],
         }, indent=2))
     elif args.format == "csv":
         _emit("identity,n,index,lhs,rhs,brute,holds")

@@ -96,31 +96,74 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
+def _coefficient(p: list[int], q: list[int], m: int) -> int:
+    # [t^m] p(t) q(t) for coefficient lists p and q, zero past their ends
+    lo = max(0, m - len(q) + 1)
+    hi = min(m, len(p) - 1)
+    return sum(p[i] * q[m - i] for i in range(lo, hi + 1))
+
+
+def _eul_a_terms(n: int, stop: int) -> tuple[list[int], list[int]]:
+    # What A(n, k) for k < stop reads, as polynomials in t whose product
+    # has A(n, k) at t^(k+1): the signed binomials (-1)^j C(n+1, j) for
+    # j < stop, and the powers m^n at t^m for m = 1..stop
+    signed = [-comb(n + 1, j) if j & 1 else comb(n + 1, j) for j in range(stop)]
+    powers = [0, *(m**n for m in range(1, stop + 1))]
+    return signed, powers
+
+
+def _eul_a_row(n: int, stop: int | None = None) -> list[int]:
+    # Type A Eulerian numbers A(n, k) for k < stop (the whole row when stop
+    # is None), each by the alternating sum
+    # A(n, k) = sum_j (-1)^j C(n+1, j) (k+1-j)^n over j = 0..k,
+    # with the powers and binomials computed once for the row
+    width = max(n, 1)
+    stop = width if stop is None else min(stop, width)
+    signed, powers = _eul_a_terms(n, stop)
+    return [_coefficient(signed, powers, k + 1) for k in range(stop)]
+
+
 def _eul_a(n: int, k: int) -> int:
-    # Type A Eulerian number by the alternating-sum formula, padded with
-    # zeros outside the meaningful range so summations can run freely.
-    if k < 0 or (n == 0 and k > 0) or (n > 0 and k > n - 1):
+    # One type A Eulerian number by the same sum, from O(k) terms, padded
+    # with zeros outside the meaningful range
+    if not 0 <= k < max(n, 1):
         return 0
-    return sum(
-        (-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1)
-    )
+    return _coefficient(*_eul_a_terms(n, k + 1), k + 1)
+
+
+def _eul_b_row(n: int, a: list[int]) -> list[int]:
+    # Type B Eulerian numbers from the type A row a = A(n, .) as the
+    # positively weighted sums B(n, k) = sum_i A(n, i) C(n+1, 2k-i)
+    binom = [comb(n + 1, j) for j in range(n + 2)]
+    return [_coefficient(a, binom, 2 * k) for k in range(n + 1)]
 
 
 def _eul_b(n: int, k: int) -> int:
-    # Type B Eulerian number as a positively-weighted sum of type A ones.
-    if k < 0 or k > n:
-        return 0
-    return sum(_eul_a(n, i) * comb(n + 1, 2 * k - i) for i in range(2 * k + 1))
+    # One type B Eulerian number by the same sum, reading A(n, i) only for
+    # i <= min(2k, n - 1)
+    binom = [comb(n + 1, j) for j in range(min(2 * k, n + 1) + 1)]
+    return _coefficient(_eul_a_row(n, 2 * k + 1), binom, 2 * k)
+
+
+def _eul_d_row(n: int) -> list[int]:
+    # Type D Eulerian numbers (n >= 2) by the subtraction identity
+    # D(n, k) = B(n, k) - n 2^(n-1) A(n-1, k-1), from the B_n and A_(n-1) rows
+    weight = n * 2 ** (n - 1)
+    shifted = [0, *_eul_a_row(n - 1), 0]
+    return [b - weight * a for b, a in zip(_eul_b_row(n, _eul_a_row(n)), shifted)]
 
 
 def _eul_d(n: int, k: int) -> int:
-    # Type D Eulerian number by the subtraction identity from type B.
-    if k < 0 or k > n:
-        return 0
+    # One type D Eulerian number by the same identity
     return _eul_b(n, k) - n * 2 ** (n - 1) * _eul_a(n - 1, k - 1)
 
 
 _FORMULAS = {"A": _eul_a, "B": _eul_b, "D": _eul_d}
+_ROWS = {
+    "A": _eul_a_row,
+    "B": lambda n: _eul_b_row(n, _eul_a_row(n)),
+    "D": _eul_d_row,
+}
 
 
 @cache
@@ -196,6 +239,8 @@ def eulerian_polynomial(
         raise ValueError("n must be nonnegative")
     if kind == "D" and n < 2:
         raise ValueError("type D Eulerian polynomials need n >= 2")
+    if method == "formula":
+        return tuple(_ROWS[kind](n))
     hi = n - 1 if kind == "A" and n > 0 else n
     return tuple(
         eulerian(n, k, kind, method, max_elements) for k in range(max(hi, 0) + 1)
@@ -257,33 +302,32 @@ def _pad(p: tuple[int, ...], size: int) -> tuple[int, ...]:
 def _check_alternating(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
     # brute-force type A histogram against the alternating-sum formula
     return tuple(
-        IdentityRow(k, hist[k], _eul_a(n, k)) for k in range(max(n, 1))
+        IdentityRow(k, hist[k], a) for k, a in enumerate(_eul_a_row(n))
     )
 
 
 def _check_eul_b_even(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
     # brute-force type B histogram against the even-indexed binomial sum
-    return tuple(IdentityRow(k, hist[k], _eul_b(n, k)) for k in range(n + 1))
+    b_n = _eul_b_row(n, _eul_a_row(n))
+    return tuple(IdentityRow(k, hist[k], b) for k, b in enumerate(b_n))
 
 
 def _check_eul_b_odd(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
     # 2^n Eul_A(n, k) against the odd-indexed binomial sum, with the
     # brute-force count of signed windows having k strictly positive
     # descents as the third, enumerative face of the same statement
-    rows = []
-    for k in range(max(n, 1)):
-        lhs = 2**n * _eul_a(n, k)
-        rhs = sum(
-            _eul_a(n, i) * comb(n + 1, 2 * k + 1 - i) for i in range(2 * k + 2)
-        )
-        rows.append(IdentityRow(k, lhs, rhs, brute=hist[k]))
-    return tuple(rows)
+    s_n = _eul_a_row(n)
+    binom = [comb(n + 1, j) for j in range(n + 2)]
+    return tuple(
+        IdentityRow(k, 2**n * a, _coefficient(s_n, binom, 2 * k + 1), brute=hist[k])
+        for k, a in enumerate(s_n)
+    )
 
 
 def _check_main(n: int, hist: None) -> tuple[IdentityRow, ...]:
     # (1 + t)^(n+1) S_n(t) = B_n(t^2) + 2^n t S_n(t^2), coefficientwise
-    s_n = tuple(_eul_a(n, k) for k in range(max(n, 1)))
-    b_n = tuple(_eul_b(n, k) for k in range(n + 1))
+    s_n = _eul_a_row(n)
+    b_n = _eul_b_row(n, s_n)
     binom = tuple(comb(n + 1, j) for j in range(n + 2))
     lhs = _poly_mul(binom, s_n)
     rhs_b = _spread(b_n)
@@ -299,7 +343,7 @@ def _check_main(n: int, hist: None) -> tuple[IdentityRow, ...]:
 def _check_stembridge(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
     # brute-force type D histogram (the kernel needs n >= 2) against
     # Eul_B - n 2^(n-1) Eul_A
-    return tuple(IdentityRow(k, hist[k], _eul_d(n, k)) for k in range(n + 1))
+    return tuple(IdentityRow(k, hist[k], d) for k, d in enumerate(_eul_d_row(n)))
 
 
 def _closed_form_rows(
@@ -411,8 +455,7 @@ def threshold_counts(n: int) -> ThresholdCounts:
             for i in range(1, n + 1)
         )
     by_partition_descents = tuple(
-        (k + 1) * _eul_a(n - 1, k) * 2 ** (n - 1 - k)
-        for k in range(max(n - 2, 0) + 1)
+        (k + 1) * a * 2 ** (n - 1 - k) for k, a in enumerate(_eul_a_row(n - 1))
     )
     total = sum(by_classes)
     if total != sum(by_partition_descents):
@@ -426,26 +469,28 @@ def threshold_counts(n: int) -> ThresholdCounts:
     )
 
 
+def _report_dict(report: IdentityReport) -> dict:
+    # the JSON object of one identity report, shared with the CLI
+    return {
+        "identity": report.name,
+        "n": report.n,
+        "holds": report.holds,
+        "rows": [
+            {
+                "index": row.index,
+                "lhs": row.lhs,
+                "rhs": row.rhs,
+                **({"brute": row.brute} if row.brute is not None else {}),
+                "holds": row.holds,
+            }
+            for row in report.rows
+        ],
+    }
+
+
 def report_to_json(report: IdentityReport) -> str:
     """Serialize an identity report as a JSON document."""
-    return json.dumps(
-        {
-            "identity": report.name,
-            "n": report.n,
-            "holds": report.holds,
-            "rows": [
-                {
-                    "index": row.index,
-                    "lhs": row.lhs,
-                    "rhs": row.rhs,
-                    **({"brute": row.brute} if row.brute is not None else {}),
-                    "holds": row.holds,
-                }
-                for row in report.rows
-            ],
-        },
-        indent=2,
-    )
+    return json.dumps(_report_dict(report), indent=2)
 
 
 def triangle_rows(

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
+from operator import gt
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -166,13 +167,27 @@ def descent_set_d_variant(u: SignedPermutation) -> frozenset[int]:
 
 
 def descent_count(u: Sequence[int], kind: str = "A") -> int:
-    """Number of descents of ``u`` in the given type."""
-    return len(descent_set(u, kind))
+    """Number of descents of ``u`` in the given type, ``|descent_set(u, kind)|``.
+
+    >>> descent_count((-2, 3, 1, 6, -4, -7, 5), "B")
+    4
+    """
+    _check_kind(kind)
+    count = sum(map(gt, u, u[1:]))
+    if kind == "B":
+        if u and u[0] < 0:
+            count += 1
+    elif kind == "D":
+        if len(u) < 2:
+            raise ValueError("type D descents need n >= 2 (sentinel is -u_2)")
+        if -u[1] > u[0]:
+            count += 1
+    return count
 
 
 def positive_descent_count(u: SignedPermutation) -> int:
     """Number of strictly positive type B descents, ``|Desc_B(u) - {0}|``."""
-    return len(descent_set(u, "B") - {0})
+    return sum(map(gt, u, u[1:]))
 
 
 # ---------------------------------------------------------------------------

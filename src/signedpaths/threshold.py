@@ -363,9 +363,12 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
 
 
 def _graph_from_mask(n: int, pairs: list[Edge], bits: int) -> SimpleGraph:
-    # bit i of the mask stands for pairs[i], the i-th pair in lexicographic order
-    return SimpleGraph(
-        n, frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+    # bit i of the mask stands for pairs[i], the i-th pair in lexicographic
+    # order; the pairs are sorted and in range, so the checks are skipped
+    return barred._trusted(
+        SimpleGraph,
+        n=n,
+        edges=frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1),
     )
 
 

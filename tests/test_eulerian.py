@@ -1,13 +1,15 @@
 """Unit tests for Eulerian numbers, identity checks, and threshold counts."""
 
+import functools
 import importlib
 import itertools
 import json
 import math
+import time
 
 import pytest
 
-from signedpaths import kernels
+from signedpaths import cli, kernels
 from signedpaths.eulerian import (
     IDENTITY_NAMES,
     MAX_BRUTE_ELEMENTS,
@@ -174,6 +176,118 @@ class TestEulerianNumbers:
         assert eulerian(0, 0, "B") == 1
         assert eulerian(1, 0, "A") == 1
         assert eulerian(2, 2, "D") == 1
+
+
+@functools.cache
+def oracle_a(n, k):
+    # the alternating sum, one coefficient at a time, zero out of range
+    if k < 0 or (n == 0 and k > 0) or (n > 0 and k > n - 1):
+        return 0
+    return sum(
+        (-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1)
+    )
+
+
+def oracle_binomial_sum(n, m):
+    # sum_i A(n, i) C(n+1, m-i), the even (type B) or odd binomial sum
+    return sum(oracle_a(n, i) * math.comb(n + 1, m - i) for i in range(m + 1))
+
+
+def oracle_b(n, k):
+    return oracle_binomial_sum(n, 2 * k) if 0 <= k <= n else 0
+
+
+def oracle_d(n, k):
+    return oracle_b(n, k) - n * 2 ** (n - 1) * oracle_a(n - 1, k - 1)
+
+
+ORACLES = {"A": oracle_a, "B": oracle_b, "D": oracle_d}
+
+
+def oracle_formula_rows(name, n):
+    # (index, formula-side values) of each row the check of ``name`` makes,
+    # with hist[k] = k standing in for the kernel column
+    if name == "alternating":
+        return [(k, k, oracle_a(n, k)) for k in range(max(n, 1))]
+    if name == "eulBeven":
+        return [(k, k, oracle_b(n, k)) for k in range(n + 1)]
+    if name == "eulBodd":
+        return [
+            (k, 2**n * oracle_a(n, k), oracle_binomial_sum(n, 2 * k + 1))
+            for k in range(max(n, 1))
+        ]
+    if name == "main":
+        rows = []
+        for i in range(n + 1 + max(n, 1)):
+            lhs = sum(math.comb(n + 1, j) * oracle_a(n, i - j) for j in range(i + 1))
+            rhs = oracle_b(n, i // 2) if i % 2 == 0 else 2**n * oracle_a(n, i // 2)
+            rows.append((i, lhs, rhs))
+        return rows
+    if name == "stembridge":
+        return [(k, k, oracle_d(n, k)) for k in range(n + 1)]
+    return [(1, ORACLES[name[0]](n, 1), 3**n - n - 1 - (name[0] == "D") * n * 2 ** (n - 1))]
+
+
+class TestRowsAgainstPerCoefficientOracle:
+    """The row builders evaluate the per-coefficient formulas once each."""
+
+    @pytest.mark.parametrize("kind", ["A", "B", "D"])
+    def test_every_coefficient_to_rank_60(self, kind):
+        lo = 2 if kind == "D" else 0
+        for n in range(lo, 61):
+            hi = n - 1 if kind == "A" and n > 0 else n
+            oracle = tuple(ORACLES[kind](n, k) for k in range(hi + 1))
+            assert eulerian_polynomial(n, kind) == oracle, (kind, n)
+            assert tuple(eulerian(n, k, kind) for k in range(hi + 1)) == oracle
+
+    @pytest.mark.parametrize("name", IDENTITY_NAMES)
+    def test_checks_pad_out_of_range_indices_with_zeros(self, name):
+        # ranks 0 and 1 and the top descent counts read A(n, i) and
+        # C(n+1, j) past the end of their rows
+        kind, check = eulerian_module._CHECKS[name]
+        lo = 2 if name in ("stembridge", "B_n1", "D_n1") else 0
+        for n in range(lo, 25):
+            hist = None if kind is None else tuple(range(n + 2))
+            rows = [(row.index, row.lhs, row.rhs) for row in check(n, hist)]
+            assert rows == oracle_formula_rows(name, n), (name, n)
+
+    def test_threshold_counts_read_the_type_a_row(self):
+        for n in range(1, 40):
+            assert threshold_counts(n).by_partition_descents == tuple(
+                (k + 1) * oracle_a(n - 1, k) * 2 ** (n - 1 - k)
+                for k in range(max(n - 2, 0) + 1)
+            )
+
+
+class TestFormulaCost:
+    """A single coefficient reads only its terms; a row costs one pass."""
+
+    def test_single_coefficients_stay_cheap(self):
+        for kind in ("A", "B"):
+            start = time.perf_counter()
+            eulerian(2000, 1, kind)
+            assert time.perf_counter() - start < 1.0, kind
+
+    def test_main_identity_to_rank_120(self):
+        start = time.perf_counter()
+        for n in range(121):
+            assert verify_identity("main", n).holds
+        assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("name, top", [("main", 12), ("eulBodd", 6)])
+def test_verify_json_encodes_each_report_once(name, top, capsys):
+    # the CLI's document nests the same objects report_to_json writes
+    for max_n in range(1, top + 1):
+        assert cli.run(["verify", "--identity", name, "--max-n", str(max_n),
+                        "--format", "json"]) == 0
+        reports = [verify_identity(name, n) for n in range(1, max_n + 1)]
+        expected = json.dumps({
+            "identity": name,
+            "holds": all(r.holds for r in reports),
+            "reports": [json.loads(report_to_json(r)) for r in reports],
+        }, indent=2)
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestIdentities:

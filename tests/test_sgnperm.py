@@ -139,6 +139,30 @@ class TestDescents:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             descent_set((1, 2), "C")
+        with pytest.raises(ValueError):
+            descent_count((1, 2), "C")
+
+    @pytest.mark.parametrize("kind, ns", [
+        ("A", range(8)), ("B", range(7)), ("D", range(2, 7)),
+    ])
+    def test_descent_count_is_the_size_of_the_descent_set(self, kind, ns):
+        # the count reads the window directly; the set is the other route
+        for n in ns:
+            for u in enumerate_group(n, kind):
+                assert descent_count(u, kind) == len(descent_set(u, kind))
+
+    def test_descent_count_of_the_empty_window(self):
+        for kind in ("A", "B"):
+            assert descent_count((), kind) == len(descent_set((), kind)) == 0
+        with pytest.raises(ValueError):
+            descent_count((), "D")
+        with pytest.raises(ValueError):
+            descent_count((1,), "D")
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_positive_descent_count_drops_the_sentinel(self, n):
+        for u in enumerate_group(n, "B"):
+            assert positive_descent_count(u) == len(descent_set(u, "B") - {0})
 
 
 # ---------------------------------------------------------------------------

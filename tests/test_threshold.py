@@ -357,6 +357,15 @@ class TestCountsAndText:
         expected = [g for g in enumerate_graphs(n) if is_threshold(g)]
         assert list(enumerate_threshold_graphs(n)) == expected
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_trusted_graphs_rebuild(self, n):
+        # the enumerators skip SimpleGraph's checks; the validating
+        # constructor must accept and reproduce what they build
+        for g in itertools.chain(enumerate_graphs(n), enumerate_threshold_graphs(n)):
+            rebuilt = SimpleGraph(g.n, g.edges)
+            assert type(g) is SimpleGraph
+            assert g == rebuilt and hash(g) == hash(rebuilt)
+
     def test_enumerate_graphs_counts(self):
         for n in range(5):
             pairs = n * (n - 1) // 2
