@@ -37,7 +37,9 @@ from .sgnperm import (
     SignedPermutation,
     as_permutation,
     as_window,
+    descent_count,
     descent_set,
+    enumerate_group,
 )
 from . import pathrep
 
@@ -63,6 +65,8 @@ __all__ = [
     "enumerate_lbp",
     "parse_sbp",
     "format_sbp",
+    "audit_psi",
+    "audit_theta",
 ]
 
 
@@ -256,6 +260,41 @@ def positive_descB_formula(sbp: SimplyBarredPermutation) -> int:
     return _descB(descent_set(sbp.w, "A"), sbp.bars, False)
 
 
+def audit_psi(n: int) -> tuple[int, str | None]:
+    """Round trips of psi and ``descB_formula`` over :func:`enumerate_sbp`,
+    then B_n: ``(count, None)``, or the count and a message at the first failure."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    # psi runs as one plan per bar set and psi_inverse as one plan per sign
+    # pattern of the window, derived as the public maps derive them; the
+    # windows are built here, so none is validated again
+    forward = {bars: _psi_plan(bars, n) for bars in _subsets(list(range(1, n + 1)))}
+    backward: dict[tuple[bool, ...], tuple] = {}
+
+    def inverse(u):  # psi_inverse(u), as (w, bars)
+        signs = tuple(map((0).__gt__, u))
+        if signs not in backward:
+            backward[signs] = _psi_inverse_plan(u)
+        plan, bars = backward[signs]
+        return _apply(plan, u), bars
+
+    checked = 0
+    for sbp in enumerate_sbp(n):
+        u = _apply(forward[sbp.bars], sbp.w)
+        if inverse(u) != (sbp.w, sbp.bars):
+            return checked, f"psi round trip broke at {format_sbp(sbp)}"
+        if descent_count(u, "B") != descB_formula(sbp):
+            return checked, f"descent formula broke at {format_sbp(sbp)}"
+        checked += 1
+    for u in enumerate_group(n, "B"):
+        w, bars = inverse(u)
+        plan = forward.get(bars) or _psi_plan(bars, n)
+        if _apply(plan, w) != u:
+            return checked, f"psi_inverse round trip broke at {u}"
+        checked += 1
+    return checked, None
+
+
 # ---------------------------------------------------------------------------
 # xi and theta
 
@@ -339,6 +378,31 @@ def theta_inverse(
         w, descent_set(w, "A"), sbp.bars, k, sum_parity == "even"
     )
     return _trusted(LooselyBarredPermutation, w=w, bars=bars)
+
+
+def audit_theta(n: int) -> tuple[int, str | None]:
+    """Round trips of theta and ``theta_inverse`` over :func:`enumerate_lbp`,
+    each image in the class its descent sum names; as :func:`audit_psi`."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    # Desc(w) once per permutation, handed to the cores of theta, the
+    # descent sum, the class formulas and theta_inverse
+    checked = 0
+    subsets = list(_subsets(list(range(n + 1))))
+    for w in itertools.permutations(range(1, n + 1)):
+        d = descent_set(w, "A")
+        for bars in subsets:
+            c = _xi(d, bars)
+            s = _descent_sum(d, bars)
+            k, even = s // 2, s % 2 == 0
+            if _descB(d, c, even) != k:
+                lbp = _trusted(LooselyBarredPermutation, w=w, bars=bars)
+                return checked, f"theta image off the target set at {lbp}"
+            if _theta_inverse(w, d, c, k, even) != bars:
+                lbp = _trusted(LooselyBarredPermutation, w=w, bars=bars)
+                return checked, f"theta round trip broke at {lbp}"
+            checked += 1
+    return checked, None
 
 
 # ---------------------------------------------------------------------------

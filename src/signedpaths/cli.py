@@ -9,6 +9,12 @@ Subcommands::
     render     draw the path representation of a signed permutation
     poset      lattice/isomorphism/cover/join-irreducibility reports
 
+The CLI only parses arguments, gates each request on the work budget,
+dispatches to the library and formats the result.  The work, the
+bijection audits included (``barred.audit_psi``, ``barred.audit_theta``,
+``sgnperm.audit_chi``, ``threshold.audit_tgdo`` and
+``threshold.audit_bijtgsbps``), lives in the modules that own the maps.
+
 Exit codes: 0 on success, 1 when a verification or audit fails, 2 on
 usage or domain errors.  Output is deterministic for fixed flags; the
 ``--format`` option switches between a human table, JSON and CSV.
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from math import factorial
@@ -34,28 +39,19 @@ from typing import Iterable, Sequence
 
 from . import barred, pathrep, posets, sgnperm, threshold
 from .eulerian import (
+    IDENTITY_MIN_N,
     IDENTITY_NAMES,
     MAX_BRUTE_ELEMENTS,
-    _report_dict,
     check_budget,
     eulerian as eulerian_number,
     eulerian_polynomial,
     identity_cost,
+    report_dict,
     threshold_counts,
     verify_identity,
 )
 
 __all__ = ["main", "run"]
-
-_MIN_N = dict.fromkeys(IDENTITY_NAMES, 1) | {"stembridge": 2, "B_n1": 2, "D_n1": 2}
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -64,23 +60,23 @@ def _emit(text: str) -> None:
 
 def _cmd_eulerian(args: argparse.Namespace) -> int:
     if args.kind == "D" and args.n < 2:
-        raise _UsageError("type D needs --n at least 2")
+        raise ValueError("type D needs --n at least 2")
     coeffs = eulerian_polynomial(
         args.n, args.kind, args.method, max_elements=args.max_elements
     )
     if args.format == "json":
-        _emit(json.dumps({
+        print(json.dumps({
             "kind": args.kind,
             "n": args.n,
             "method": args.method,
             "coefficients": list(coeffs),
         }))
     elif args.format == "csv":
-        _emit("k,count")
+        print("k,count")
         for k, value in enumerate(coeffs):
-            _emit(f"{k},{value}")
+            print(f"{k},{value}")
     else:
-        _emit(" ".join(str(c) for c in coeffs))
+        print(" ".join(str(c) for c in coeffs))
     return 0
 
 
@@ -90,9 +86,9 @@ def _cmd_eulerian(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     name = args.identity
-    lo = _MIN_N[name]
+    lo = max(1, IDENTITY_MIN_N[name])  # every range starts at n = 1 or above
     if args.max_n < lo:
-        raise _UsageError(f"identity {name} needs --max-n >= {lo}")
+        raise ValueError(f"identity {name} needs --max-n >= {lo}")
     ranks = range(lo, args.max_n + 1)
     what = f"verifying {name} up to n={args.max_n}"
     # the cost grows with n, so the top rank alone refuses a long range at
@@ -106,29 +102,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = [verify_identity(name, n) for n in ranks]
     ok = all(r.holds for r in reports)
     if args.format == "json":
-        _emit(json.dumps({
+        print(json.dumps({
             "identity": name,
             "holds": ok,
-            "reports": [_report_dict(r) for r in reports],
+            "reports": [report_dict(r) for r in reports],
         }, indent=2))
     elif args.format == "csv":
-        _emit("identity,n,index,lhs,rhs,brute,holds")
+        print("identity,n,index,lhs,rhs,brute,holds")
         for r in reports:
             for row in r.rows:
                 brute = "" if row.brute is None else row.brute
-                _emit(
+                print(
                     f"{name},{r.n},{row.index},{row.lhs},{row.rhs},{brute},"
                     f"{str(row.holds).lower()}"
                 )
     else:
         for r in reports:
             status = "holds" if r.holds else "FAILS"
-            _emit(f"{name} at n={r.n}: {status} ({len(r.rows)} rows)")
+            print(f"{name} at n={r.n}: {status} ({len(r.rows)} rows)")
             if not r.holds:
                 for row in r.rows:
                     if not row.holds:
                         extra = "" if row.brute is None else f", brute={row.brute}"
-                        _emit(
+                        print(
                             f"  index {row.index}: lhs={row.lhs} "
                             f"rhs={row.rhs}{extra}"
                         )
@@ -136,143 +132,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bijection audits
+# bijection
 
 
-def _audit_psi(n: int) -> tuple[int, str | None]:
-    # psi runs as one plan per bar set and psi_inverse as one plan per sign
-    # pattern of the window, derived as the public maps derive them and
-    # kept for this audit only.  The loops run in the order of enumerate_sbp
-    # and enumerate_group, so a failure names the same first element after
-    # the same count.
-    subsets = list(barred._subsets(list(range(1, n + 1))))
-    forward = {bars: barred._psi_plan(bars, n) for bars in subsets}
-    backward: dict[tuple[bool, ...], tuple] = {}
-
-    def inverse(u):  # psi_inverse(u), as (w, bars)
-        signs = tuple(map((0).__gt__, sgnperm.as_window(u)))
-        if signs not in backward:
-            backward[signs] = barred._psi_inverse_plan(u)
-        plan, bars = backward[signs]
-        return barred._apply(plan, u), bars
-
-    checked = 0
-    for w in itertools.permutations(range(1, n + 1)):
-        for bars in subsets:
-            sbp = barred._trusted(barred.SimplyBarredPermutation, w=w, bars=bars)
-            u = barred._apply(forward[bars], w)
-            if inverse(u) != (w, bars):
-                return checked, f"psi round trip broke at {barred.format_sbp(sbp)}"
-            if sgnperm.descent_count(u, "B") != barred.descB_formula(sbp):
-                return checked, f"descent formula broke at {barred.format_sbp(sbp)}"
-            checked += 1
-    for u in sgnperm.enumerate_group(n, "B"):
-        w, bars = inverse(u)
-        plan = forward.get(bars) or barred._psi_plan(bars, n)
-        if barred._apply(plan, w) != u:
-            return checked, f"psi_inverse round trip broke at {u}"
-        checked += 1
-    return checked, None
-
-
-def _audit_theta(n: int) -> tuple[int, str | None]:
-    # Desc(w) once per permutation, handed to the cores of theta, the
-    # descent sum, the class formulas and theta_inverse; the loops run in
-    # the order of enumerate_lbp
-    checked = 0
-    subsets = list(barred._subsets(list(range(n + 1))))
-    for w in itertools.permutations(range(1, n + 1)):
-        d = sgnperm.descent_set(w, "A")
-        for bars in subsets:
-            c = barred._xi(d, bars)
-            s = barred._descent_sum(d, bars)
-            k, even = s // 2, s % 2 == 0
-            if barred._descB(d, c, even) != k:
-                return checked, f"theta image off the target set at {_lbp(w, bars)}"
-            if barred._theta_inverse(w, d, c, k, even) != bars:
-                return checked, f"theta round trip broke at {_lbp(w, bars)}"
-            checked += 1
-    return checked, None
-
-
-def _lbp(w, bars) -> barred.LooselyBarredPermutation:
-    return barred._trusted(barred.LooselyBarredPermutation, w=w, bars=bars)
-
-
-def _audit_chi(n: int) -> tuple[int, str | None]:
-    if n < 2:
-        raise _UsageError("chi needs --n at least 2")
-    checked = 0
-    images = set()
-    for u in sgnperm.enumerate_group(n, "B"):
-        if sgnperm.is_smooth(u):
-            continue
-        x, v = sgnperm.chi(u)
-        if sgnperm.chi_inverse(x, v) != u:
-            return checked, f"chi round trip broke at {u}"
-        if sgnperm.positive_descent_count(v) != sgnperm.descent_count(u, "B") - 1:
-            return checked, f"descent shift broke at {u}"
-        images.add((x, v))
-        checked += 1
-    expected = n * sgnperm.group_order(n - 1, "B")
-    if len(images) != expected:
-        return checked, f"chi image has {len(images)} pairs, expected {expected}"
-    return checked, None
-
-
-def _audit_tgdo(n: int) -> tuple[int, str | None]:
-    checked = 0
-    images = set()
-    for u in sgnperm.enumerate_group(n, "D"):
-        pair = threshold.tg_pair(u)
-        if threshold.signed_from_tg(pair) != u:
-            return checked, f"tgdo round trip broke at {u}"
-        images.add(pair)
-        checked += 1
-    target = set(threshold.enumerate_tg(n))
-    if images != target:
-        return checked, (
-            f"tgdo image has {len(images)} pairs, expected {len(target)}"
-        )
-    return checked, None
-
-
-def _audit_bijtgsbps(n: int) -> tuple[int, str | None]:
-    checked = 0
-    images = set()
-    for g in threshold.enumerate_threshold_graphs(n):
-        sbp = threshold.sbp_from_threshold(g)
-        if threshold.threshold_from_sbp(sbp) != g:
-            return checked, f"round trip broke at {threshold.format_graph(g)}"
-        images.add(sbp)
-        checked += 1
-    if len(images) != checked:
-        return checked, "the map is not injective on threshold graphs"
-    return checked, None
-
-
-# audit -> (the audit, its cost: the round trips it makes, or for
+# audit -> (the library audit, its cost: the round trips it makes, or for
 # bijtgsbps the edge slots of the graphs it keeps)
 _AUDITS = {
-    "psi": (_audit_psi, lambda n: 2 ** (n + 1) * factorial(n)),
-    "theta": (_audit_theta, lambda n: 2 ** (n + 1) * factorial(n)),
-    "chi": (_audit_chi, lambda n: 2**n * factorial(n)),
-    "tgdo": (_audit_tgdo, lambda n: 2**n * factorial(n)),
-    "bijtgsbps": (_audit_bijtgsbps, threshold.listing_cost),
+    "psi": (barred.audit_psi, lambda n: 2 ** (n + 1) * factorial(n)),
+    "theta": (barred.audit_theta, lambda n: 2 ** (n + 1) * factorial(n)),
+    "chi": (sgnperm.audit_chi, lambda n: 2**n * factorial(n)),
+    "tgdo": (threshold.audit_tgdo, lambda n: 2**n * factorial(n)),
+    "bijtgsbps": (threshold.audit_bijtgsbps, threshold.listing_cost),
 }
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.n < 0:
-        raise _UsageError("--n must be nonnegative")
+        raise ValueError("--n must be nonnegative")
     audit, cost = _AUDITS[args.check]
     check_budget(cost(args.n), args.max_elements, f"the {args.check} audit")
     checked, failure = audit(args.n)
     if failure is None:
-        _emit(f"{args.check} at n={args.n}: {checked} round trips verified")
+        print(f"{args.check} at n={args.n}: {checked} round trips verified")
         return 0
-    _emit(f"{args.check} at n={args.n}: FAILED after {checked} round trips")
-    _emit(f"  {failure}")
+    print(f"{args.check} at n={args.n}: FAILED after {checked} round trips")
+    print(f"  {failure}")
     return 1
 
 
@@ -282,7 +166,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     if args.n < 1:
-        raise _UsageError("--n must be at least 1")
+        raise ValueError("--n must be at least 1")
     # the table and CSV formats print each graph as it is generated
     listing: Iterable[threshold.SimpleGraph] = ()
     if args.list:
@@ -302,33 +186,33 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
             payload["by_partition_descents"] = list(data.by_partition_descents)
             payload["unlabeled"] = data.unlabeled
         if args.list:
-            payload["graphs"] = [json.loads(threshold.graph_to_json(g)) for g in listing]
-        _emit(json.dumps(payload, indent=2))
+            payload["graphs"] = [threshold.graph_dict(g) for g in listing]
+        print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        _emit("series,index,value")
+        print("series,index,value")
         if data is not None:
-            _emit(f"total,,{data.total}")
-            _emit(f"unlabeled,,{data.unlabeled}")
+            print(f"total,,{data.total}")
+            print(f"unlabeled,,{data.unlabeled}")
             for i, value in enumerate(data.by_degree_classes, start=1):
-                _emit(f"by_degree_classes,{i},{value}")
+                print(f"by_degree_classes,{i},{value}")
             for k, value in enumerate(data.by_partition_descents):
-                _emit(f"by_partition_descents,{k},{value}")
+                print(f"by_partition_descents,{k},{value}")
         for g in listing:
-            _emit(f"graph,,{threshold.format_graph(g)}")
+            print(f"graph,,{threshold.format_graph(g)}")
     else:
         if data is not None:
-            _emit(f"labeled threshold graphs on [{args.n}]: {data.total}")
-            _emit(f"unlabeled classes: {data.unlabeled}")
-            _emit(
+            print(f"labeled threshold graphs on [{args.n}]: {data.total}")
+            print(f"unlabeled classes: {data.unlabeled}")
+            print(
                 "by distinct degrees (i=1..n): "
                 + " ".join(str(v) for v in data.by_degree_classes)
             )
-            _emit(
+            print(
                 "by degree-partition descents (k=0..): "
                 + " ".join(str(v) for v in data.by_partition_descents)
             )
         for g in listing:
-            _emit(threshold.format_graph(g))
+            print(threshold.format_graph(g))
     return 0
 
 
@@ -347,9 +231,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(pathrep.render_svg(rep))
-        _emit(f"wrote {args.svg}")
+        print(f"wrote {args.svg}")
     else:
-        _emit(pathrep.render_ascii(rep))
+        print(pathrep.render_ascii(rep))
     return 0
 
 
@@ -365,9 +249,9 @@ def _pair_label(pair: threshold.ThresholdPair) -> str:
 def _cmd_poset(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
     if kind == "D" and n < 2:
-        raise _UsageError("type D posets need --n at least 2")
+        raise ValueError("type D posets need --n at least 2")
     if args.check == "iso" and kind not in ("D", "TG"):
-        raise _UsageError("--check iso compares weak D with TG; use --kind D or TG")
+        raise ValueError("--check iso compares weak D with TG; use --kind D or TG")
     built = ("D", "TG") if args.check == "iso" else (kind,)
     check_budget(
         sum(posets.poset_cost(k, n) for k in built),
@@ -377,7 +261,7 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     if args.check == "iso":
         p, q = posets.weak_poset(n, "D"), posets.tg_poset(n)
         ok = posets.order_isomorphism_check(p, q, threshold.tg_pair)
-        _emit(
+        print(
             f"tg_pair on weak D_{n} -> TG_{n}: "
             + ("order isomorphism" if ok else "NOT an order isomorphism")
         )
@@ -389,10 +273,10 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     if args.check == "lattice":
         report = p.lattice_check()
         if report.is_lattice:
-            _emit(f"{kind} poset at n={n}: lattice ({len(p)} elements)")
+            print(f"{kind} poset at n={n}: lattice ({len(p)} elements)")
         else:
             a, b = report.witness  # type: ignore[misc]
-            _emit(
+            print(
                 f"{kind} poset at n={n}: NOT a lattice; "
                 f"{report.missing} missing for {label(a)} and {label(b)}"
             )
@@ -404,26 +288,26 @@ def _cmd_poset(args: argparse.Namespace) -> int:
             counts = p.lower_cover_counts()
             for u, c in counts.items():
                 if c != sgnperm.descent_count(u, kind):
-                    _emit(f"cover/descent mismatch at {label(u)}")
+                    print(f"cover/descent mismatch at {label(u)}")
                     return 1
-        _emit(f"{kind} poset at n={n}: {len(pairs)} cover pairs")
+        print(f"{kind} poset at n={n}: {len(pairs)} cover pairs")
         for a, b in pairs:
-            _emit(f"  {label(a)} < {label(b)}")
+            print(f"  {label(a)} < {label(b)}")
     else:  # joinirr
         count = p.join_irreducible_count()
-        _emit(f"{kind} poset at n={n}: {count} join-irreducible elements")
+        print(f"{kind} poset at n={n}: {count} join-irreducible elements")
         formula_kind = "D" if kind == "TG" else kind
         # k = 1 is a valid descent count from n = 2 on (n = 1 for type B)
         if n >= (1 if formula_kind == "B" else 2):
             expected = eulerian_number(n, 1, formula_kind)
-            _emit(f"Eulerian count with one descent: {expected}")
+            print(f"Eulerian count with one descent: {expected}")
             if count != expected:
-                _emit("MISMATCH between join-irreducibles and the Eulerian count")
+                print("MISMATCH between join-irreducibles and the Eulerian count")
                 exit_code = 1
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(p.to_dot(label))
-        _emit(f"wrote {args.dot}")
+        print(f"wrote {args.dot}")
     return exit_code
 
 
@@ -474,11 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bijection", help="audit a bijection by round trips")
-    p.add_argument(
-        "--check",
-        choices=("psi", "theta", "chi", "tgdo", "bijtgsbps"),
-        required=True,
-    )
+    p.add_argument("--check", choices=_AUDITS, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_bijection)
@@ -539,7 +419,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
+from types import MappingProxyType
 from typing import Callable, Iterator
 
 from . import kernels
@@ -37,9 +38,11 @@ __all__ = [
     "IdentityRow",
     "IdentityReport",
     "IDENTITY_NAMES",
+    "IDENTITY_MIN_N",
     "verify_identity",
     "ThresholdCounts",
     "threshold_counts",
+    "report_dict",
     "report_to_json",
     "triangle_rows",
 ]
@@ -279,26 +282,6 @@ class IdentityReport:
         return all(row.holds for row in self.rows)
 
 
-def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
-def _spread(p: tuple[int, ...]) -> tuple[int, ...]:
-    # p(t) -> p(t^2)
-    out = [0] * (2 * len(p) - 1)
-    for i, a in enumerate(p):
-        out[2 * i] = a
-    return tuple(out)
-
-
-def _pad(p: tuple[int, ...], size: int) -> tuple[int, ...]:
-    return p + (0,) * (size - len(p))
-
-
 def _check_alternating(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
     # brute-force type A histogram against the alternating-sum formula
     return tuple(
@@ -325,19 +308,16 @@ def _check_eul_b_odd(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
 
 
 def _check_main(n: int, hist: None) -> tuple[IdentityRow, ...]:
-    # (1 + t)^(n+1) S_n(t) = B_n(t^2) + 2^n t S_n(t^2), coefficientwise
+    # (1 + t)^(n+1) S_n(t) = B_n(t^2) + 2^n t S_n(t^2), coefficientwise up to
+    # the degree of the left side, 2n (1 at n = 0); halves holds the right
+    # side at t^(2j) and at t^(2j+1), whose rows reach that degree exactly
     s_n = _eul_a_row(n)
-    b_n = _eul_b_row(n, s_n)
-    binom = tuple(comb(n + 1, j) for j in range(n + 2))
-    lhs = _poly_mul(binom, s_n)
-    rhs_b = _spread(b_n)
-    rhs_s = (0,) + tuple(2**n * c for c in _spread(s_n))
-    size = max(len(lhs), len(rhs_b), len(rhs_s))
-    lhs = _pad(lhs, size)
-    rhs = tuple(
-        a + b for a, b in zip(_pad(rhs_b, size), _pad(rhs_s, size))
+    binom = [comb(n + 1, j) for j in range(n + 2)]
+    halves = (_eul_b_row(n, s_n), [2**n * a for a in s_n])
+    return tuple(
+        IdentityRow(i, _coefficient(binom, s_n, i), halves[i % 2][i // 2])
+        for i in range(len(binom) + len(s_n) - 1)
     )
-    return tuple(IdentityRow(i, lhs[i], rhs[i]) for i in range(size))
 
 
 def _check_stembridge(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
@@ -349,8 +329,6 @@ def _check_stembridge(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
 def _closed_form_rows(
     n: int, kind: str, hist: tuple[int, ...]
 ) -> tuple[IdentityRow, ...]:
-    if n < 2:
-        raise ValueError("the closed forms for k = 1 need n >= 2")
     closed = 3**n - n - 1
     if kind == "D":
         closed -= n * 2 ** (n - 1)
@@ -370,6 +348,12 @@ _CHECKS = {
 
 #: The identity names accepted by :func:`verify_identity`.
 IDENTITY_NAMES = tuple(sorted(_CHECKS))
+
+#: The least rank of each identity: the type D kernel and the closed forms
+#: for k = 1 need n >= 2.
+IDENTITY_MIN_N = MappingProxyType(
+    dict.fromkeys(IDENTITY_NAMES, 0) | dict.fromkeys(("stembridge", "B_n1", "D_n1"), 2)
+)
 
 
 def _identity(name: str) -> tuple[str | None, Callable]:
@@ -407,8 +391,8 @@ def verify_identity(name: str, n: int) -> IdentityReport:
     (True, 7)
     """
     kind, check = _identity(name)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if n < IDENTITY_MIN_N[name]:
+        raise ValueError(f"identity {name} needs n >= {IDENTITY_MIN_N[name]}")
     hist = None if kind is None else _brute_histogram(kind, n)
     return IdentityReport(name, n, check(n, hist))
 
@@ -469,8 +453,9 @@ def threshold_counts(n: int) -> ThresholdCounts:
     )
 
 
-def _report_dict(report: IdentityReport) -> dict:
-    # the JSON object of one identity report, shared with the CLI
+def report_dict(report: IdentityReport) -> dict:
+    """The JSON object of one identity report; a row has ``brute`` only when
+    it has a third value."""
     return {
         "identity": report.name,
         "n": report.n,
@@ -490,7 +475,7 @@ def _report_dict(report: IdentityReport) -> dict:
 
 def report_to_json(report: IdentityReport) -> str:
     """Serialize an identity report as a JSON document."""
-    return json.dumps(_report_dict(report), indent=2)
+    return json.dumps(report_dict(report), indent=2)
 
 
 def triangle_rows(

@@ -68,6 +68,7 @@ __all__ = [
     "enumerate_group",
     "parse_signed",
     "format_signed",
+    "audit_chi",
 ]
 
 # Exhaustive enumeration is capped so a typo cannot ask for 13!*2^13 tuples.
@@ -351,6 +352,29 @@ def chi_inverse(x: int, v: SignedPermutation) -> SignedPermutation:
     renamed = tuple(t + (1 if t >= x else 0) - (1 if t <= -x else 0) for t in v)
     first = x if renamed[0] < 0 else -x
     return (first,) + renamed
+
+
+def audit_chi(n: int) -> tuple[int, str | None]:
+    """Round trips of chi and its descent shift over the non-smooth windows of
+    B_n (n >= 2), whose images fill ``[n] x B_(n-1)``; as ``barred.audit_psi``."""
+    if n < 2:
+        raise ValueError("chi needs --n at least 2")
+    checked = 0
+    images = set()
+    for u in enumerate_group(n, "B"):
+        if is_smooth(u):
+            continue
+        x, v = chi(u)
+        if chi_inverse(x, v) != u:
+            return checked, f"chi round trip broke at {u}"
+        if positive_descent_count(v) != descent_count(u, "B") - 1:
+            return checked, f"descent shift broke at {u}"
+        images.add((x, v))
+        checked += 1
+    expected = n * group_order(n - 1, "B")
+    if len(images) != expected:
+        return checked, f"chi image has {len(images)} pairs, expected {expected}"
+    return checked, None
 
 
 def window_decomposition(u: SignedPermutation) -> tuple[Permutation, frozenset[int]]:

@@ -35,6 +35,7 @@ from .sgnperm import (
     SignedPermutation,
     as_permutation,
     as_window,
+    enumerate_group,
     full_notation,
     is_even_signed,
     is_smooth,
@@ -66,8 +67,11 @@ __all__ = [
     "threshold_from_sbp",
     "parse_graph",
     "format_graph",
+    "graph_dict",
     "graph_to_json",
     "graph_from_json",
+    "audit_tgdo",
+    "audit_bijtgsbps",
 ]
 
 Edge = tuple[int, int]
@@ -312,6 +316,23 @@ def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
     return u if is_even_signed(u) else mate(u)
 
 
+def audit_tgdo(n: int) -> tuple[int, str | None]:
+    """Round trips of ``tg_pair`` over D_n, whose images are those of
+    :func:`enumerate_tg`; as ``barred.audit_psi``."""
+    checked = 0
+    images = set()
+    for u in enumerate_group(n, "D"):
+        pair = tg_pair(u)
+        if signed_from_tg(pair) != u:
+            return checked, f"tgdo round trip broke at {u}"
+        images.add(pair)
+        checked += 1
+    target = set(enumerate_tg(n))
+    if images != target:
+        return checked, f"tgdo image has {len(images)} pairs, expected {len(target)}"
+    return checked, None
+
+
 # ---------------------------------------------------------------------------
 # Threshold graphs <-> barred permutations
 
@@ -324,11 +345,10 @@ def sbp_from_threshold(g: SimpleGraph) -> barred.SimplyBarredPermutation:
     classes, and the block holding the diagonal is rotated to the front.
     """
     w = canonical_degree_ordering(g)
-    n = g.n
-    if n == 0:
-        return barred.SimplyBarredPermutation((), frozenset())
-    u = signed_from_tg(ThresholdPair(w, g.edges))
-    if n >= 2 and not is_smooth(u):
+    # w is a degree ordering of g, which canonical_degree_ordering found
+    # threshold, so the pair is not checked again
+    u = signed_from_tg(barred._trusted(ThresholdPair, w=w, edges=g.edges))
+    if g.n >= 2 and not is_smooth(u):
         u = mate(u)
     sbp = barred.psi_inverse(u)
     bs = barred.blocks(sbp)
@@ -356,6 +376,24 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
     cuts = list(itertools.accumulate(len(b) for b in original[:-1]))
     u = barred.psi(barred.SimplyBarredPermutation(word, frozenset(cuts)))
     return SimpleGraph(n, edges_from_signed(u)) if n else SimpleGraph(0)
+
+
+def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
+    """Round trips of :func:`sbp_from_threshold` over the threshold graphs on
+    [n], no two sharing an encoding; as :func:`audit_tgdo`."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    checked = 0
+    images = set()
+    for g in enumerate_threshold_graphs(n):
+        sbp = sbp_from_threshold(g)
+        if threshold_from_sbp(sbp) != g:
+            return checked, f"round trip broke at {format_graph(g)}"
+        images.add(sbp)
+        checked += 1
+    if len(images) != checked:
+        return checked, "the map is not injective on threshold graphs"
+    return checked, None
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +535,13 @@ def format_graph(g: SimpleGraph) -> str:
     return f"{g.n}; {body}" if body else f"{g.n};"
 
 
+def graph_dict(g: SimpleGraph) -> dict:
+    """The JSON object of a graph: ``n`` and the sorted edge pairs."""
+    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+
+
 def graph_to_json(g: SimpleGraph) -> str:
-    return json.dumps({"n": g.n, "edges": [list(e) for e in sorted(g.edges)]})
+    return json.dumps(graph_dict(g))
 
 
 def graph_from_json(text: str) -> SimpleGraph:

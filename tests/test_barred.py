@@ -444,3 +444,19 @@ class TestEnumerationAndText:
         text = format_sbp(sbp)
         assert text == "10,1,2|3,4,5,6,7,8,9"
         assert parse_sbp(text) == sbp
+
+
+class TestAudits:
+    @pytest.mark.parametrize("audit", [barred.audit_psi, barred.audit_theta])
+    def test_every_round_trip_holds(self, audit):
+        for n in range(5):
+            assert audit(n) == (2 ** (n + 1) * math.factorial(n), None), n
+
+    @pytest.mark.parametrize("audit", [barred.audit_psi, barred.audit_theta])
+    def test_negative_rank(self, audit):
+        with pytest.raises(ValueError, match="nonnegative"):
+            audit(-1)
+
+    def test_psi_failure_names_the_first_element(self, monkeypatch):
+        monkeypatch.setattr(barred, "descB_formula", lambda sbp: -1)
+        assert barred.audit_psi(2) == (0, "descent formula broke at 12")

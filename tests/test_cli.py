@@ -1,10 +1,14 @@
 """End-to-end tests for the command-line interface (exit codes and output)."""
 
+import ast
 import json
+import pkgutil
 import time
+from pathlib import Path
 
 import pytest
 
+import signedpaths
 from signedpaths import cli, posets, threshold
 from signedpaths.eulerian import IdentityReport, IdentityRow
 
@@ -504,3 +508,46 @@ class TestParserReuse:
             cli._build_parser.cache_clear()  # a fresh parser per call
             assert (cli.run(argv), capsys.readouterr()) == result
         assert svg.read_text() == reused_svg
+
+
+class TestThinCli:
+    # the CLI parses, gates, dispatches and formats; it reaches into no
+    # module's private names and runs no enumeration of its own
+    TREE = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    PACKAGE = {info.name for info in pkgutil.iter_modules(signedpaths.__path__)}
+
+    def test_imports_no_private_name(self):
+        imported = [
+            alias.name
+            for node in ast.walk(self.TREE)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert imported and not [name for name in imported if name.startswith("_")]
+
+    def test_reads_no_private_module_attribute(self):
+        private = [
+            f"{node.value.id}.{node.attr}"
+            for node in ast.walk(self.TREE)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self.PACKAGE
+            and node.attr.startswith("_")
+        ]
+        assert private == []
+
+    def test_runs_no_audit_loop(self):
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(self.TREE)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert not names & {"enumerate_group", "permutations", "itertools"}
+
+    def test_json_listing_encodes_each_graph_as_graph_to_json(self, capsys):
+        out = run_ok(capsys, ["threshold", "--n", "4", "--list", "--format", "json"])
+        graphs = [
+            json.loads(threshold.graph_to_json(g))
+            for g in threshold.enumerate_threshold_graphs(4)
+        ]
+        assert out == json.dumps({"n": 4, "graphs": graphs}, indent=2) + "\n"

@@ -11,6 +11,7 @@ import pytest
 
 from signedpaths import cli, kernels
 from signedpaths.eulerian import (
+    IDENTITY_MIN_N,
     IDENTITY_NAMES,
     MAX_BRUTE_ELEMENTS,
     IdentityReport,
@@ -18,6 +19,7 @@ from signedpaths.eulerian import (
     check_budget,
     eulerian,
     eulerian_polynomial,
+    report_dict,
     report_to_json,
     stirling2,
     threshold_counts,
@@ -428,3 +430,24 @@ class TestThresholdCounts:
         four = threshold_counts(4)
         assert four.by_degree_classes == (2, 20, 24, 0)
         assert four.by_partition_descents == (8, 32, 6)
+
+
+class TestLeastRanks:
+    def test_ranks(self):
+        assert dict(IDENTITY_MIN_N) == {
+            name: 2 if name in ("stembridge", "B_n1", "D_n1") else 0
+            for name in IDENTITY_NAMES
+        }
+
+    @pytest.mark.parametrize("name", IDENTITY_NAMES)
+    def test_below_the_least_rank_is_refused(self, name):
+        lo = IDENTITY_MIN_N[name]
+        for n in range(-2, lo):
+            with pytest.raises(ValueError, match=f"identity {name} needs n >= {lo}"):
+                verify_identity(name, n)
+        assert verify_identity(name, lo).holds
+
+    def test_report_dict_is_what_report_to_json_encodes(self):
+        for name in IDENTITY_NAMES:
+            report = verify_identity(name, 4)
+            assert json.dumps(report_dict(report), indent=2) == report_to_json(report)

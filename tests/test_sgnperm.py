@@ -1,6 +1,7 @@
 """Unit tests for permutations, signed permutations and their statistics."""
 
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from signedpaths.sgnperm import (
     MAX_ENUMERATION_N,
     as_permutation,
     as_window,
+    audit_chi,
     chi,
     chi_inverse,
     classify,
@@ -424,3 +426,15 @@ class TestTextForms:
     @given(random_windows())
     def test_format_round_trip_randomized(self, u):
         assert parse_signed(format_signed(u)) == u
+
+
+class TestChiAudit:
+    def test_every_round_trip_holds(self):
+        # the non-smooth half of B_n
+        for n in range(2, 6):
+            assert audit_chi(n) == (2 ** (n - 1) * factorial(n), None), n
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_needs_rank_two(self, n):
+        with pytest.raises(ValueError, match="chi needs --n at least 2"):
+            audit_chi(n)

@@ -23,6 +23,7 @@ from signedpaths.pathrep import (
 from signedpaths.sgnperm import (
     descent_count,
     enumerate_group,
+    group_order,
     is_even_signed,
     mate,
 )
@@ -30,6 +31,8 @@ from signedpaths.eulerian import MAX_BRUTE_ELEMENTS, threshold_counts
 from signedpaths.threshold import (
     SimpleGraph,
     ThresholdPair,
+    audit_bijtgsbps,
+    audit_tgdo,
     canonical_degree_ordering,
     degree,
     degree_orderings,
@@ -40,6 +43,7 @@ from signedpaths.threshold import (
     enumerate_tg,
     format_graph,
     graph,
+    graph_dict,
     graph_from_json,
     graph_to_json,
     height_from_edges,
@@ -388,3 +392,22 @@ class TestCountsAndText:
             parse_graph("x; 1-2")
         with pytest.raises(ValueError):
             parse_graph("2; 1-3")
+
+
+class TestAudits:
+    def test_tgdo_round_trips_cover_d_n(self):
+        for n in range(1, 5):
+            assert audit_tgdo(n) == (group_order(n, "D"), None), n
+
+    def test_bijtgsbps_round_trips_cover_the_class(self):
+        assert audit_bijtgsbps(0) == (1, None)
+        for n in range(1, 6):
+            assert audit_bijtgsbps(n) == (threshold_counts(n).total, None), n
+
+    def test_bijtgsbps_negative_rank(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            audit_bijtgsbps(-1)
+
+    def test_graph_dict_is_what_graph_to_json_encodes(self):
+        for g in enumerate_threshold_graphs(4):
+            assert json.dumps(graph_dict(g)) == graph_to_json(g)
