@@ -25,6 +25,7 @@ of ``descent_sum``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 import operator
@@ -33,6 +34,7 @@ from typing import Iterable, Iterator
 
 from .pathrep import LatticePath
 from .sgnperm import (
+    MAX_ENUMERATION_N,
     Permutation,
     SignedPermutation,
     as_permutation,
@@ -160,10 +162,13 @@ def _apply(plan: itemgetter, seq: tuple[int, ...]) -> tuple[int, ...]:
     return plan((*seq, *map(operator.neg, seq)))
 
 
+@functools.lru_cache(maxsize=2**MAX_ENUMERATION_N)
 def _psi_plan(bars: frozenset[int], n: int) -> itemgetter:
-    # the blocks outward from the cut after the first ceil(|bars| / 2) of
-    # them: right ones kept, left ones reversed and negated; the walk
-    # starts on the left when |bars| is odd
+    # Cached: psi, threshold.signed_from_tg and audit_psi meet the same
+    # 2^n bar sets of a rank over and over.  The blocks outward from the
+    # cut after the first ceil(|bars| / 2) of them: right ones kept, left
+    # ones reversed and negated; the walk starts on the left when |bars|
+    # is odd
     cuts = [0, *sorted(bars), n]
     lo = hi = (len(cuts) - 1) // 2
     left = len(cuts) % 2 == 1
@@ -239,6 +244,13 @@ def psi_inverse(u: SignedPermutation) -> SimplyBarredPermutation:
     return _trusted(SimplyBarredPermutation, w=_apply(plan, u), bars=bars)
 
 
+@functools.lru_cache(maxsize=1)
+def _desc(w: Permutation) -> frozenset[int]:
+    # Desc(w) for descB_formula: audit_psi visits all bar sets of one w in
+    # a row, so one entry serves all but the first
+    return descent_set(w, "A")
+
+
 def _descB(d: frozenset[int], bars: frozenset[int], ceil: bool) -> int:
     # descB_formula (ceil) or positive_descB_formula (floor) with d = Desc(w)
     return len(d - bars) + (len(bars) + ceil) // 2
@@ -250,7 +262,7 @@ def descB_formula(sbp: SimplyBarredPermutation) -> int:
     >>> descB_formula(SimplyBarredPermutation((7, 4, 2, 3, 1, 6, 5), frozenset({2, 3, 6})))
     4
     """
-    return _descB(descent_set(sbp.w, "A"), sbp.bars, True)
+    return _descB(_desc(sbp.w), sbp.bars, True)
 
 
 def positive_descB_formula(sbp: SimplyBarredPermutation) -> int:
@@ -261,35 +273,39 @@ def positive_descB_formula(sbp: SimplyBarredPermutation) -> int:
 
 
 def audit_psi(n: int) -> tuple[int, str | None]:
-    """Round trips of psi and ``descB_formula`` over :func:`enumerate_sbp`,
-    then B_n: ``(count, None)``, or the count and a message at the first failure."""
+    """Round trips of psi and ``descB_formula`` over the simply barred
+    permutations in the order of :func:`enumerate_sbp`, then B_n:
+    ``(count, None)``, or the count and a message at the first failure."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # psi runs as one plan per bar set and psi_inverse as one plan per sign
-    # pattern of the window, derived as the public maps derive them; the
-    # windows are built here, so none is validated again
-    forward = {bars: _psi_plan(bars, n) for bars in _subsets(list(range(1, n + 1)))}
-    backward: dict[tuple[bool, ...], tuple] = {}
+    # psi applies each bar set's plan to the letter table (*w, *-w), built
+    # once per w as _apply builds it; psi_inverse applies the plan of the
+    # sign pattern read off each window.  The windows are built here, so
+    # none is validated again.
+    plans = [(bars, _psi_plan(bars, n)) for bars in _subsets(list(range(1, n + 1)))]
+    backward: dict[tuple[bool, ...], tuple[itemgetter, frozenset[int]]] = {}
 
-    def inverse(u):  # psi_inverse(u), as (w, bars)
+    def inverse(u):  # psi_inverse's plan and bars for the signs of u
         signs = tuple(map((0).__gt__, u))
         if signs not in backward:
             backward[signs] = _psi_inverse_plan(u)
-        plan, bars = backward[signs]
-        return _apply(plan, u), bars
+        return backward[signs]
 
     checked = 0
-    for sbp in enumerate_sbp(n):
-        u = _apply(forward[sbp.bars], sbp.w)
-        if inverse(u) != (sbp.w, sbp.bars):
-            return checked, f"psi round trip broke at {format_sbp(sbp)}"
-        if descent_count(u, "B") != descB_formula(sbp):
-            return checked, f"descent formula broke at {format_sbp(sbp)}"
-        checked += 1
+    for w in itertools.permutations(range(1, n + 1)):
+        table = (*w, *map(operator.neg, w))
+        for bars, plan in plans:
+            sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
+            u = plan(table)
+            back, back_bars = inverse(u)
+            if back_bars != bars or _apply(back, u) != w:
+                return checked, f"psi round trip broke at {format_sbp(sbp)}"
+            if descent_count(u, "B") != descB_formula(sbp):
+                return checked, f"descent formula broke at {format_sbp(sbp)}"
+            checked += 1
     for u in enumerate_group(n, "B"):
-        w, bars = inverse(u)
-        plan = forward.get(bars) or _psi_plan(bars, n)
-        if _apply(plan, w) != u:
+        back, bars = inverse(u)
+        if _apply(_psi_plan(bars, n), _apply(back, u)) != u:
             return checked, f"psi_inverse round trip broke at {u}"
         checked += 1
     return checked, None

@@ -167,7 +167,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 def _cmd_threshold(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
-    # the table and CSV formats print each graph as it is generated
+    # every format prints each graph as it is generated
     listing: Iterable[threshold.SimpleGraph] = ()
     if args.list:
         check_budget(
@@ -185,9 +185,19 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
             payload["by_degree_classes"] = list(data.by_degree_classes)
             payload["by_partition_descents"] = list(data.by_partition_descents)
             payload["unlabeled"] = data.unlabeled
+        head = json.dumps(payload, indent=2)
         if args.list:
-            payload["graphs"] = [threshold.graph_dict(g) for g in listing]
-        print(json.dumps(payload, indent=2))
+            # the document json.dumps would give with the graphs in it,
+            # streamed one graph at a time
+            print(head[:-2] + ',\n  "graphs": [', end="")
+            sep = "\n"
+            for g in listing:
+                text = json.dumps(threshold.graph_dict(g), indent=2)
+                print(sep + "    " + text.replace("\n", "\n    "), end="")
+                sep = ",\n"
+            print("]\n}" if sep == "\n" else "\n  ]\n}")
+        else:
+            print(head)
     elif args.format == "csv":
         print("series,index,value")
         if data is not None:
@@ -268,7 +278,8 @@ def _cmd_poset(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     p = posets.tg_poset(n) if kind == "TG" else posets.weak_poset(n, kind)
-    label = _pair_label if kind == "TG" else sgnperm.format_signed
+    # each element is labelled once, however many cover pairs it is in
+    label = functools.cache(_pair_label if kind == "TG" else sgnperm.format_signed)
     exit_code = 0
     if args.check == "lattice":
         report = p.lattice_check()

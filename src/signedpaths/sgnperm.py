@@ -316,6 +316,24 @@ def smooth_representative(u: SignedPermutation) -> SignedPermutation:
     return u if is_smooth(u) else mate(u)
 
 
+def _renaming(x: int, n: int, up: bool) -> tuple[int, ...]:
+    # chi's renaming of the letters of B_n other than -x, x onto those of
+    # B_(n-1), t -> t - [t > x] + [t < -x], or with up its inverse from the
+    # letters of B_(n-1), t -> t + [t >= x] - [t <= -x]; as a tuple indexed
+    # by letter, so a negative t reads entry len + t
+    m = n - 1 if up else n
+    letters = (*range(m + 1), *range(-m, 0))
+    if up:
+        return tuple(t + (t >= x) - (t <= -x) for t in letters)
+    return tuple(t - (t > x) + (t < -x) for t in letters)
+
+
+def _unsplit(x: int, renamed: tuple[int, ...]) -> SignedPermutation:
+    # chi_inverse's last step: prepend x with the sign opposite to the
+    # renamed first letter
+    return (x if renamed[0] < 0 else -x, *renamed)
+
+
 def chi(u: SignedPermutation) -> tuple[int, SignedPermutation]:
     """Split a non-smooth ``u`` into ``(|u_1|, renamed tail)``.
 
@@ -332,8 +350,7 @@ def chi(u: SignedPermutation) -> tuple[int, SignedPermutation]:
     if is_smooth(u):
         raise ValueError(f"chi is defined only on non-smooth windows: {u}")
     x = abs(u[0])
-    tail = tuple(t - (1 if t > x else 0) + (1 if t < -x else 0) for t in u[1:])
-    return x, tail
+    return x, tuple(map(_renaming(x, len(u), False).__getitem__, u[1:]))
 
 
 def chi_inverse(x: int, v: SignedPermutation) -> SignedPermutation:
@@ -348,10 +365,7 @@ def chi_inverse(x: int, v: SignedPermutation) -> SignedPermutation:
     n = len(v) + 1
     if not 1 <= x <= n:
         raise ValueError(f"x must lie in [{n}], got {x}")
-    as_window(v)
-    renamed = tuple(t + (1 if t >= x else 0) - (1 if t <= -x else 0) for t in v)
-    first = x if renamed[0] < 0 else -x
-    return (first,) + renamed
+    return _unsplit(x, tuple(map(_renaming(x, n, True).__getitem__, as_window(v))))
 
 
 def audit_chi(n: int) -> tuple[int, str | None]:
@@ -359,13 +373,19 @@ def audit_chi(n: int) -> tuple[int, str | None]:
     B_n (n >= 2), whose images fill ``[n] x B_(n-1)``; as ``barred.audit_psi``."""
     if n < 2:
         raise ValueError("chi needs --n at least 2")
+    # chi and chi_inverse as the public maps run them, through the renaming
+    # tables of each x, built once; the windows are built here, so none is
+    # validated again
+    down = [_renaming(x, n, False).__getitem__ for x in range(n + 1)]
+    up = [_renaming(x, n, True).__getitem__ for x in range(n + 1)]
     checked = 0
     images = set()
     for u in enumerate_group(n, "B"):
         if is_smooth(u):
             continue
-        x, v = chi(u)
-        if chi_inverse(x, v) != u:
+        x = abs(u[0])
+        v = tuple(map(down[x], u[1:]))
+        if _unsplit(x, tuple(map(up[x], v))) != u:
             return checked, f"chi round trip broke at {u}"
         if positive_descent_count(v) != descent_count(u, "B") - 1:
             return checked, f"descent shift broke at {u}"

@@ -130,10 +130,16 @@ def is_threshold(g: SimpleGraph, method: str = "vicinal") -> bool:
     True
     """
     if method == "vicinal":
+        # vicinal_compare on every pair, with the open and closed
+        # neighborhoods built in one pass over the edges
+        nbrs = {v: set() for v in range(1, g.n + 1)}
+        for a, b in g.edges:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        closed = {v: nbrs[v] | {v} for v in nbrs}
         return all(
-            vicinal_compare(g, v, u) or vicinal_compare(g, u, v)
-            for v in range(1, g.n + 1)
-            for u in range(v + 1, g.n + 1)
+            nbrs[v] <= closed[u] or nbrs[u] <= closed[v]
+            for v, u in itertools.combinations(nbrs, 2)
         )
     if method == "forbidden":
         # On four vertices the induced edge count plus degree multiset pins
@@ -265,10 +271,9 @@ def _labels_and_edges(u: SignedPermutation) -> tuple[Permutation, frozenset[Edge
     edges = set()
     for letter in full_notation(u):
         if letter > 0:
-            edges.update(
-                (min(letter, b), max(letter, b))
-                for b in labels[: min(len(labels), height)]
-            )
+            edges.update([
+                (letter, b) if letter < b else (b, letter) for b in labels[:height]
+            ])
             labels.append(letter)
         else:
             height -= 1
@@ -308,8 +313,10 @@ def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
     f = [n] + [0] * (n + 1)  # f(n + 1) = 0 closes the last drop
     for a, b in pair.edges:
         i, j = pos[a], pos[b]
-        f[i] = max(f[i], j)
-        f[j] = max(f[j], i)
+        if f[i] < j:
+            f[i] = j
+        if f[j] < i:
+            f[j] = i
     bars = frozenset(x for x in range(1, n + 1) if f[x] > f[x + 1])
     sbp = barred._trusted(barred.SimplyBarredPermutation, w=pair.w, bars=bars)
     u = barred.psi(sbp)
@@ -322,7 +329,9 @@ def audit_tgdo(n: int) -> tuple[int, str | None]:
     checked = 0
     images = set()
     for u in enumerate_group(n, "D"):
-        pair = tg_pair(u)
+        # tg_pair(u), without validating a window built here
+        w, edges = _labels_and_edges(u)
+        pair = barred._trusted(ThresholdPair, w=w, edges=edges)
         if signed_from_tg(pair) != u:
             return checked, f"tgdo round trip broke at {u}"
         images.add(pair)

@@ -460,3 +460,32 @@ class TestAudits:
     def test_psi_failure_names_the_first_element(self, monkeypatch):
         monkeypatch.setattr(barred, "descB_formula", lambda sbp: -1)
         assert barred.audit_psi(2) == (0, "descent formula broke at 12")
+
+
+class TestDescentMemo:
+    # descB_formula keeps Desc(w) of the last w it saw; on permutations
+    # that alternate it and the other Desc(w) readers must still read each
+    # w's own set
+    def test_interleaved_permutations(self):
+        n = 5
+        perms = list(itertools.permutations(range(1, n + 1)))[::7]
+        walk = [w for pair in zip(perms, perms[1:]) for w in (perms[0], *pair)]
+        for i, w in enumerate(walk):
+            d = descent_set(w, "A")
+            bars = frozenset(b for b in range(1, n + 1) if i >> b & 1)
+            sbp = SimplyBarredPermutation(w, bars)
+            assert descB_formula(sbp) == len(d - bars) + (len(bars) + 1) // 2
+            assert positive_descB_formula(sbp) == len(d - bars) + len(bars) // 2
+            lbp = LooselyBarredPermutation(w, bars | {0} if i % 3 else bars)
+            assert theta(lbp) == SimplyBarredPermutation(w, (d ^ lbp.bars) - {0})
+            s = descent_sum(lbp)
+            assert s == len(d) + len(lbp.bars)
+            parity = "even" if s % 2 == 0 else "odd"
+            assert theta_inverse(theta(lbp), s // 2, parity) == lbp
+
+    def test_psi_audit_validates_no_window_it_built(self, monkeypatch):
+        def forbidden(values):
+            raise AssertionError("as_window called")
+
+        monkeypatch.setattr(barred, "as_window", forbidden)
+        assert barred.audit_psi(4) == (2**5 * math.factorial(4), None)

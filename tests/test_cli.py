@@ -10,7 +10,7 @@ import pytest
 
 import signedpaths
 from signedpaths import cli, posets, threshold
-from signedpaths.eulerian import IdentityReport, IdentityRow
+from signedpaths.eulerian import IdentityReport, IdentityRow, threshold_counts
 
 
 def run_ok(capsys, argv):
@@ -551,3 +551,51 @@ class TestThinCli:
             for g in threshold.enumerate_threshold_graphs(4)
         ]
         assert out == json.dumps({"n": 4, "graphs": graphs}, indent=2) + "\n"
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_json_listing_is_the_whole_document(self, capsys, n, counts):
+        # the listing is streamed graph by graph; the bytes are those of
+        # json.dumps on the whole payload
+        argv = ["threshold", "--n", str(n), "--list", "--format", "json"]
+        out = run_ok(capsys, argv + ["--counts"] * counts)
+        payload: dict = {"n": n}
+        if counts:
+            data = threshold_counts(n)
+            payload["total"] = data.total
+            payload["by_degree_classes"] = list(data.by_degree_classes)
+            payload["by_partition_descents"] = list(data.by_partition_descents)
+            payload["unlabeled"] = data.unlabeled
+        payload["graphs"] = [
+            threshold.graph_dict(g) for g in threshold.enumerate_threshold_graphs(n)
+        ]
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_covers_label_each_element_once(self, capsys, monkeypatch):
+        calls = []
+        label = cli._pair_label
+        monkeypatch.setattr(cli, "_pair_label", lambda p: calls.append(p) or label(p))
+        out = run_ok(capsys, ["poset", "--kind", "TG", "--n", "4", "--check", "covers"])
+        assert len(calls) == len(set(calls)) == len(posets.tg_poset(4))
+        assert out.splitlines()[0] == "TG poset at n=4: 384 cover pairs"
+
+
+class TestTgdoAuditFailure:
+    def test_tgdo_fault_in_the_middle(self, capsys, monkeypatch):
+        # the lines the audit printed when it called tg_pair on each window,
+        # with the same fault injected
+        from signedpaths.sgnperm import mate
+
+        target = threshold.tg_pair((-3, 1, -2, 5, 4))
+        inverse = threshold.signed_from_tg
+        monkeypatch.setattr(
+            threshold,
+            "signed_from_tg",
+            lambda pair: mate(inverse(pair)) if pair == target else inverse(pair),
+        )
+        assert audit_failure(capsys, "tgdo", 5) == (
+            "tgdo at n=5: FAILED after 491 round trips\n"
+            "  tgdo round trip broke at (-3, 1, -2, 5, 4)\n"
+        )

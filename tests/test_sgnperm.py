@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from signedpaths import sgnperm
 from signedpaths.sgnperm import (
     MAX_ENUMERATION_N,
     as_permutation,
@@ -438,3 +439,37 @@ class TestChiAudit:
     def test_needs_rank_two(self, n):
         with pytest.raises(ValueError, match="chi needs --n at least 2"):
             audit_chi(n)
+
+
+class TestChiTables:
+    # chi, chi_inverse and audit_chi rename letters through these tables
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_are_the_closed_renaming_and_its_inverse(self, n):
+        for x in range(1, n + 1):
+            down = sgnperm._renaming(x, n, False)
+            up = sgnperm._renaming(x, n, True)
+            assert (len(down), len(up)) == (2 * n + 1, 2 * n - 1)
+            for t in [*range(-n, 0), *range(1, n + 1)]:
+                if abs(t) != x:
+                    assert down[t] == t - (t > x) + (t < -x), (x, t)
+                    assert up[down[t]] == t, (x, t)
+            for t in [*range(1 - n, 0), *range(1, n)]:
+                assert up[t] == t + (t >= x) - (t <= -x), (x, t)
+                assert down[up[t]] == t, (x, t)
+
+    def test_audit_reads_the_tables(self, monkeypatch):
+        renaming = sgnperm._renaming
+
+        def off_by_one(x, n, up):
+            table = renaming(x, n, up)
+            return table if up or x != 2 else tuple(t + (t == 1) for t in table)
+
+        monkeypatch.setattr(sgnperm, "_renaming", off_by_one)
+        assert audit_chi(4)[1] == "chi round trip broke at (-2, 1, -4, -3)"
+
+    def test_walks_validate_no_window_they_built(self, monkeypatch):
+        def forbidden(values):
+            raise AssertionError("as_window called")
+
+        monkeypatch.setattr(sgnperm, "as_window", forbidden)
+        assert audit_chi(4) == (2**3 * factorial(4), None)

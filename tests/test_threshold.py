@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from signedpaths import threshold
 from signedpaths.barred import (
     SimplyBarredPermutation,
     blocks,
@@ -411,3 +412,23 @@ class TestAudits:
     def test_graph_dict_is_what_graph_to_json_encodes(self):
         for g in enumerate_threshold_graphs(4):
             assert json.dumps(graph_dict(g)) == graph_to_json(g)
+
+    def test_tgdo_validates_no_window_it_built(self, monkeypatch):
+        def forbidden(values):
+            raise AssertionError("as_window called")
+
+        monkeypatch.setattr(threshold, "as_window", forbidden)
+        assert audit_tgdo(4) == (group_order(4, "D"), None)
+
+
+class TestVicinalRecognizer:
+    # is_threshold builds the neighborhoods once instead of calling
+    # vicinal_compare per pair; both must decide the same graphs
+    @pytest.mark.parametrize("n", range(6))
+    def test_vicinal_recognizer_is_the_pairwise_preorder(self, n):
+        for g in enumerate_graphs(n):
+            total = all(
+                vicinal_compare(g, v, u) or vicinal_compare(g, u, v)
+                for v, u in itertools.combinations(range(1, n + 1), 2)
+            )
+            assert is_threshold(g) == total, format_graph(g)
