@@ -17,7 +17,8 @@ bijection audits included (``barred.audit_psi``, ``barred.audit_theta``,
 
 Exit codes: 0 on success, 1 when a verification or audit fails, 2 on
 usage or domain errors.  Output is deterministic for fixed flags; the
-``--format`` option switches between a human table, JSON and CSV.
+``--format`` option of ``eulerian``, ``verify`` and ``threshold`` switches
+between a human table, JSON and CSV.
 
 ``--max-elements`` (default 10^8) is the work budget, checked by
 ``eulerian.check_budget`` before any work starts; the module doing the
@@ -326,13 +327,14 @@ def _cmd_poset(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("table", "json", "csv"),
-        default="table",
-        help="output format (default: table)",
-    )
+def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
+    if formats:
+        parser.add_argument(
+            "--format",
+            choices=("table", "json", "csv"),
+            default="table",
+            help="output format (default: table)",
+        )
     parser.add_argument(
         "--max-elements",
         type=int,
@@ -359,13 +361,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("formula", "bruteforce"), default="formula"
     )
-    _add_common(p)
+    _add_common(p, formats=True)
     p.set_defaults(func=_cmd_eulerian)
 
     p = sub.add_parser("verify", help="check a named identity exactly")
     p.add_argument("--identity", choices=IDENTITY_NAMES, required=True)
     p.add_argument("--max-n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, formats=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bijection", help="audit a bijection by round trips")
@@ -378,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--counts", action="store_true", help="print the counts")
     p.add_argument("--list", action="store_true", help="list the graphs")
-    _add_common(p)
+    _add_common(p, formats=True)
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("render", help="draw a path representation")

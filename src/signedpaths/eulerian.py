@@ -176,6 +176,18 @@ def _brute_histogram(kind: str, n: int) -> tuple[int, ...]:
     return kernels.descent_histogram(kind, n)
 
 
+def _top_descents(kind: str, n: int) -> int:
+    # The largest descent count in the kind-X group of rank n, after
+    # refusing an unknown kind and a rank the group does not have
+    if kind not in _FORMULAS:
+        raise ValueError(f"unknown group kind: {kind!r}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if kind == "D" and n < 2:
+        raise ValueError("type D Eulerian numbers need n >= 2")
+    return n - 1 if kind == "A" and n > 0 else n
+
+
 def eulerian(
     n: int,
     k: int,
@@ -200,25 +212,12 @@ def eulerian(
     >>> eulerian(3, 1, kind="B", method="bruteforce")
     23
     """
-    if kind not in _FORMULAS:
-        raise ValueError(f"unknown group kind: {kind!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if kind == "D" and n < 2:
-        raise ValueError("type D Eulerian numbers need n >= 2")
-    hi = n - 1 if kind == "A" and n > 0 else n
-    if k < 0 or k > max(hi, 0):
-        raise ValueError(f"k must lie in 0..{max(hi, 0)} for kind {kind}, n={n}")
+    hi = _top_descents(kind, n)
+    if not 0 <= k <= hi:
+        raise ValueError(f"k must lie in 0..{hi} for kind {kind}, n={n}")
     if method == "formula":
         return _FORMULAS[kind](n, k)
-    if method == "bruteforce":
-        check_budget(
-            kernels.histogram_cost(kind, n),
-            MAX_BRUTE_ELEMENTS if max_elements is None else max_elements,
-            f"brute force over {kind}_{n}",
-        )
-        return _brute_histogram(kind, n)[k]
-    raise ValueError(f"unknown method: {method!r}")
+    return eulerian_polynomial(n, kind, method, max_elements)[k]
 
 
 def eulerian_polynomial(
@@ -236,18 +235,17 @@ def eulerian_polynomial(
     >>> eulerian_polynomial(2, kind="B")
     (1, 6, 1)
     """
-    if kind not in _FORMULAS:
-        raise ValueError(f"unknown group kind: {kind!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if kind == "D" and n < 2:
-        raise ValueError("type D Eulerian polynomials need n >= 2")
+    hi = _top_descents(kind, n)
     if method == "formula":
         return tuple(_ROWS[kind](n))
-    hi = n - 1 if kind == "A" and n > 0 else n
-    return tuple(
-        eulerian(n, k, kind, method, max_elements) for k in range(max(hi, 0) + 1)
-    )
+    if method == "bruteforce":
+        check_budget(
+            kernels.histogram_cost(kind, n),
+            MAX_BRUTE_ELEMENTS if max_elements is None else max_elements,
+            f"brute force over {kind}_{n}",
+        )
+        return _brute_histogram(kind, n)[: hi + 1]
+    raise ValueError(f"unknown method: {method!r}")
 
 
 @dataclass(frozen=True)
@@ -282,17 +280,9 @@ class IdentityReport:
         return all(row.holds for row in self.rows)
 
 
-def _check_alternating(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
-    # brute-force type A histogram against the alternating-sum formula
-    return tuple(
-        IdentityRow(k, hist[k], a) for k, a in enumerate(_eul_a_row(n))
-    )
-
-
-def _check_eul_b_even(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
-    # brute-force type B histogram against the even-indexed binomial sum
-    b_n = _eul_b_row(n, _eul_a_row(n))
-    return tuple(IdentityRow(k, hist[k], b) for k, b in enumerate(b_n))
+def _check_row(hist: tuple[int, ...], row: list[int]) -> tuple[IdentityRow, ...]:
+    # a brute-force histogram against the formula row of the same group
+    return tuple(IdentityRow(k, hist[k], value) for k, value in enumerate(row))
 
 
 def _check_eul_b_odd(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
@@ -320,12 +310,6 @@ def _check_main(n: int, hist: None) -> tuple[IdentityRow, ...]:
     )
 
 
-def _check_stembridge(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
-    # brute-force type D histogram (the kernel needs n >= 2) against
-    # Eul_B - n 2^(n-1) Eul_A
-    return tuple(IdentityRow(k, hist[k], d) for k, d in enumerate(_eul_d_row(n)))
-
-
 def _closed_form_rows(
     n: int, kind: str, hist: tuple[int, ...]
 ) -> tuple[IdentityRow, ...]:
@@ -337,11 +321,11 @@ def _closed_form_rows(
 
 # identity -> (the kernel histogram its check reads, or None; the check)
 _CHECKS = {
-    "alternating": ("A", _check_alternating),
-    "eulBeven": ("B", _check_eul_b_even),
+    "alternating": ("A", lambda n, hist: _check_row(hist, _ROWS["A"](n))),
+    "eulBeven": ("B", lambda n, hist: _check_row(hist, _ROWS["B"](n))),
     "eulBodd": ("positive", _check_eul_b_odd),
     "main": (None, _check_main),
-    "stembridge": ("D", _check_stembridge),
+    "stembridge": ("D", lambda n, hist: _check_row(hist, _ROWS["D"](n))),
     "B_n1": ("B", lambda n, hist: _closed_form_rows(n, "B", hist)),
     "D_n1": ("D", lambda n, hist: _closed_form_rows(n, "D", hist)),
 }

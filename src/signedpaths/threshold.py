@@ -30,6 +30,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator
 
 from . import barred, pathrep
+from .eulerian import threshold_counts
 from .sgnperm import (
     Permutation,
     SignedPermutation,
@@ -85,6 +86,8 @@ class SimpleGraph:
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"a graph needs a nonnegative vertex count, not {self.n}")
         object.__setattr__(
             self,
             "edges",
@@ -389,7 +392,8 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
 
 def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
     """Round trips of :func:`sbp_from_threshold` over the threshold graphs on
-    [n], no two sharing an encoding; as :func:`audit_tgdo`."""
+    [n], no two sharing an encoding and as many as the counting formula of
+    ``eulerian.threshold_counts`` gives; as :func:`audit_tgdo`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     checked = 0
@@ -402,6 +406,9 @@ def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
         checked += 1
     if len(images) != checked:
         return checked, "the map is not injective on threshold graphs"
+    total = threshold_counts(n).total if n else 1  # the empty graph at n = 0
+    if checked != total:
+        return checked, f"the counting formula gives {total} threshold graphs"
     return checked, None
 
 

@@ -599,3 +599,20 @@ class TestTgdoAuditFailure:
             "tgdo at n=5: FAILED after 491 round trips\n"
             "  tgdo round trip broke at (-3, 1, -2, 5, 4)\n"
         )
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bijection", "--check", "psi", "--n", "2"],
+            ["render", "--perm", "-2,3,1"],
+            ["poset", "--kind", "A", "--n", "2", "--check", "lattice"],
+        ],
+    )
+    def test_commands_with_one_format_refuse_the_flag(self, capsys, argv):
+        # these print a single fixed format, so --format would be ignored
+        err = run_err(capsys, [*argv, "--format", "json"])
+        assert "unrecognized arguments: --format json" in err
+        assert cli.run(argv) == 0
+        capsys.readouterr()

@@ -451,3 +451,59 @@ class TestLeastRanks:
         for name in IDENTITY_NAMES:
             report = verify_identity(name, 4)
             assert json.dumps(report_dict(report), indent=2) == report_to_json(report)
+
+
+class TestOneBruteForcePath:
+    """A brute-force row is gated and read in ``eulerian_polynomial`` alone;
+    ``eulerian`` indexes it."""
+
+    def test_polynomial_is_charged_and_read_once(self, monkeypatch):
+        calls = []
+
+        def recording(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append((name, args))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(kernels, "histogram_cost")
+        recording(eulerian_module, "check_budget")
+        recording(eulerian_module, "_brute_histogram")
+        row = eulerian_polynomial(6, "D", "bruteforce", max_elements=10**6)
+        assert row == eulerian_polynomial(6, "D")
+        assert [name for name, _ in calls] == [
+            "histogram_cost",
+            "check_budget",
+            "_brute_histogram",
+        ]
+        assert calls[0][1] == calls[2][1] == ("D", 6)
+        assert calls[1][1][1:] == (10**6, "brute force over D_6")
+
+    @pytest.mark.parametrize("kind", ["A", "B", "D"])
+    def test_coefficient_is_an_index_into_the_row(self, kind):
+        for n in range(2 if kind == "D" else 0, 9):
+            row = eulerian_polynomial(n, kind, "bruteforce")
+            hi = n - 1 if kind == "A" and n > 0 else n
+            assert len(row) == hi + 1, (kind, n)
+            for k in range(hi + 1):
+                assert eulerian(n, k, kind, "bruteforce") == row[k], (kind, n, k)
+                assert row[k] == eulerian(n, k, kind), (kind, n, k)
+
+    def test_unknown_method_is_refused_by_both(self):
+        with pytest.raises(ValueError, match="unknown method: 'guess'"):
+            eulerian(4, 1, "B", method="guess")
+        with pytest.raises(ValueError, match="unknown method: 'guess'"):
+            eulerian_polynomial(4, "B", method="guess")
+
+    def test_over_budget_is_refused_before_the_histogram(self, monkeypatch):
+        def forbidden(kind, n):
+            raise AssertionError("the histogram was read")
+
+        monkeypatch.setattr(eulerian_module, "_brute_histogram", forbidden)
+        with pytest.raises(ValueError, match="budget of 9059"):
+            eulerian_polynomial(9, "B", "bruteforce", max_elements=9_059)
+        with pytest.raises(ValueError, match="budget of 9059"):
+            eulerian(9, 1, "B", "bruteforce", max_elements=9_059)

@@ -81,6 +81,15 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             SimpleGraph(3, frozenset({(1, 4)}))
 
+    def test_negative_vertex_count(self):
+        for make in (
+            lambda: graph(-1),
+            lambda: parse_graph("-2;"),
+            lambda: graph_from_json('{"n": -3}'),
+        ):
+            with pytest.raises(ValueError, match="nonnegative vertex count"):
+                make()
+
     def test_neighbors_and_degree(self):
         g = graph(4, [(1, 2), (1, 3)])
         assert neighbors(g, 1) == frozenset({2, 3})
@@ -404,6 +413,33 @@ class TestAudits:
         assert audit_bijtgsbps(0) == (1, None)
         for n in range(1, 6):
             assert audit_bijtgsbps(n) == (threshold_counts(n).total, None), n
+
+    def test_bijtgsbps_counts_the_class(self, monkeypatch):
+        # one graph dropped from the enumeration leaves every round trip and
+        # every image distinct; only the count against the formula sees it
+        enumerate_all = threshold.enumerate_threshold_graphs
+        monkeypatch.setattr(
+            threshold,
+            "enumerate_threshold_graphs",
+            lambda n: (g for i, g in enumerate(enumerate_all(n)) if i != 100),
+        )
+        assert audit_bijtgsbps(5) == (
+            331,
+            "the counting formula gives 332 threshold graphs",
+        )
+
+    def test_bijtgsbps_catches_a_repeated_graph(self, monkeypatch):
+        enumerate_all = threshold.enumerate_threshold_graphs
+
+        def repeating(n):
+            graphs = list(enumerate_all(n))
+            return [*graphs, graphs[100]]
+
+        monkeypatch.setattr(threshold, "enumerate_threshold_graphs", repeating)
+        assert audit_bijtgsbps(5) == (
+            333,
+            "the map is not injective on threshold graphs",
+        )
 
     def test_bijtgsbps_negative_rank(self):
         with pytest.raises(ValueError, match="nonnegative"):
