@@ -26,7 +26,9 @@ work counts it.  One unit is a step of the counting DP for ``eulerian
 --method bruteforce`` and ``verify`` (summed over the ranks; ``main``
 reads no histogram), a relation bit of each N x N ``poset``, an edge slot
 (C(n, 2) per graph) for ``threshold --list`` and the bijtgsbps audit, a
-round trip for the other audits, and a grid cell for ``render``.
+round trip for psi and theta, a round trip forward or backward for tgdo
+(|D_n| each way, 2^n n! in all), a window of B_n walked for chi, and a grid
+cell for ``render``.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # bijection
 
 
-# audit -> (the library audit, its cost: the round trips it makes, or for
-# bijtgsbps the edge slots of the graphs it keeps)
+# audit -> (the library audit, its cost: the round trips of psi and theta,
+# tgdo's forward and backward round trips, the windows of B_n chi walks, or
+# the edge slots of the graphs bijtgsbps generates)
 _AUDITS = {
     "psi": (barred.audit_psi, lambda n: 2 ** (n + 1) * factorial(n)),
     "theta": (barred.audit_theta, lambda n: 2 ** (n + 1) * factorial(n)),

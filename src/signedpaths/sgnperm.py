@@ -370,7 +370,9 @@ def chi_inverse(x: int, v: SignedPermutation) -> SignedPermutation:
 
 def audit_chi(n: int) -> tuple[int, str | None]:
     """Round trips of chi and its descent shift over the non-smooth windows of
-    B_n (n >= 2), whose images fill ``[n] x B_(n-1)``; as ``barred.audit_psi``."""
+    B_n (n >= 2).  The windows must strictly increase, so the round trips make
+    chi injective, and there must be as many as ``[n] x B_(n-1)`` has pairs;
+    as ``barred.audit_psi``."""
     if n < 2:
         raise ValueError("chi needs --n at least 2")
     # chi and chi_inverse as the public maps run them, through the renaming
@@ -379,8 +381,11 @@ def audit_chi(n: int) -> tuple[int, str | None]:
     down = [_renaming(x, n, False).__getitem__ for x in range(n + 1)]
     up = [_renaming(x, n, True).__getitem__ for x in range(n + 1)]
     checked = 0
-    images = set()
+    last = ()  # precedes every window
     for u in enumerate_group(n, "B"):
+        if u <= last:
+            return checked, f"windows not strictly increasing at {u}"
+        last = u
         if is_smooth(u):
             continue
         x = abs(u[0])
@@ -389,11 +394,10 @@ def audit_chi(n: int) -> tuple[int, str | None]:
             return checked, f"chi round trip broke at {u}"
         if positive_descent_count(v) != descent_count(u, "B") - 1:
             return checked, f"descent shift broke at {u}"
-        images.add((x, v))
         checked += 1
     expected = n * group_order(n - 1, "B")
-    if len(images) != expected:
-        return checked, f"chi image has {len(images)} pairs, expected {expected}"
+    if checked != expected:
+        return checked, f"chi image has {checked} pairs, expected {expected}"
     return checked, None
 
 

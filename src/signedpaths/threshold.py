@@ -268,15 +268,15 @@ class ThresholdPair:
 def _labels_and_edges(u: SignedPermutation) -> tuple[Permutation, frozenset[Edge]]:
     # lambda_x and E(u) of a valid window, from one pass over the full
     # notation: the x-th East step runs at height f(x), and column x is
-    # joined to the columns y < x with y <= f(x).
+    # joined to the columns y < x with y <= f(x).  No pair comes twice; a
+    # plain loop costs less than a comprehension per East step.
     height = len(u)
     labels: list[int] = []
-    edges = set()
+    edges: list[Edge] = []
     for letter in full_notation(u):
         if letter > 0:
-            edges.update([
-                (letter, b) if letter < b else (b, letter) for b in labels[:height]
-            ])
+            for b in labels[:height]:
+                edges.append((letter, b) if letter < b else (b, letter))
             labels.append(letter)
         else:
             height -= 1
@@ -321,28 +321,43 @@ def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
         if f[j] < i:
             f[j] = i
     bars = frozenset(x for x in range(1, n + 1) if f[x] > f[x + 1])
-    sbp = barred._trusted(barred.SimplyBarredPermutation, w=pair.w, bars=bars)
-    u = barred.psi(sbp)
+    u = barred._apply(barred._psi_plan(bars, n), pair.w)  # psi of (w, bars)
     return u if is_even_signed(u) else mate(u)
 
 
 def audit_tgdo(n: int) -> tuple[int, str | None]:
-    """Round trips of ``tg_pair`` over D_n, whose images are those of
-    :func:`enumerate_tg`; as ``barred.audit_psi``."""
+    """Round trips of ``tg_pair`` over D_n, then of :func:`signed_from_tg`
+    over :func:`enumerate_tg`, whose pairs must strictly increase and be as
+    many: ``tg_pair`` is then a bijection onto them, and no image is kept.
+    The count is the forward round trips, |D_n|; as ``barred.audit_psi``."""
     checked = 0
-    images = set()
     for u in enumerate_group(n, "D"):
         # tg_pair(u), without validating a window built here
         w, edges = _labels_and_edges(u)
         pair = barred._trusted(ThresholdPair, w=w, edges=edges)
         if signed_from_tg(pair) != u:
             return checked, f"tgdo round trip broke at {u}"
-        images.add(pair)
         checked += 1
-    target = set(enumerate_tg(n))
-    if images != target:
-        return checked, f"tgdo image has {len(images)} pairs, expected {len(target)}"
+    targets = 0
+    last = shared = None
+    for pair in enumerate_tg(n):
+        if pair.edges is not shared:  # the orderings of one graph share its edges
+            shared, order = pair.edges, _mask_order(pair.edges)
+        key = (order, pair.w)
+        if last is not None and key <= last:
+            return checked, f"tgdo pairs not strictly increasing at {_pair_text(pair)}"
+        last = key
+        u = signed_from_tg(pair)
+        if not is_even_signed(u) or _labels_and_edges(u) != (pair.w, pair.edges):
+            return checked, f"tgdo backward round trip broke at {_pair_text(pair)}"
+        targets += 1
+    if targets != checked:
+        return checked, f"tgdo image has {checked} pairs, expected {targets}"
     return checked, None
+
+
+def _pair_text(pair: ThresholdPair) -> str:
+    return f"{pair.w} on {format_graph(SimpleGraph(len(pair.w), pair.edges))}"
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +407,22 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
 
 def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
     """Round trips of :func:`sbp_from_threshold` over the threshold graphs on
-    [n], no two sharing an encoding and as many as the counting formula of
-    ``eulerian.threshold_counts`` gives; as :func:`audit_tgdo`."""
+    [n], which must strictly increase, so no two share an encoding, and be
+    as many as the counting formula of ``eulerian.threshold_counts`` gives;
+    as :func:`audit_tgdo`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     checked = 0
-    images = set()
+    last = None
     for g in enumerate_threshold_graphs(n):
+        key = _mask_order(g.edges)
+        if last is not None and key <= last:
+            return checked, f"graphs not strictly increasing at {format_graph(g)}"
+        last = key
         sbp = sbp_from_threshold(g)
         if threshold_from_sbp(sbp) != g:
             return checked, f"round trip broke at {format_graph(g)}"
-        images.add(sbp)
         checked += 1
-    if len(images) != checked:
-        return checked, "the map is not injective on threshold graphs"
     total = threshold_counts(n).total if n else 1  # the empty graph at n = 0
     if checked != total:
         return checked, f"the counting formula gives {total} threshold graphs"
@@ -424,6 +441,12 @@ def _graph_from_mask(n: int, pairs: list[Edge], bits: int) -> SimpleGraph:
         n=n,
         edges=frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1),
     )
+
+
+def _mask_order(edges: frozenset[Edge]) -> list[Edge]:
+    # the edge-subset order of enumerate_graphs: bit i of a mask stands for
+    # the i-th pair, so masks compare as their pairs listed in decreasing order
+    return sorted(edges, reverse=True)
 
 
 def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
@@ -481,7 +504,7 @@ def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
 
 
 def listing_cost(n: int) -> int:
-    """Edge slots that listing the threshold graphs on [n] stores.
+    """Edge slots that listing the threshold graphs on [n] generates.
 
     Each graph that :func:`enumerate_threshold_graphs` yields holds up to
     C(n, 2) edges, and there are 2(F(n) - n F(n-1)) graphs for n >= 2,
@@ -505,7 +528,12 @@ def listing_cost(n: int) -> int:
 
 
 def enumerate_tg(n: int) -> Iterator[ThresholdPair]:
-    """All pairs of a threshold graph with one of its degree orderings."""
+    """All pairs of a threshold graph with one of its degree orderings.
+
+    The pairs strictly increase: graphs come in the edge-subset order of
+    :func:`enumerate_threshold_graphs`, and the orderings of one graph in
+    lexicographic order.  :func:`audit_tgdo` checks and relies on this.
+    """
     for g in enumerate_threshold_graphs(n):
         for w in degree_orderings(g):
             yield barred._trusted(ThresholdPair, w=w, edges=g.edges)
@@ -561,5 +589,16 @@ def graph_to_json(g: SimpleGraph) -> str:
 
 
 def graph_from_json(text: str) -> SimpleGraph:
+    """Read the object of :func:`graph_dict`: an integer ``n`` and a list of
+    integer pairs, ``edges``, which may be left out.  Anything else is a
+    ``ValueError``."""
     data = json.loads(text)
-    return graph(int(data["n"]), data.get("edges", []))
+    if not isinstance(data, dict) or type(data.get("n")) is not int:
+        raise ValueError(f"a graph needs an integer n: {text}")
+    edges = data.get("edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)
+        for e in edges
+    ):
+        raise ValueError(f"graph edges must be a list of integer pairs: {text}")
+    return graph(data["n"], edges)

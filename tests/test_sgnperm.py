@@ -440,6 +440,23 @@ class TestChiAudit:
         with pytest.raises(ValueError, match="chi needs --n at least 2"):
             audit_chi(n)
 
+    def test_catches_a_repeat_in_place_of_a_window(self, monkeypatch):
+        # window 200 is dropped and window 199 walked twice; both are
+        # non-smooth, so every round trip holds and the count matches, and
+        # only the order guard sees it
+        enumerate_all = sgnperm.enumerate_group
+
+        def repeating(n, kind):
+            windows = list(enumerate_all(n, kind))
+            windows[200] = windows[199]
+            return iter(windows)
+
+        monkeypatch.setattr(sgnperm, "enumerate_group", repeating)
+        assert audit_chi(5) == (
+            8,
+            "windows not strictly increasing at (-5, 1, -4, 3, 2)",
+        )
+
 
 class TestChiTables:
     # chi, chi_inverse and audit_chi rename letters through these tables

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from signedpaths.pathrep import (
     symmetric_paths,
 )
 from signedpaths.sgnperm import (
+    audit_chi,
     descent_count,
     enumerate_group,
     group_order,
@@ -80,6 +82,24 @@ class TestGraphBasics:
             SimpleGraph(3, frozenset({(0, 1)}))
         with pytest.raises(ValueError):
             SimpleGraph(3, frozenset({(1, 4)}))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "[]",
+            '{"n": 2, "edges": 5}',
+            '{"n": 2, "edges": [[1, "a"]]}',
+            '{"n": 2, "edges": [[1, 2, 3]]}',
+            '{"n": 2.7}',
+            '{"n": true}',
+            '{"n": 2, "edges": [[true, 2]]}',
+            "not json",
+        ],
+    )
+    def test_graph_from_json_refuses_malformed_documents(self, text):
+        with pytest.raises(ValueError):
+            graph_from_json(text)
 
     def test_negative_vertex_count(self):
         for make in (
@@ -404,6 +424,16 @@ class TestCountsAndText:
             parse_graph("2; 1-3")
 
 
+def repeat_in_place(stream, k):
+    # the stream with its element k replaced by element k - 1
+    def walk(n):
+        items = list(stream(n))
+        items[k] = items[k - 1]
+        return iter(items)
+
+    return walk
+
+
 class TestAudits:
     def test_tgdo_round_trips_cover_d_n(self):
         for n in range(1, 5):
@@ -437,9 +467,71 @@ class TestAudits:
 
         monkeypatch.setattr(threshold, "enumerate_threshold_graphs", repeating)
         assert audit_bijtgsbps(5) == (
-            333,
-            "the map is not injective on threshold graphs",
+            332,
+            "graphs not strictly increasing at 5; 1-5, 3-5",
         )
+
+    def test_bijtgsbps_catches_a_repeat_in_place_of_a_graph(self, monkeypatch):
+        # graph 100 is dropped and graph 99 walked twice: every round trip
+        # holds and the count matches, so only the order guard sees it
+        monkeypatch.setattr(
+            threshold,
+            "enumerate_threshold_graphs",
+            repeat_in_place(threshold.enumerate_threshold_graphs, 100),
+        )
+        assert audit_bijtgsbps(5) == (
+            100,
+            "graphs not strictly increasing at 5; 1-3, 3-5",
+        )
+
+    def test_tgdo_catches_a_repeat_in_place_of_a_pair(self, monkeypatch):
+        monkeypatch.setattr(
+            threshold, "enumerate_tg", repeat_in_place(threshold.enumerate_tg, 100)
+        )
+        assert audit_tgdo(5) == (
+            1920,
+            "tgdo pairs not strictly increasing at (5, 1, 3, 4, 2) on 5;",
+        )
+
+    def test_tgdo_catches_a_dropped_pair(self, monkeypatch):
+        enumerate_all = threshold.enumerate_tg
+        monkeypatch.setattr(
+            threshold,
+            "enumerate_tg",
+            lambda n: (p for i, p in enumerate(enumerate_all(n)) if i != 100),
+        )
+        assert audit_tgdo(5) == (1920, "tgdo image has 1920 pairs, expected 1919")
+
+    def test_tgdo_catches_a_pair_that_is_no_degree_ordering(self, monkeypatch):
+        # the last pair of the graph with the one edge 1-2 gets the largest
+        # word, which keeps the stream increasing; only the backward round
+        # trip sees that 5 4 3 2 1 is no degree ordering of that graph
+        pairs = list(enumerate_tg(5))
+        i = max(i for i, p in enumerate(pairs) if p.edges == {(1, 2)})
+        pairs[i] = threshold.barred._trusted(
+            ThresholdPair, w=(5, 4, 3, 2, 1), edges=pairs[i].edges
+        )
+        monkeypatch.setattr(threshold, "enumerate_tg", lambda n: iter(pairs))
+        assert audit_tgdo(5) == (
+            1920,
+            "tgdo backward round trip broke at (5, 4, 3, 2, 1) on 5; 1-2",
+        )
+
+    @pytest.mark.parametrize(
+        "audit, bound", [(audit_tgdo, 500_000), (audit_chi, 100_000)]
+    )
+    def test_audits_keep_no_images(self, audit, bound):
+        # the first call fills the plan caches; the second allocates only
+        # what one element needs (image sets peaked at 2.98 MB for tgdo and
+        # 0.27 MB for chi)
+        audit(5)
+        tracemalloc.start()
+        try:
+            assert audit(5) == (1920, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_bijtgsbps_negative_rank(self):
         with pytest.raises(ValueError, match="nonnegative"):
