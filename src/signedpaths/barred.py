@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 import operator
 from operator import itemgetter
@@ -69,6 +70,7 @@ __all__ = [
     "format_sbp",
     "audit_psi",
     "audit_theta",
+    "audit_theta_cost",
 ]
 
 
@@ -272,40 +274,42 @@ def positive_descB_formula(sbp: SimplyBarredPermutation) -> int:
     return _descB(descent_set(sbp.w, "A"), sbp.bars, False)
 
 
+class _SignPlans(dict):
+    # signs of a window (True: negative) -> psi^-1's plan, bars, psi's plan
+    def __missing__(self, signs: tuple[bool, ...]):
+        back, bars = _psi_inverse_plan([-1 if s else 1 for s in signs])
+        entry = self[signs] = back, bars, _psi_plan(bars, len(signs))
+        return entry
+
+
 def audit_psi(n: int) -> tuple[int, str | None]:
     """Round trips of psi and ``descB_formula`` over the simply barred
     permutations in the order of :func:`enumerate_sbp`, then B_n:
     ``(count, None)``, or the count and a message at the first failure."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # psi applies each bar set's plan to the letter table (*w, *-w), built
-    # once per w as _apply builds it; psi_inverse applies the plan of the
-    # sign pattern read off each window.  The windows are built here, so
-    # none is validated again.
+    # Plans run on letter tables (*seq, *-seq), as in _apply: one per w, one
+    # per window, whose sign pattern keys its plans.  The windows are built
+    # here, so none is validated again.
+    neg, negative = operator.neg, (0).__gt__
     plans = [(bars, _psi_plan(bars, n)) for bars in _subsets(list(range(1, n + 1)))]
-    backward: dict[tuple[bool, ...], tuple[itemgetter, frozenset[int]]] = {}
-
-    def inverse(u):  # psi_inverse's plan and bars for the signs of u
-        signs = tuple(map((0).__gt__, u))
-        if signs not in backward:
-            backward[signs] = _psi_inverse_plan(u)
-        return backward[signs]
-
+    by_signs = _SignPlans()
     checked = 0
     for w in itertools.permutations(range(1, n + 1)):
-        table = (*w, *map(operator.neg, w))
+        table = (*w, *map(neg, w))
         for bars, plan in plans:
             sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
             u = plan(table)
-            back, back_bars = inverse(u)
-            if back_bars != bars or _apply(back, u) != w:
+            back, back_bars, _ = by_signs[tuple(map(negative, u))]
+            if back_bars != bars or back((*u, *map(neg, u))) != w:
                 return checked, f"psi round trip broke at {format_sbp(sbp)}"
             if descent_count(u, "B") != descB_formula(sbp):
                 return checked, f"descent formula broke at {format_sbp(sbp)}"
             checked += 1
     for u in enumerate_group(n, "B"):
-        back, bars = inverse(u)
-        if _apply(_psi_plan(bars, n), _apply(back, u)) != u:
+        back, _, forward = by_signs[tuple(map(negative, u))]
+        w = back((*u, *map(neg, u)))
+        if forward((*w, *map(neg, w))) != u:
             return checked, f"psi_inverse round trip broke at {u}"
         checked += 1
     return checked, None
@@ -348,21 +352,14 @@ def _descent_sum(d: frozenset[int], bars: frozenset[int]) -> int:
 
 
 def _theta_inverse(
-    w: Permutation, d: frozenset[int], bars: frozenset[int], k: int, even: bool
-) -> frozenset[int]:
+    d: frozenset[int], bars: frozenset[int], k: int, even: bool
+) -> frozenset[int] | None:
     # the bars of the theta-preimage of (w, bars) with descent sum 2k
-    # (even) or 2k + 1, after the class check; the parity of |bars|
-    # decides which xi-preimage it is
-    b1 = d ^ bars
-    if 0 in b1:
-        raise ValueError("c must be a subset of [n], not contain 0")
+    # (even) or 2k + 1, or None if (w, bars) is not in the class; the
+    # parity of |bars| decides which xi-preimage it is
     if _descB(d, bars, even) != k:
-        sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
-        cls = "descent class" if even else "positive-descent class"
-        raise ValueError(
-            f"{sbp} is not in the {cls} k = {k} ({'even' if even else 'odd'} sum)"
-        )
-    return b1 if (len(bars) % 2 == 0) == even else b1 | _ZERO
+        return None
+    return d ^ bars if (len(bars) % 2 == 0) == even else (d ^ bars) | _ZERO
 
 
 def theta(lbp: LooselyBarredPermutation) -> SimplyBarredPermutation:
@@ -389,11 +386,12 @@ def theta_inverse(
     """
     if sum_parity not in ("even", "odd"):
         raise ValueError(f"sum_parity must be 'even' or 'odd': {sum_parity!r}")
-    w = sbp.w
-    bars = _theta_inverse(
-        w, descent_set(w, "A"), sbp.bars, k, sum_parity == "even"
-    )
-    return _trusted(LooselyBarredPermutation, w=w, bars=bars)
+    even = sum_parity == "even"
+    bars = _theta_inverse(descent_set(sbp.w, "A"), sbp.bars, k, even)
+    if bars is None:
+        cls = "descent class" if even else "positive-descent class"
+        raise ValueError(f"{sbp} is not in the {cls} k = {k} ({sum_parity} sum)")
+    return _trusted(LooselyBarredPermutation, w=sbp.w, bars=bars)
 
 
 def audit_theta(n: int) -> tuple[int, str | None]:
@@ -401,12 +399,17 @@ def audit_theta(n: int) -> tuple[int, str | None]:
     each image in the class its descent sum names; as :func:`audit_psi`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # Desc(w) once per permutation, handed to the cores of theta, the
-    # descent sum, the class formulas and theta_inverse
+    # The cores see w only through d = Desc(w): the bar sets of a w whose d
+    # has passed are counted, not rechecked, and a failure is met at the
+    # first w with its d, after the same count as an element-wise walk.
     checked = 0
     subsets = list(_subsets(list(range(n + 1))))
+    passed: set[frozenset[int]] = set()
     for w in itertools.permutations(range(1, n + 1)):
         d = descent_set(w, "A")
+        if d in passed:
+            checked += len(subsets)
+            continue
         for bars in subsets:
             c = _xi(d, bars)
             s = _descent_sum(d, bars)
@@ -414,11 +417,17 @@ def audit_theta(n: int) -> tuple[int, str | None]:
             if _descB(d, c, even) != k:
                 lbp = _trusted(LooselyBarredPermutation, w=w, bars=bars)
                 return checked, f"theta image off the target set at {lbp}"
-            if _theta_inverse(w, d, c, k, even) != bars:
+            if _theta_inverse(d, c, k, even) != bars:
                 lbp = _trusted(LooselyBarredPermutation, w=w, bars=bars)
                 return checked, f"theta round trip broke at {lbp}"
             checked += 1
+        passed.add(d)
     return checked, None
+
+
+def audit_theta_cost(n: int) -> int:
+    """:func:`audit_theta`'s work: n letters per w, 2^(n+1) bars per Desc(w)."""
+    return n * math.factorial(n) + 4**n
 
 
 # ---------------------------------------------------------------------------

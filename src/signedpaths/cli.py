@@ -143,7 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # the edge slots of the graphs bijtgsbps generates)
 _AUDITS = {
     "psi": (barred.audit_psi, lambda n: 2 ** (n + 1) * factorial(n)),
-    "theta": (barred.audit_theta, lambda n: 2 ** (n + 1) * factorial(n)),
+    "theta": (barred.audit_theta, barred.audit_theta_cost),
     "chi": (sgnperm.audit_chi, lambda n: 2**n * factorial(n)),
     "tgdo": (threshold.audit_tgdo, lambda n: 2**n * factorial(n)),
     "bijtgsbps": (threshold.audit_bijtgsbps, threshold.listing_cost),

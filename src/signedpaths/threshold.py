@@ -193,11 +193,17 @@ def degree_orderings(g: SimpleGraph) -> Iterator[Permutation]:
     classes: dict[int, list[int]] = {}
     for v in range(1, g.n + 1):
         classes.setdefault(degree(g, v), []).append(v)
-    ordered = sorted(classes.items(), key=lambda item: -item[0])
-    for arrangement in itertools.product(
-        *(itertools.permutations(vs) for _, vs in ordered)
-    ):
-        yield tuple(itertools.chain.from_iterable(arrangement))
+    ordered = [vs for _, vs in sorted(classes.items(), reverse=True)]
+
+    def extend(prefix: Permutation, i: int) -> Iterator[Permutation]:
+        # lazily, where itertools.product would hold every class's k! at once
+        if i == len(ordered):
+            yield prefix
+        else:
+            for block in itertools.permutations(ordered[i]):
+                yield from extend(prefix + block, i + 1)
+
+    yield from extend((), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -461,6 +461,44 @@ class TestAudits:
         monkeypatch.setattr(barred, "descB_formula", lambda sbp: -1)
         assert barred.audit_psi(2) == (0, "descent formula broke at 12")
 
+    def test_theta_fault_at_a_descent_set_met_last(self, monkeypatch):
+        # only w = 54321 has Desc(w) = {1, 2, 3, 4}: every earlier w is
+        # credited or checked, and the count is the element-wise one
+        key = (frozenset({1, 2, 3, 4}), frozenset({0, 3}))
+        xi = barred._xi
+        monkeypatch.setattr(
+            barred, "_xi", lambda d, bars: xi(d, bars) ^ ({5} if (d, bars) == key else set())
+        )
+        walk = list(enumerate_lbp(5))
+        first = next(
+            i for i, lbp in enumerate(walk)
+            if theta_inverse(theta(lbp), descent_sum(lbp) // 2,
+                             "odd" if descent_sum(lbp) % 2 else "even") != lbp
+        )
+        i = list(subsets(range(6))).index(key[1])
+        assert first == (math.factorial(5) - 1) * 2**6 + i
+        assert barred.audit_theta(5) == (
+            first, f"theta round trip broke at {walk[first]}"
+        )
+
+    def test_theta_checks_each_descent_set_once(self, monkeypatch):
+        calls = {}
+
+        def count(name):
+            f = getattr(barred, name)
+            calls[name] = 0
+
+            def counted(*args):
+                calls[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(barred, name, counted)
+
+        count("descent_set")
+        count("_theta_inverse")
+        assert barred.audit_theta(5) == (2**6 * math.factorial(5), None)
+        assert calls == {"descent_set": 120, "_theta_inverse": 2**4 * 2**6}
+
 
 class TestDescentMemo:
     # descB_formula keeps Desc(w) of the last w it saw; on permutations

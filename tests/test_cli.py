@@ -172,6 +172,19 @@ class TestBijectionCommand:
         )
         assert "budget" in err
 
+    def test_theta_budget_charges_the_walk(self, capsys, monkeypatch):
+        from signedpaths import barred
+
+        cost = barred.audit_theta_cost
+        assert cost(10) <= 10**8 < cost(11)
+
+        def forbidden(*args):
+            raise AssertionError("the audit started")
+
+        monkeypatch.setattr(barred, "descent_set", forbidden)
+        err = run_err(capsys, ["bijection", "--check", "theta", "--n", "11"])
+        assert "budget" in err
+
     def test_broken_bijection_exits_one(self, capsys, monkeypatch):
         from signedpaths import barred
 
