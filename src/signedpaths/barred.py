@@ -246,13 +246,6 @@ def psi_inverse(u: SignedPermutation) -> SimplyBarredPermutation:
     return _trusted(SimplyBarredPermutation, w=_apply(plan, u), bars=bars)
 
 
-@functools.lru_cache(maxsize=1)
-def _desc(w: Permutation) -> frozenset[int]:
-    # Desc(w) for descB_formula: audit_psi visits all bar sets of one w in
-    # a row, so one entry serves all but the first
-    return descent_set(w, "A")
-
-
 def _descB(d: frozenset[int], bars: frozenset[int], ceil: bool) -> int:
     # descB_formula (ceil) or positive_descB_formula (floor) with d = Desc(w)
     return len(d - bars) + (len(bars) + ceil) // 2
@@ -264,7 +257,7 @@ def descB_formula(sbp: SimplyBarredPermutation) -> int:
     >>> descB_formula(SimplyBarredPermutation((7, 4, 2, 3, 1, 6, 5), frozenset({2, 3, 6})))
     4
     """
-    return _descB(_desc(sbp.w), sbp.bars, True)
+    return _descB(descent_set(sbp.w, "A"), sbp.bars, True)
 
 
 def positive_descB_formula(sbp: SimplyBarredPermutation) -> int:
@@ -290,20 +283,22 @@ def audit_psi(n: int) -> tuple[int, str | None]:
         raise ValueError("n must be nonnegative")
     # Plans run on letter tables (*seq, *-seq), as in _apply: one per w, one
     # per window, whose sign pattern keys its plans.  The windows are built
-    # here, so none is validated again.
+    # here, so none is validated again; Desc(w) is read once per w.
     neg, negative = operator.neg, (0).__gt__
     plans = [(bars, _psi_plan(bars, n)) for bars in _subsets(list(range(1, n + 1)))]
     by_signs = _SignPlans()
     checked = 0
     for w in itertools.permutations(range(1, n + 1)):
+        d = descent_set(w, "A")
         table = (*w, *map(neg, w))
         for bars, plan in plans:
-            sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
             u = plan(table)
             back, back_bars, _ = by_signs[tuple(map(negative, u))]
             if back_bars != bars or back((*u, *map(neg, u))) != w:
+                sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
                 return checked, f"psi round trip broke at {format_sbp(sbp)}"
-            if descent_count(u, "B") != descB_formula(sbp):
+            if descent_count(u, "B") != _descB(d, bars, True):
+                sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
                 return checked, f"descent formula broke at {format_sbp(sbp)}"
             checked += 1
     for u in enumerate_group(n, "B"):

@@ -16,9 +16,10 @@ bijection audits included (``barred.audit_psi``, ``barred.audit_theta``,
 ``threshold.audit_bijtgsbps``), lives in the modules that own the maps.
 
 Exit codes: 0 on success, 1 when a verification or audit fails, 2 on
-usage or domain errors.  Output is deterministic for fixed flags; the
-``--format`` option of ``eulerian``, ``verify`` and ``threshold`` switches
-between a human table, JSON and CSV.
+usage or domain errors and on output files that cannot be written.
+Output is deterministic for fixed flags; the ``--format`` option of
+``eulerian``, ``verify`` and ``threshold`` switches between a human table,
+JSON and CSV.
 
 ``--max-elements`` (default 10^8) is the work budget, checked by
 ``eulerian.check_budget`` before any work starts; the module doing the
@@ -28,7 +29,8 @@ reads no histogram), a relation bit of each N x N ``poset``, an edge slot
 (C(n, 2) per graph) for ``threshold --list`` and the bijtgsbps audit, a
 round trip for psi and theta, a round trip forward or backward for tgdo
 (|D_n| each way, 2^n n! in all), a window of B_n walked for chi, and a grid
-cell for ``render``.
+cell for ``render``.  Each walk over a rank-n family costs more than
+2^(n-1), so an n past the budget's bit length is refused at once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import functools
 import json
 import sys
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import barred, pathrep, posets, sgnperm, threshold
 from .eulerian import (
@@ -134,6 +136,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _check_walk(cost: Callable[[int], int], n: int, limit: int, what: str) -> None:
+    # check_budget for a walk over a rank-n family, which costs more than
+    # 2^(n-1): past the limit's bit length n is refused before n! is built
+    if n - 1 > limit.bit_length():
+        raise ValueError(f"{what} costs more than 2^{n - 1}, over the budget of "
+                         f"{limit} (raise max_elements, or --max-elements, to allow it)")
+    check_budget(cost(n), limit, what)
+
+
 # ---------------------------------------------------------------------------
 # bijection
 
@@ -154,7 +165,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     audit, cost = _AUDITS[args.check]
-    check_budget(cost(args.n), args.max_elements, f"the {args.check} audit")
+    _check_walk(cost, args.n, args.max_elements, f"the {args.check} audit")
     checked, failure = audit(args.n)
     if failure is None:
         print(f"{args.check} at n={args.n}: {checked} round trips verified")
@@ -174,9 +185,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     # every format prints each graph as it is generated
     listing: Iterable[threshold.SimpleGraph] = ()
     if args.list:
-        check_budget(
-            threshold.listing_cost(args.n),
-            args.max_elements,
+        _check_walk(
+            threshold.listing_cost, args.n, args.max_elements,
             f"listing the threshold graphs on [{args.n}]",
         )
         listing = threshold.enumerate_threshold_graphs(args.n)
@@ -267,9 +277,8 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     if args.check == "iso" and kind not in ("D", "TG"):
         raise ValueError("--check iso compares weak D with TG; use --kind D or TG")
     built = ("D", "TG") if args.check == "iso" else (kind,)
-    check_budget(
-        sum(posets.poset_cost(k, n) for k in built),
-        args.max_elements,
+    _check_walk(
+        lambda n: sum(posets.poset_cost(k, n) for k in built), n, args.max_elements,
         f"the {' and '.join(built)} poset at n={n}",
     )
     if args.check == "iso":
@@ -435,7 +444,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -262,33 +262,16 @@ def east_south_turns(path: LatticePath) -> list[tuple[int, int]]:
     >>> east_south_turns("ESESES")
     [(1, 3), (2, 2), (3, 1)]
     """
-    path = as_path(path)
-    n = len(path) // 2
-    x, y = 0, n
-    turns = []
-    for i, step in enumerate(path):
-        if step == EAST:
-            x += 1
-            if i + 1 < len(path) and path[i + 1] == SOUTH:
-                turns.append((x, y))
-        else:
-            y -= 1
-    return turns
+    # the x-th East step ends at (x, f(x)); a South step follows iff f drops
+    f = height_function(path) + (0,)
+    return [(x, f[x]) for x in range(1, len(f) - 1) if f[x + 1] < f[x]]
 
 
 def diagonal_crossings(path: LatticePath) -> list[int]:
     """Values ``t`` such that the path passes through the point ``(t, t)``."""
-    path = as_path(path)
-    x, y = 0, len(path) // 2
-    hits = [0] if x == y else []
-    for step in path:
-        if step == EAST:
-            x += 1
-        else:
-            y -= 1
-        if x == y:
-            hits.append(x)
-    return hits
+    # on the line x = t the path runs down from f(t) to f(t + 1)
+    f = height_function(path) + (0,)
+    return [t for t in range(len(f) - 1) if f[t + 1] <= t <= f[t]]
 
 
 def symmetric_paths(n: int):
@@ -345,7 +328,7 @@ def render_ascii(rep: PathRepresentation) -> str:
 
 def render_svg(rep: PathRepresentation, cell: int = 32) -> str:
     """A small standalone SVG of the grid, the path, and the axis labels."""
-    f = height_function(rep.path)
+    f = height_function(rep.path) + (0,)
     n = len(rep.lambda_x)
     pad = cell  # margin for labels
     size = 2 * pad + n * cell
@@ -380,14 +363,8 @@ def render_svg(rep: PathRepresentation, cell: int = 32) -> str:
         f'<line x1="{px(0)}" y1="{py(0)}" x2="{px(n)}" y2="{py(n)}" '
         'stroke="#666" stroke-width="1" stroke-dasharray="4 3"/>'
     )
-    points = [(0, n)]
-    x, y = 0, n
-    for step in rep.path:
-        if step == EAST:
-            x += 1
-        else:
-            y -= 1
-        points.append((x, y))
+    # every lattice point of the path, down each column from f(x) to f(x + 1)
+    points = [(x, y) for x in range(n + 1) for y in range(f[x], f[x + 1] - 1, -1)]
     polyline = " ".join(f"{px(a)},{py(b)}" for a, b in points)
     parts.append(
         f'<polyline points="{polyline}" fill="none" stroke="#c1121f" '

@@ -9,8 +9,10 @@ containment orders, so they are built from feature masks instead: each
 element is an int over its M features (inversion pairs, plus edges for
 threshold pairs), and with col(f) the bitmask of the elements having
 feature f, down(b) = ALL & ~OR{col(f) : f not in mask(b)} -- N*M big-int
-operations.  Both routes then sort into a linear extension and run the
-same distinctness, reflexivity, antisymmetry and transitivity checks.  The
+operations.  Both constructors list the elements in the linear extension
+by down-set size (ties by input order), and the build runs the same
+distinctness, reflexivity, antisymmetry and transitivity checks on it; a
+list that is no linear extension fails the antisymmetry check.  The
 transitivity check peels the highest-ranked element off each strict
 down-set, which yields the lower covers; the up-sets are unions along
 them.
@@ -81,14 +83,13 @@ class FinitePoset:
         self, elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]
     ):
         items = list(elements)
-        downs = []
-        for b in items:
-            mask = 0
-            for i, a in enumerate(items):
-                if leq(a, b):
-                    mask |= 1 << i
-            downs.append(mask)
-        self._build(items, downs)
+        downs = [sum(1 << i for i, a in enumerate(items) if leq(a, b)) for b in items]
+        # list the elements in the linear extension that _build requires
+        order = _extension_order(downs)
+        self._build(
+            [items[b] for b in order],
+            [sum(1 << i for i, a in enumerate(order) if downs[b] >> a & 1) for b in order],
+        )
 
     @classmethod
     def _from_feature_sets(
@@ -102,8 +103,7 @@ class FinitePoset:
             sum(1 << index.setdefault(f, len(index)) for f in features)
             for features in feature_sets
         ]
-        # list the elements in the linear extension the build will choose,
-        # so that it finds every bit already in place
+        # list the elements in the linear extension that _build requires
         order = _extension_order(_containment_downs(masks, len(index)))
         poset = cls.__new__(cls)
         poset._build(
@@ -113,28 +113,14 @@ class FinitePoset:
         return poset
 
     def _build(self, items: list[Hashable], downs: list[int]) -> None:
-        # downs[b] has bit a set iff items[a] <= items[b]
+        # downs[b] has bit a set iff items[a] <= items[b]; the items come in
+        # a linear extension, or the antisymmetry check below fails
         n = len(items)
         if len(set(items)) != n:
             raise ValueError("poset elements must be distinct")
         for i in range(n):
             if not (downs[i] >> i) & 1:
                 raise ValueError("the order relation is not reflexive")
-        order = _extension_order(downs)
-        if order != list(range(n)):  # move every bit to its element's rank
-            rank_of = [0] * n
-            for new, old in enumerate(order):
-                rank_of[old] = new
-            relabelled = [0] * n
-            for old, mask in enumerate(downs):
-                new_mask = 0
-                while mask:
-                    low = mask & -mask
-                    new_mask |= 1 << rank_of[low.bit_length() - 1]
-                    mask ^= low
-                relabelled[rank_of[old]] = new_mask
-            items = [items[old] for old in order]
-            downs = relabelled
         for i, mask in enumerate(downs):
             if mask >> (i + 1):
                 raise ValueError("the order relation is not antisymmetric/transitive"

@@ -233,23 +233,15 @@ def inversion_set(u: Sequence[int], kind: str = "A") -> InversionSet:
     """
     _check_kind(kind)
     n = len(u)
-    if kind == "A":
-        w = as_permutation(u)
-        pos = {x: k for k, x in enumerate(w, start=1)}
-        positive = frozenset(
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if pos[i] > pos[j]
-        )
-        return InversionSet(positive, frozenset())
-    pos = _positions(as_window(u))
+    pos = _positions(as_permutation(u) if kind == "A" else as_window(u))
     positive = frozenset(
         (i, j)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
         if pos[i] > pos[j]
     )
+    if kind == "A":
+        return InversionSet(positive, frozenset())
     lo = 0 if kind == "B" else 1  # type D drops the pairs (-i, i)
     negative = frozenset(
         (-a, j)

@@ -101,8 +101,8 @@ class SimpleGraph:
 
 
 def graph(n: int, edges: Iterable[Iterable[int]] = ()) -> SimpleGraph:
-    """Convenience constructor normalizing edge pairs."""
-    return SimpleGraph(n, frozenset(tuple(sorted(e)) for e in edges))
+    """Convenience constructor: edges as any pairs, which SimpleGraph sorts."""
+    return SimpleGraph(n, edges)  # type: ignore[arg-type]
 
 
 def neighbors(g: SimpleGraph, v: int) -> frozenset[int]:
@@ -259,12 +259,8 @@ class ThresholdPair:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "w", as_permutation(self.w))
-        object.__setattr__(
-            self,
-            "edges",
-            frozenset((min(a, b), max(a, b)) for a, b in self.edges),
-        )
         g = SimpleGraph(len(self.w), self.edges)
+        object.__setattr__(self, "edges", g.edges)
         if not is_threshold(g):
             raise ValueError("edge set is not threshold")
         if not is_degree_ordering(g, self.w):

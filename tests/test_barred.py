@@ -458,7 +458,7 @@ class TestAudits:
             audit(-1)
 
     def test_psi_failure_names_the_first_element(self, monkeypatch):
-        monkeypatch.setattr(barred, "descB_formula", lambda sbp: -1)
+        monkeypatch.setattr(barred, "_descB", lambda d, bars, ceil: -1)
         assert barred.audit_psi(2) == (0, "descent formula broke at 12")
 
     def test_theta_fault_at_a_descent_set_met_last(self, monkeypatch):
@@ -501,9 +501,8 @@ class TestAudits:
 
 
 class TestDescentMemo:
-    # descB_formula keeps Desc(w) of the last w it saw; on permutations
-    # that alternate it and the other Desc(w) readers must still read each
-    # w's own set
+    # on permutations that alternate, descB_formula and the other Desc(w)
+    # readers must read each w's own set
     def test_interleaved_permutations(self):
         n = 5
         perms = list(itertools.permutations(range(1, n + 1)))[::7]

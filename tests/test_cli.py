@@ -188,7 +188,7 @@ class TestBijectionCommand:
     def test_broken_bijection_exits_one(self, capsys, monkeypatch):
         from signedpaths import barred
 
-        monkeypatch.setattr(barred, "descB_formula", lambda sbp: -1)
+        monkeypatch.setattr(barred, "_descB", lambda d, bars, ceil: -1)
         code = cli.run(["bijection", "--check", "psi", "--n", "2"])
         out = capsys.readouterr().out
         assert code == 1
@@ -208,16 +208,97 @@ class TestAuditFailures:
     # a failure names the same first element after the same count.
 
     def test_psi_fault_in_the_middle(self, capsys, monkeypatch):
+        # a wrong formula for the first w with Desc(w) = {2} and bars {1, 2, 4}
         from signedpaths import barred
 
-        target = barred.SimplyBarredPermutation((3, 4, 1, 2, 5), frozenset({1, 2, 4}))
-        formula = barred.descB_formula
+        key = (frozenset({2}), frozenset({1, 2, 4}))
+        formula = barred._descB
         monkeypatch.setattr(
-            barred, "descB_formula", lambda sbp: formula(sbp) + (sbp == target)
+            barred, "_descB",
+            lambda d, bars, ceil: formula(d, bars, ceil) + ((d, bars) == key),
         )
         assert audit_failure(capsys, "psi", 5) == (
-            "psi at n=5: FAILED after 1937 round trips\n"
-            "  descent formula broke at 3|4|12|5\n"
+            "psi at n=5: FAILED after 209 round trips\n"
+            "  descent formula broke at 1|3|24|5\n"
+        )
+
+    def test_psi_round_trip_fault(self, capsys, monkeypatch):
+        # bars read back wrong from the windows signed + - +, which psi
+        # gives exactly the bar set {1, 2}
+        from signedpaths import barred
+
+        plan = barred._psi_inverse_plan
+
+        def faulty(u):
+            back, bars = plan(u)
+            return back, bars ^ ({3} if [x < 0 for x in u] == [False, True, False] else set())
+
+        monkeypatch.setattr(barred, "_psi_inverse_plan", faulty)
+        assert audit_failure(capsys, "psi", 3) == (
+            "psi at n=3: FAILED after 4 round trips\n"
+            "  psi round trip broke at 1|2|3\n"
+        )
+
+    def test_psi_inverse_round_trip_fault(self, capsys, monkeypatch):
+        # a wrong forward plan for the windows signed - + +, used only by the
+        # walk over B_3; (-3, 1, 2) is the first of them
+        from signedpaths import barred
+
+        missing = barred._SignPlans.__missing__
+
+        def faulty(self, signs):
+            back, bars, forward = missing(self, signs)
+            if signs == (True, False, False):
+                self[signs] = back, bars, lambda table: forward(table)[::-1]
+            return self[signs]
+
+        monkeypatch.setattr(barred._SignPlans, "__missing__", faulty)
+        assert audit_failure(capsys, "psi", 3) == (
+            "psi at n=3: FAILED after 53 round trips\n"
+            "  psi_inverse round trip broke at (-3, 1, 2)\n"
+        )
+
+    def test_chi_descent_shift_fault(self, capsys, monkeypatch):
+        # (-2, 1, -4, -3) is the 49th non-smooth window of B_4
+        from signedpaths import sgnperm
+
+        target = (-2, 1, -4, -3)
+        count = sgnperm.descent_count
+        monkeypatch.setattr(
+            sgnperm, "descent_count", lambda u, kind="A": count(u, kind) + (u == target)
+        )
+        assert audit_failure(capsys, "chi", 4) == (
+            "chi at n=4: FAILED after 48 round trips\n"
+            "  descent shift broke at (-2, 1, -4, -3)\n"
+        )
+
+    def test_chi_count_fault(self, capsys, monkeypatch):
+        # one non-smooth window dropped: every round trip holds
+        from signedpaths import sgnperm
+
+        enumerate_all = sgnperm.enumerate_group
+        monkeypatch.setattr(
+            sgnperm,
+            "enumerate_group",
+            lambda n, kind: (u for u in enumerate_all(n, kind) if u != (-2, 1, -4, -3)),
+        )
+        assert audit_failure(capsys, "chi", 4) == (
+            "chi at n=4: FAILED after 191 round trips\n"
+            "  chi image has 191 pairs, expected 192\n"
+        )
+
+    def test_bijtgsbps_round_trip_fault(self, capsys, monkeypatch):
+        # graph 20 of n = 4 encoded as graph 19
+        graphs = list(threshold.enumerate_threshold_graphs(4))
+        encode = threshold.sbp_from_threshold
+        monkeypatch.setattr(
+            threshold,
+            "sbp_from_threshold",
+            lambda g: encode(graphs[19] if g == graphs[20] else g),
+        )
+        assert audit_failure(capsys, "bijtgsbps", 4) == (
+            "bijtgsbps at n=4: FAILED after 20 round trips\n"
+            "  round trip broke at 4; 1-2, 1-3, 2-3, 2-4\n"
         )
 
     @pytest.mark.parametrize("flip, message", [
@@ -304,6 +385,29 @@ class TestThresholdCommand:
         lines = out.splitlines()
         assert lines[0] == "series,index,value"
         assert "total,,2" in lines
+
+    def test_json_counts_alone(self, capsys):
+        out = run_ok(capsys, ["threshold", "--n", "3", "--format", "json"])
+        assert out == (
+            '{\n  "n": 3,\n  "total": 8,\n'
+            '  "by_degree_classes": [\n    2,\n    6,\n    0\n  ],\n'
+            '  "by_partition_descents": [\n    4,\n    4\n  ],\n'
+            '  "unlabeled": 4\n}\n'
+        )
+
+    def test_csv_list(self, capsys):
+        out = run_ok(capsys, ["threshold", "--n", "3", "--list", "--format", "csv"])
+        assert out.splitlines() == [
+            "series,index,value",
+            "graph,,3;",
+            "graph,,3; 1-2",
+            "graph,,3; 1-3",
+            "graph,,3; 1-2, 1-3",
+            "graph,,3; 2-3",
+            "graph,,3; 1-2, 2-3",
+            "graph,,3; 1-3, 2-3",
+            "graph,,3; 1-2, 1-3, 2-3",
+        ]
 
     def test_rejects_nonpositive(self, capsys):
         run_err(capsys, ["threshold", "--n", "0"])
@@ -401,6 +505,66 @@ class TestPosetCommand:
         assert "budget" in err
 
 
+class TestUnwritableFiles:
+    # a file that cannot be written is an error of the request: exit 2 and
+    # one line on stderr, not a traceback
+    def test_render_svg(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        assert cli.run(["render", "--perm", "1,-2", "--svg", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+    def test_poset_dot(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.dot"
+        argv = ["poset", "--kind", "A", "--n", "2", "--check", "covers"]
+        assert cli.run([*argv, "--dot", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "A poset at n=2: 1 cover pairs\n  1,2 < 2,1\n"
+        assert out.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+class TestPosetFailures:
+    # faults injected into the build or the formula side; each report is
+    # printed and the command exits 1
+    def drop_identity(self, monkeypatch):
+        enumerate_all = posets.enumerate_group
+        monkeypatch.setattr(
+            posets,
+            "enumerate_group",
+            lambda n, kind: (u for u in enumerate_all(n, kind) if u != (1, 2, 3)),
+        )
+
+    def test_not_a_lattice(self, capsys, monkeypatch):
+        self.drop_identity(monkeypatch)
+        assert cli.run(["poset", "--kind", "A", "--n", "3", "--check", "lattice"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "A poset at n=3: NOT a lattice; meet missing for 1,3,2 and 2,1,3\n", ""
+        )
+
+    def test_cover_descent_mismatch(self, capsys, monkeypatch):
+        # without the identity, 132 and 213 have no lower cover but one descent
+        self.drop_identity(monkeypatch)
+        assert cli.run(["poset", "--kind", "A", "--n", "3", "--check", "covers"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("cover/descent mismatch at 1,3,2\n", "")
+
+    def test_join_irreducible_mismatch(self, capsys, monkeypatch):
+        eulerian_number = cli.eulerian_number
+        monkeypatch.setattr(
+            cli, "eulerian_number", lambda n, k, kind: eulerian_number(n, k, kind) + 1
+        )
+        assert cli.run(["poset", "--kind", "A", "--n", "3", "--check", "joinirr"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "A poset at n=3: 4 join-irreducible elements\n"
+            "Eulerian count with one descent: 5\n"
+            "MISMATCH between join-irreducibles and the Eulerian count\n",
+            "",
+        )
+
+
 # Every command that does charged work, at a rank its audit or build accepts.
 CHARGED = [
     ["eulerian", "--kind", "A", "--n", "3", "--method", "bruteforce"],
@@ -475,12 +639,29 @@ class TestBudgetGate:
         ["threshold", "--n", "10000", "--list"],
         ["poset", "--kind", "B", "--n", "12", "--check", "lattice"],
         ["verify", "--identity", "alternating", "--max-n", str(10**9)],
+        # each walk costs more than 2^(n-1), so n! is never multiplied out
+        *([*argv, "--n", str(10**8)] for argv in (
+            *(["bijection", "--check", check]
+              for check in ("psi", "theta", "chi", "tgdo", "bijtgsbps")),
+            ["poset", "--kind", "A", "--check", "lattice"],
+            ["poset", "--kind", "TG", "--check", "iso"],
+            ["threshold", "--list"],
+        )),
     ])
     def test_refusal_is_cheap(self, capsys, argv):
         start = time.perf_counter()
         err = run_err(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert "budget" in err
+
+    def test_exact_cost_up_to_the_limit_bits(self, capsys):
+        # 2^(n+1) n! round trips: exact while n - 1 is within 10's 4 bits
+        err = run_err(capsys, ["bijection", "--check", "psi", "--n", "5",
+                               "--max-elements", "10"])
+        assert "the psi audit costs 7680, over the budget of 10" in err
+        err = run_err(capsys, ["bijection", "--check", "psi", "--n", str(10**8),
+                               "--max-elements", "10"])
+        assert "the psi audit costs more than 2^99999999, over the budget of 10" in err
 
 
 class TestParsing:

@@ -197,6 +197,20 @@ class TestTurnsAndCrossings:
         assert diagonal_crossings("EESS") == [2]
         assert diagonal_crossings("SEES") == [1]
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_height_rules_match_a_step_walk(self, n):
+        # every word with n East and n South steps, walked point by point
+        for easts in itertools.combinations(range(2 * n), n):
+            path = "".join("E" if i in easts else "S" for i in range(2 * n))
+            points = [(0, n)]
+            for step in path:
+                x, y = points[-1]
+                points.append((x + 1, y) if step == "E" else (x, y - 1))
+            turns = [points[i + 1] for i in range(2 * n - 1)
+                     if path[i:i + 2] == "ES"]
+            assert east_south_turns(path) == turns, path
+            assert diagonal_crossings(path) == [x for x, y in points if x == y], path
+
     def test_symmetric_paths_are_symmetric_and_counted(self):
         for n in (0, 1, 2, 3, 4, 5):
             paths = list(symmetric_paths(n))

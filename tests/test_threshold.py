@@ -281,6 +281,13 @@ class TestSignedCorrespondence:
         with pytest.raises(ValueError):
             ThresholdPair((3, 1, 2), frozenset({(1, 2), (1, 3)}))
 
+    def test_threshold_pair_normalises_its_edges(self):
+        # the same pair, and the same hash, whichever way an edge is written
+        pair = ThresholdPair((1, 2, 3), {(2, 1)})
+        assert pair.edges == frozenset({(1, 2)})
+        assert pair == ThresholdPair((1, 2, 3), frozenset({(1, 2)}))
+        assert hash(pair) == hash(ThresholdPair((1, 2, 3), [(1, 2)]))
+
     @pytest.mark.parametrize("n", range(6))
     def test_edges_match_height_route(self, n):
         # edges of the height function of the path, relabeled by lambda_x
