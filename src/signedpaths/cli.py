@@ -27,8 +27,8 @@ work counts it.  One unit is a step of the counting DP for ``eulerian
 --method bruteforce`` and ``verify`` (summed over the ranks; ``main``
 reads no histogram), a relation bit of each N x N ``poset``, an edge slot
 (C(n, 2) per graph) for ``threshold --list`` and the bijtgsbps audit, a
-round trip for psi and theta, a round trip forward or backward for tgdo
-(|D_n| each way, 2^n n! in all), a window of B_n walked for chi, and a grid
+round trip for theta, a round trip walked for psi and tgdo (|B_n| and |D_n|;
+neither walks the other side), a window of B_n walked for chi, and a grid
 cell for ``render``.  Each walk over a rank-n family costs more than
 2^(n-1), so an n past the budget's bit length is refused at once.
 """
@@ -39,7 +39,6 @@ import argparse
 import functools
 import json
 import sys
-from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from . import barred, pathrep, posets, sgnperm, threshold
@@ -149,14 +148,14 @@ def _check_walk(cost: Callable[[int], int], n: int, limit: int, what: str) -> No
 # bijection
 
 
-# audit -> (the library audit, its cost: the round trips of psi and theta,
-# tgdo's forward and backward round trips, the windows of B_n chi walks, or
-# the edge slots of the graphs bijtgsbps generates)
+# audit -> (the library audit, its cost: the round trips each audit walks,
+# one per element of B_n for psi and of D_n for tgdo, the windows of B_n chi
+# walks, or the edge slots of the graphs bijtgsbps generates)
 _AUDITS = {
-    "psi": (barred.audit_psi, lambda n: 2 ** (n + 1) * factorial(n)),
+    "psi": (barred.audit_psi, lambda n: sgnperm.group_order(n, "B")),
     "theta": (barred.audit_theta, barred.audit_theta_cost),
-    "chi": (sgnperm.audit_chi, lambda n: 2**n * factorial(n)),
-    "tgdo": (threshold.audit_tgdo, lambda n: 2**n * factorial(n)),
+    "chi": (sgnperm.audit_chi, lambda n: sgnperm.group_order(n, "B")),
+    "tgdo": (threshold.audit_tgdo, lambda n: sgnperm.group_order(n, "D")),
     "bijtgsbps": (threshold.audit_bijtgsbps, threshold.listing_cost),
 }
 
@@ -272,11 +271,11 @@ def _pair_label(pair: threshold.ThresholdPair) -> str:
 
 def _cmd_poset(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
-    if kind == "D" and n < 2:
-        raise ValueError("type D posets need --n at least 2")
     if args.check == "iso" and kind not in ("D", "TG"):
         raise ValueError("--check iso compares weak D with TG; use --kind D or TG")
     built = ("D", "TG") if args.check == "iso" else (kind,)
+    if "D" in built and n < 2:
+        raise ValueError("type D posets need --n at least 2")
     _check_walk(
         lambda n: sum(posets.poset_cost(k, n) for k in built), n, args.max_elements,
         f"the {' and '.join(built)} poset at n={n}",

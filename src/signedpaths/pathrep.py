@@ -280,9 +280,8 @@ def symmetric_paths(n: int):
     A symmetric path is determined by its first ``n`` steps, which form an
     arbitrary word in E/S read up to the diagonal.
     """
-    if n == 0:
-        yield ""
-        return
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     for bits in range(2**n):
         half = "".join(
             EAST if bits >> (n - 1 - i) & 1 else SOUTH for i in range(n)

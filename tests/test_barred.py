@@ -457,6 +457,15 @@ class TestAudits:
         with pytest.raises(ValueError, match="nonnegative"):
             audit(-1)
 
+    def test_psi_walks_no_group(self, monkeypatch):
+        # the round trips over the simply barred side make psi a bijection
+        # onto B_n, so |B_n| is credited, not walked
+        def forbidden(*args):
+            raise AssertionError("enumerate_group called")
+
+        monkeypatch.setattr(barred, "enumerate_group", forbidden, raising=False)
+        assert barred.audit_psi(5) == (7680, None)
+
     def test_psi_failure_names_the_first_element(self, monkeypatch):
         monkeypatch.setattr(barred, "_descB", lambda d, bars, ceil: -1)
         assert barred.audit_psi(2) == (0, "descent formula broke at 12")

@@ -239,25 +239,6 @@ class TestAuditFailures:
             "  psi round trip broke at 1|2|3\n"
         )
 
-    def test_psi_inverse_round_trip_fault(self, capsys, monkeypatch):
-        # a wrong forward plan for the windows signed - + +, used only by the
-        # walk over B_3; (-3, 1, 2) is the first of them
-        from signedpaths import barred
-
-        missing = barred._SignPlans.__missing__
-
-        def faulty(self, signs):
-            back, bars, forward = missing(self, signs)
-            if signs == (True, False, False):
-                self[signs] = back, bars, lambda table: forward(table)[::-1]
-            return self[signs]
-
-        monkeypatch.setattr(barred._SignPlans, "__missing__", faulty)
-        assert audit_failure(capsys, "psi", 3) == (
-            "psi at n=3: FAILED after 53 round trips\n"
-            "  psi_inverse round trip broke at (-3, 1, 2)\n"
-        )
-
     def test_chi_descent_shift_fault(self, capsys, monkeypatch):
         # (-2, 1, -4, -3) is the 49th non-smooth window of B_4
         from signedpaths import sgnperm
@@ -496,6 +477,12 @@ class TestPosetCommand:
     def test_type_d_needs_two(self, capsys):
         run_err(capsys, ["poset", "--kind", "D", "--n", "1", "--check", "lattice"])
 
+    @pytest.mark.parametrize("kind, n", [("D", 1), ("TG", 1), ("TG", 0)])
+    def test_iso_builds_type_d_from_two(self, capsys, kind, n):
+        # the iso check builds weak D_n whichever kind is named
+        err = run_err(capsys, ["poset", "--kind", kind, "--n", str(n), "--check", "iso"])
+        assert err == "error: type D posets need --n at least 2\n"
+
     def test_budget(self, capsys):
         err = run_err(
             capsys,
@@ -655,10 +642,10 @@ class TestBudgetGate:
         assert "budget" in err
 
     def test_exact_cost_up_to_the_limit_bits(self, capsys):
-        # 2^(n+1) n! round trips: exact while n - 1 is within 10's 4 bits
+        # |B_n| = 2^n n! round trips: exact while n - 1 is within 10's 4 bits
         err = run_err(capsys, ["bijection", "--check", "psi", "--n", "5",
                                "--max-elements", "10"])
-        assert "the psi audit costs 7680, over the budget of 10" in err
+        assert "the psi audit costs 3840, over the budget of 10" in err
         err = run_err(capsys, ["bijection", "--check", "psi", "--n", str(10**8),
                                "--max-elements", "10"])
         assert "the psi audit costs more than 2^99999999, over the budget of 10" in err
@@ -778,8 +765,8 @@ class TestStreamedOutput:
 
 class TestTgdoAuditFailure:
     def test_tgdo_fault_in_the_middle(self, capsys, monkeypatch):
-        # the lines the audit printed when it called tg_pair on each window,
-        # with the same fault injected
+        # the audit walks the pairs of enumerate_tg: the mate of the image
+        # of the 256th pair is not even-signed
         from signedpaths.sgnperm import mate
 
         target = threshold.tg_pair((-3, 1, -2, 5, 4))
@@ -790,8 +777,8 @@ class TestTgdoAuditFailure:
             lambda pair: mate(inverse(pair)) if pair == target else inverse(pair),
         )
         assert audit_failure(capsys, "tgdo", 5) == (
-            "tgdo at n=5: FAILED after 491 round trips\n"
-            "  tgdo round trip broke at (-3, 1, -2, 5, 4)\n"
+            "tgdo at n=5: FAILED after 255 round trips\n"
+            "  tgdo round trip broke at (2, 3, 1, 5, 4) on 5; 1-2, 2-3\n"
         )
 
 

@@ -12,6 +12,7 @@ from signedpaths.barred import (
     SimplyBarredPermutation,
     blocks,
     classify_sbp,
+    enumerate_lbp,
     enumerate_sbp,
 )
 from signedpaths.pathrep import (
@@ -31,6 +32,7 @@ from signedpaths.sgnperm import (
     mate,
 )
 from signedpaths.eulerian import MAX_BRUTE_ELEMENTS, threshold_counts
+from signedpaths.posets import tg_poset
 from signedpaths.threshold import (
     SimpleGraph,
     ThresholdPair,
@@ -393,6 +395,17 @@ class TestCountsAndText:
     def test_labeled_counts(self, n, total):
         assert sum(1 for _ in enumerate_threshold_graphs(n)) == total
 
+    @pytest.mark.parametrize(
+        "make",
+        [enumerate_graphs, enumerate_threshold_graphs, enumerate_tg, enumerate_sbp,
+         enumerate_lbp, symmetric_paths, tg_poset, unlabeled_threshold_count],
+        ids=lambda f: f.__name__,
+    )
+    def test_negative_rank_is_refused(self, make):
+        # the generators raise at their first step
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(make(-1))
+
     def test_listing_cost_counts_edge_slots(self):
         # one unit per graph on fewer than two vertices, C(n, 2) per graph above
         for n in range(8):
@@ -522,7 +535,7 @@ class TestAudits:
             threshold, "enumerate_tg", repeat_in_place(threshold.enumerate_tg, 100)
         )
         assert audit_tgdo(5) == (
-            1920,
+            100,
             "tgdo pairs not strictly increasing at (5, 1, 3, 4, 2) on 5;",
         )
 
@@ -533,12 +546,12 @@ class TestAudits:
             "enumerate_tg",
             lambda n: (p for i, p in enumerate(enumerate_all(n)) if i != 100),
         )
-        assert audit_tgdo(5) == (1920, "tgdo image has 1920 pairs, expected 1919")
+        assert audit_tgdo(5) == (1919, "tgdo image has 1919 pairs, expected 1920")
 
     def test_tgdo_catches_a_pair_that_is_no_degree_ordering(self, monkeypatch):
         # the last pair of the graph with the one edge 1-2 gets the largest
-        # word, which keeps the stream increasing; only the backward round
-        # trip sees that 5 4 3 2 1 is no degree ordering of that graph
+        # word, which keeps the stream increasing; only the round trip sees
+        # that 5 4 3 2 1 is no degree ordering of that graph
         pairs = list(enumerate_tg(5))
         i = max(i for i, p in enumerate(pairs) if p.edges == {(1, 2)})
         pairs[i] = threshold.barred._trusted(
@@ -546,8 +559,8 @@ class TestAudits:
         )
         monkeypatch.setattr(threshold, "enumerate_tg", lambda n: iter(pairs))
         assert audit_tgdo(5) == (
-            1920,
-            "tgdo backward round trip broke at (5, 4, 3, 2, 1) on 5; 1-2",
+            131,
+            "tgdo round trip broke at (5, 4, 3, 2, 1) on 5; 1-2",
         )
 
     @pytest.mark.parametrize(
@@ -573,6 +586,26 @@ class TestAudits:
     def test_graph_dict_is_what_graph_to_json_encodes(self):
         for g in enumerate_threshold_graphs(4):
             assert json.dumps(graph_dict(g)) == graph_to_json(g)
+
+    def test_tgdo_walks_each_pair_once(self, monkeypatch):
+        # one walk over enumerate_tg: a second walk over D_n would repeat
+        # every call on the same arguments
+        calls = {}
+
+        def count(name):
+            f = getattr(threshold, name)
+            calls[name] = 0
+
+            def counted(*args):
+                calls[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(threshold, name, counted)
+
+        count("_labels_and_edges")
+        count("signed_from_tg")
+        assert audit_tgdo(5) == (1920, None)
+        assert calls == {"_labels_and_edges": 1920, "signed_from_tg": 1920}
 
     def test_tgdo_validates_no_window_it_built(self, monkeypatch):
         def forbidden(values):
