@@ -318,7 +318,7 @@ def xi(d: Iterable[int], bars: Iterable[int]) -> frozenset[int]:
     >>> sorted(xi({1, 3}, {0, 1}))
     [3]
     """
-    return frozenset(set(d) ^ set(bars)) - {0}
+    return _xi(frozenset(d), frozenset(bars))
 
 
 def xi_preimages(d: Iterable[int], c: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -335,10 +335,6 @@ def xi_preimages(d: Iterable[int], c: Iterable[int]) -> tuple[frozenset[int], fr
 
 def _xi(d: frozenset[int], bars: frozenset[int]) -> frozenset[int]:
     return (d ^ bars) - _ZERO
-
-
-def _descent_sum(d: frozenset[int], bars: frozenset[int]) -> int:
-    return len(d) + len(bars)
 
 
 def _theta_inverse(
@@ -360,7 +356,7 @@ def theta(lbp: LooselyBarredPermutation) -> SimplyBarredPermutation:
 
 def descent_sum(lbp: LooselyBarredPermutation) -> int:
     """The grading ``des(w) + |B|`` that theta's inverses are indexed by."""
-    return _descent_sum(descent_set(lbp.w, "A"), lbp.bars)
+    return len(descent_set(lbp.w, "A")) + len(lbp.bars)
 
 
 def theta_inverse(
@@ -402,7 +398,7 @@ def audit_theta(n: int) -> tuple[int, str | None]:
             continue
         for bars in subsets:
             c = _xi(d, bars)
-            s = _descent_sum(d, bars)
+            s = len(d) + len(bars)
             k, even = s // 2, s % 2 == 0
             if _descB(d, c, even) != k:
                 lbp = _trusted(LooselyBarredPermutation, w=w, bars=bars)
@@ -478,24 +474,24 @@ def _subsets(ground: list[int]) -> Iterator[frozenset[int]]:
             yield frozenset(combo)
 
 
-def enumerate_sbp(n: int) -> Iterator[SimplyBarredPermutation]:
-    """All ``2^n n!`` simply barred permutations of [n]."""
+def _enumerate_barred(n: int, cls: type, lowest_bar: int) -> Iterator:
+    # each w in lexicographic order, with every bar set inside lowest_bar..n
     if n < 0:
         raise ValueError("n must be nonnegative")
-    subsets = list(_subsets(list(range(1, n + 1))))
+    subsets = list(_subsets(list(range(lowest_bar, n + 1))))
     for w in itertools.permutations(range(1, n + 1)):
         for bars in subsets:
-            yield _trusted(SimplyBarredPermutation, w=w, bars=bars)
+            yield _trusted(cls, w=w, bars=bars)
+
+
+def enumerate_sbp(n: int) -> Iterator[SimplyBarredPermutation]:
+    """All ``2^n n!`` simply barred permutations of [n]."""
+    return _enumerate_barred(n, SimplyBarredPermutation, 1)
 
 
 def enumerate_lbp(n: int) -> Iterator[LooselyBarredPermutation]:
     """All ``2^(n+1) n!`` loosely barred permutations of [n]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    subsets = list(_subsets(list(range(n + 1))))
-    for w in itertools.permutations(range(1, n + 1)):
-        for bars in subsets:
-            yield _trusted(LooselyBarredPermutation, w=w, bars=bars)
+    return _enumerate_barred(n, LooselyBarredPermutation, 0)
 
 
 def parse_sbp(text: str) -> SimplyBarredPermutation:

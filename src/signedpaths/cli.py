@@ -273,6 +273,8 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
     if args.check == "iso" and kind not in ("D", "TG"):
         raise ValueError("--check iso compares weak D with TG; use --kind D or TG")
+    if args.check == "iso" and args.dot:
+        raise ValueError("--dot draws one poset, and --check iso builds two")
     built = ("D", "TG") if args.check == "iso" else (kind,)
     if "D" in built and n < 2:
         raise ValueError("type D posets need --n at least 2")
@@ -408,7 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("lattice", "iso", "covers", "joinirr"),
         required=True,
     )
-    p.add_argument("--dot", help="also write the Hasse diagram as DOT")
+    p.add_argument(
+        "--dot", help="also write the Hasse diagram as DOT (not with --check iso)"
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_poset)
 

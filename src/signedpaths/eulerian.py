@@ -19,7 +19,6 @@ itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
@@ -32,7 +31,6 @@ __all__ = [
     "MAX_BRUTE_ELEMENTS",
     "check_budget",
     "identity_cost",
-    "stirling2",
     "eulerian",
     "eulerian_polynomial",
     "IdentityRow",
@@ -43,8 +41,6 @@ __all__ = [
     "ThresholdCounts",
     "threshold_counts",
     "report_dict",
-    "report_to_json",
-    "triangle_rows",
 ]
 
 #: Default work budget of every gated operation, the brute-force route
@@ -81,22 +77,6 @@ def _stirling_rows(n: int, width: int) -> Iterator[list[int]]:
     for _ in range(n):
         row = [0] + [k * row[k] + row[k - 1] for k in range(1, width)]
         yield row
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind: set partitions of [n] into k blocks.
-
-    >>> [stirling2(4, k) for k in range(5)]
-    [0, 1, 7, 6, 1]
-    >>> stirling2(0, 0)
-    1
-    """
-    if n < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    if k > n:
-        return 0
-    *_, row = _stirling_rows(n, k + 1)
-    return row[k]
 
 
 def _coefficient(p: list[int], q: list[int], m: int) -> int:
@@ -456,17 +436,3 @@ def report_dict(report: IdentityReport) -> dict:
         ],
     }
 
-
-def report_to_json(report: IdentityReport) -> str:
-    """Serialize an identity report as a JSON document."""
-    return json.dumps(report_dict(report), indent=2)
-
-
-def triangle_rows(
-    kind: str, max_n: int, method: str = "formula"
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Rows (n, coefficients) of the Eulerian triangle up to max_n."""
-    lo = 2 if kind == "D" else 0
-    return [
-        (n, eulerian_polynomial(n, kind, method)) for n in range(lo, max_n + 1)
-    ]

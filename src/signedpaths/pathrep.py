@@ -50,7 +50,6 @@ __all__ = [
     "height_function",
     "path_from_height",
     "classify_height",
-    "cells_below",
     "inversions_via_path",
     "east_south_turns",
     "diagonal_crossings",
@@ -65,6 +64,9 @@ HeightFunction = tuple[int, ...]
 
 EAST = "E"
 SOUTH = "S"
+
+# Side of one grid cell in the pictures of render_svg, in pixels.
+_CELL = 32
 
 
 def as_path(steps: str) -> LatticePath:
@@ -226,15 +228,6 @@ def classify_height(f: HeightFunction) -> HeightClassification:
     )
 
 
-def cells_below(path: LatticePath) -> frozenset[tuple[int, int]]:
-    """All grid cells ``(x, y)`` weakly below the path (``y <= f(x)``)."""
-    f = height_function(path)
-    n = len(f) - 1
-    return frozenset(
-        (x, y) for x in range(1, n + 1) for y in range(1, f[x] + 1)
-    )
-
-
 def inversions_via_path(u: SignedPermutation) -> InversionSet:
     """Read the inversions of ``u`` off its path representation.
 
@@ -325,18 +318,18 @@ def render_ascii(rep: PathRepresentation) -> str:
     return "\n".join(lines)
 
 
-def render_svg(rep: PathRepresentation, cell: int = 32) -> str:
+def render_svg(rep: PathRepresentation) -> str:
     """A small standalone SVG of the grid, the path, and the axis labels."""
     f = height_function(rep.path) + (0,)
     n = len(rep.lambda_x)
-    pad = cell  # margin for labels
-    size = 2 * pad + n * cell
+    pad = _CELL  # one cell of margin for labels
+    size = 2 * pad + n * _CELL
 
     def px(x: float) -> float:
-        return pad + x * cell
+        return pad + x * _CELL
 
     def py(y: float) -> float:
-        return pad + (n - y) * cell
+        return pad + (n - y) * _CELL
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
@@ -346,8 +339,8 @@ def render_svg(rep: PathRepresentation, cell: int = 32) -> str:
     for x in range(1, n + 1):
         for y in range(1, f[x] + 1):
             parts.append(
-                f'<rect x="{px(x - 1)}" y="{py(y)}" width="{cell}" '
-                f'height="{cell}" fill="#cfe2ff"/>'
+                f'<rect x="{px(x - 1)}" y="{py(y)}" width="{_CELL}" '
+                f'height="{_CELL}" fill="#cfe2ff"/>'
             )
     for t in range(n + 1):
         parts.append(
@@ -372,11 +365,11 @@ def render_svg(rep: PathRepresentation, cell: int = 32) -> str:
     for k in range(1, n + 1):
         parts.append(
             f'<text x="{px(k - 0.5)}" y="{py(n) - 6}" text-anchor="middle" '
-            f'font-size="{cell // 2}">{rep.lambda_x[k - 1]}</text>'
+            f'font-size="{_CELL // 2}">{rep.lambda_x[k - 1]}</text>'
         )
         parts.append(
             f'<text x="{px(0) - 6}" y="{py(k - 0.5) + 4}" text-anchor="end" '
-            f'font-size="{cell // 2}">{rep.lambda_y(k)}</text>'
+            f'font-size="{_CELL // 2}">{rep.lambda_y(k)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

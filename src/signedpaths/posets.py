@@ -33,7 +33,6 @@ inclusion on E.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Sequence
@@ -249,16 +248,6 @@ class FinitePoset:
             lines.append(f'  "{label(a)}" -> "{label(b)}";')
         lines.append("}")
         return "\n".join(lines)
-
-    def covers_json(self, label: Callable[[Hashable], str] = str) -> str:
-        """Cover relation as a JSON document."""
-        return json.dumps(
-            {
-                "elements": [label(e) for e in self._elements],
-                "covers": [[label(a), label(b)] for a, b in self.covers()],
-            },
-            indent=2,
-        )
 
 
 def _extension_order(downs: list[int]) -> list[int]:

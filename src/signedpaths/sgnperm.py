@@ -46,7 +46,6 @@ __all__ = [
     "Permutation",
     "SignedPermutation",
     "InversionSet",
-    "Classification",
     "as_permutation",
     "as_window",
     "full_notation",
@@ -57,10 +56,8 @@ __all__ = [
     "inversion_set",
     "inversion_count",
     "mate",
-    "classify",
     "is_even_signed",
     "is_smooth",
-    "smooth_representative",
     "chi",
     "chi_inverse",
     "window_decomposition",
@@ -286,26 +283,6 @@ def is_smooth(u: SignedPermutation) -> bool:
     if len(u) < 2:
         raise ValueError("smoothness needs n >= 2")
     return (u[0] > 0) == (u[1] > 0)
-
-
-@dataclass(frozen=True)
-class Classification:
-    smooth: bool
-    even_signed: bool
-
-
-def classify(u: SignedPermutation) -> Classification:
-    """Smoothness and even-signedness of ``u`` (``n >= 2``).
-
-    >>> classify((-2, 3, 1, 6, -4, -7, 5))
-    Classification(smooth=False, even_signed=False)
-    """
-    return Classification(smooth=is_smooth(u), even_signed=is_even_signed(u))
-
-
-def smooth_representative(u: SignedPermutation) -> SignedPermutation:
-    """The smooth element of the mate pair ``{u, mate(u)}``."""
-    return u if is_smooth(u) else mate(u)
 
 
 def _renaming(x: int, n: int, up: bool) -> tuple[int, ...]:

@@ -69,7 +69,6 @@ __all__ = [
     "parse_graph",
     "format_graph",
     "graph_dict",
-    "graph_to_json",
     "graph_from_json",
     "audit_tgdo",
     "audit_bijtgsbps",
@@ -239,11 +238,23 @@ def height_from_edges(edges: Iterable[Edge], n: int) -> pathrep.HeightFunction:
         raise ValueError("edge set is not threshold")
     if not is_degree_ordering(g, tuple(range(1, n + 1))):
         raise ValueError("identity is not a degree ordering of the edge set")
-    f = [n]
-    for x in range(1, n + 1):
-        nx = neighbors(g, x)
-        f.append(max(nx) if nx else 0)
-    return pathrep.as_height(f)
+    return pathrep.as_height(_max_neighbors(g.edges, n, range(n + 1))[:-1])
+
+
+def _max_neighbors(
+    edges: Iterable[Edge], n: int, rank: dict[int, int] | range
+) -> list[int]:
+    # f(0) = n and f(x) = max N(x), 0 for an isolated x, once each vertex v
+    # is renamed rank[v] in 1..n; then f(n + 1) = 0, which closes the last
+    # drop of f
+    f = [n] + [0] * (n + 1)
+    for a, b in edges:
+        i, j = rank[a], rank[b]
+        if f[i] < j:
+            f[i] = j
+        if f[j] < i:
+            f[j] = i
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +326,7 @@ def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
     """
     n = len(pair.w)
     pos = {v: i for i, v in enumerate(pair.w, start=1)}
-    f = [n] + [0] * (n + 1)  # f(n + 1) = 0 closes the last drop
-    for a, b in pair.edges:
-        i, j = pos[a], pos[b]
-        if f[i] < j:
-            f[i] = j
-        if f[j] < i:
-            f[j] = i
+    f = _max_neighbors(pair.edges, n, pos)
     bars = frozenset(x for x in range(1, n + 1) if f[x] > f[x + 1])
     u = barred._apply(barred._psi_plan(bars, n), pair.w)  # psi of (w, bars)
     return u if is_even_signed(u) else mate(u)
@@ -375,12 +380,7 @@ def sbp_from_threshold(g: SimpleGraph) -> barred.SimplyBarredPermutation:
     if g.n >= 2 and not is_smooth(u):
         u = mate(u)
     sbp = barred.psi_inverse(u)
-    bs = barred.blocks(sbp)
-    c = barred.central_block_index(sbp)
-    rotated = [bs[c - 1]] + bs[: c - 1] + bs[c:]
-    word = tuple(itertools.chain.from_iterable(rotated))
-    cuts = list(itertools.accumulate(len(b) for b in rotated[:-1]))
-    return barred.SimplyBarredPermutation(word, frozenset(cuts))
+    return _move_block(barred.blocks(sbp), barred.central_block_index(sbp) - 1, 0)
 
 
 def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
@@ -394,12 +394,19 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
     bs = barred.blocks(sbp)
     if n >= 2 and len(bs[0]) < 2:
         raise ValueError(f"{sbp} must have a first block of at least two letters")
-    c = barred.central_block_index(sbp)
-    original = bs[1:c] + [bs[0]] + bs[c:]
-    word = tuple(itertools.chain.from_iterable(original))
-    cuts = list(itertools.accumulate(len(b) for b in original[:-1]))
-    u = barred.psi(barred.SimplyBarredPermutation(word, frozenset(cuts)))
+    u = barred.psi(_move_block(bs, 0, barred.central_block_index(sbp) - 1))
     return SimpleGraph(n, edges_from_signed(u)) if n else SimpleGraph(0)
+
+
+def _move_block(
+    bs: list[tuple[int, ...]], src: int, dst: int
+) -> barred.SimplyBarredPermutation:
+    # the barred permutation with the blocks bs, block src moved to index dst
+    bs = bs[:]
+    bs.insert(dst, bs.pop(src))
+    word = tuple(itertools.chain.from_iterable(bs))
+    cuts = itertools.accumulate(len(b) for b in bs[:-1])
+    return barred.SimplyBarredPermutation(word, frozenset(cuts))
 
 
 def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
@@ -407,8 +414,6 @@ def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
     [n], which must strictly increase, so no two share an encoding, and be
     as many as the counting formula of ``eulerian.threshold_counts`` gives;
     as :func:`audit_tgdo`."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     checked = 0
     last = None
     for g in enumerate_threshold_graphs(n):
@@ -583,10 +588,6 @@ def format_graph(g: SimpleGraph) -> str:
 def graph_dict(g: SimpleGraph) -> dict:
     """The JSON object of a graph: ``n`` and the sorted edge pairs."""
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
-
-
-def graph_to_json(g: SimpleGraph) -> str:
-    return json.dumps(graph_dict(g))
 
 
 def graph_from_json(text: str) -> SimpleGraph:

@@ -1,0 +1,73 @@
+"""Static checks of the package's public surface, read from each module's AST.
+
+Every name a module exports is defined there, every name the package
+exports resolves, and no module-level import is left without a use.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import signedpaths
+
+SOURCES = sorted(Path(signedpaths.__file__).parent.glob("*.py"))
+
+
+def tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def exported(module: ast.Module) -> list[str]:
+    # the literal list assigned to __all__, or none
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def defined(module: ast.Module) -> set[str]:
+    # names bound at module level by a definition or an assignment
+    names = set()
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def imported(module: ast.Module) -> dict[str, int]:
+    # module-level import bindings -> line, without __future__ features
+    names = {}
+    for node in module.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_module_all_names_are_defined_there(path):
+    module = tree(path)
+    assert sorted(set(exported(module)) - defined(module)) == []
+
+
+def test_package_all_names_resolve():
+    assert signedpaths.__all__
+    assert [name for name in signedpaths.__all__ if not hasattr(signedpaths, name)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_import(path):
+    module = tree(path)
+    used = {n.id for n in ast.walk(module) if isinstance(n, ast.Name)}
+    used |= set(exported(module))  # re-exports count as uses
+    unused = {name: line for name, line in imported(module).items() if name not in used}
+    assert unused == {}

@@ -27,6 +27,33 @@ def run_err(capsys, argv, code=2):
     return out.err
 
 
+# render --perm -2,3,1 --svg FILE writes these bytes: the 3 x 3 grid at
+# 32 pixels a cell with one cell of margin, the one cell below the path
+# shaded, the path in red and the labels at half a cell
+SVG_NEG2_3_1 = (
+    b'<svg xmlns="http://www.w3.org/2000/svg" width="160" height="160" viewBox="0 0 160 160">\n'
+    b'<rect width="160" height="160" fill="white"/>\n'
+    b'<rect x="32" y="96" width="32" height="32" fill="#cfe2ff"/>\n'
+    b'<line x1="32" y1="128" x2="32" y2="32" stroke="#999" stroke-width="1"/>\n'
+    b'<line x1="32" y1="128" x2="128" y2="128" stroke="#999" stroke-width="1"/>\n'
+    b'<line x1="64" y1="128" x2="64" y2="32" stroke="#999" stroke-width="1"/>\n'
+    b'<line x1="32" y1="96" x2="128" y2="96" stroke="#999" stroke-width="1"/>\n'
+    b'<line x1="96" y1="128" x2="96" y2="32" stroke="#999" stroke-width="1"/>\n'
+    b'<line x1="32" y1="64" x2="128" y2="64" stroke="#999" stroke-width="1"/>\n'
+    b'<line x1="128" y1="128" x2="128" y2="32" stroke="#999" stroke-width="1"/>\n'
+    b'<line x1="32" y1="32" x2="128" y2="32" stroke="#999" stroke-width="1"/>\n'
+    b'<line x1="32" y1="128" x2="128" y2="32" stroke="#666" stroke-width="1" stroke-dasharray="4 3"/>\n'
+    b'<polyline points="32,32 32,64 32,96 64,96 64,128 96,128 128,128" fill="none" stroke="#c1121f" stroke-width="3"/>\n'
+    b'<text x="48.0" y="26" text-anchor="middle" font-size="16">2</text>\n'
+    b'<text x="26" y="116.0" text-anchor="end" font-size="16">-2</text>\n'
+    b'<text x="80.0" y="26" text-anchor="middle" font-size="16">3</text>\n'
+    b'<text x="26" y="84.0" text-anchor="end" font-size="16">-3</text>\n'
+    b'<text x="112.0" y="26" text-anchor="middle" font-size="16">1</text>\n'
+    b'<text x="26" y="52.0" text-anchor="end" font-size="16">-1</text>\n'
+    b'</svg>'
+)
+
+
 class TestEulerianCommand:
     def test_table(self, capsys):
         out = run_ok(capsys, ["eulerian", "--kind", "A", "--n", "3"])
@@ -423,6 +450,11 @@ class TestRenderCommand:
         assert body.lstrip().startswith("<svg")
         assert "polyline" in body
 
+    def test_svg_bytes(self, capsys, tmp_path):
+        target = tmp_path / "path.svg"
+        run_ok(capsys, ["render", "--perm", "-2,3,1", "--svg", str(target)])
+        assert target.read_bytes() == SVG_NEG2_3_1
+
     def test_bad_window(self, capsys):
         assert cli.run(["render", "--perm", "1,1"]) == 2
         capsys.readouterr()
@@ -434,6 +466,17 @@ class TestPosetCommand:
             capsys, ["poset", "--kind", "D", "--n", "3", "--check", "iso"]
         )
         assert "order isomorphism" in out and "NOT" not in out
+
+    @pytest.mark.parametrize("kind", ["D", "TG"])
+    def test_iso_refuses_dot(self, capsys, tmp_path, kind):
+        # --dot draws one Hasse diagram, and the iso check builds two posets
+        target = tmp_path / "x.dot"
+        argv = ["poset", "--kind", kind, "--n", "3", "--check", "iso", "--dot", str(target)]
+        assert cli.run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --dot draws one poset, and --check iso builds two\n"
+        assert not target.exists()
 
     def test_iso_rejects_other_kinds(self, capsys):
         err = run_err(capsys, ["poset", "--kind", "A", "--n", "3", "--check", "iso"])
@@ -725,12 +768,9 @@ class TestThinCli:
         }
         assert not names & {"enumerate_group", "permutations", "itertools"}
 
-    def test_json_listing_encodes_each_graph_as_graph_to_json(self, capsys):
+    def test_json_listing_encodes_each_graph_as_graph_dict(self, capsys):
         out = run_ok(capsys, ["threshold", "--n", "4", "--list", "--format", "json"])
-        graphs = [
-            json.loads(threshold.graph_to_json(g))
-            for g in threshold.enumerate_threshold_graphs(4)
-        ]
+        graphs = [threshold.graph_dict(g) for g in threshold.enumerate_threshold_graphs(4)]
         assert out == json.dumps({"n": 4, "graphs": graphs}, indent=2) + "\n"
 
 

@@ -20,11 +20,8 @@ from signedpaths.eulerian import (
     eulerian,
     eulerian_polynomial,
     report_dict,
-    report_to_json,
-    stirling2,
     threshold_counts,
     identity_cost,
-    triangle_rows,
     verify_identity,
 )
 from signedpaths.sgnperm import descent_count
@@ -77,22 +74,28 @@ def brute_stirling2(n, k):
 
 
 class TestStirling:
+    # threshold_counts reads the Stirling rows S(n, .) and S(n - 1, .): the
+    # graphs with i distinct degrees number 2 (i! S(n, i) - n (i-1)! S(n-1, i-1))
     def test_against_assignment_oracle(self):
-        for n in range(7):
-            for k in range(n + 2):
-                assert stirling2(n, k) == brute_stirling2(n, k)
+        for n in range(2, 7):
+            assert threshold_counts(n).by_degree_classes == tuple(
+                2 * (math.factorial(i) * brute_stirling2(n, i)
+                     - n * math.factorial(i - 1) * brute_stirling2(n - 1, i - 1))
+                for i in range(1, n + 1)
+            )
 
     def test_deep_rows_against_closed_form(self):
-        # S(n, 3) = (3^n - 3 2^n + 3) / 6; the rows are built iteratively, so
-        # no recursion limit applies
-        assert stirling2(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
-        assert stirling2(3, 10**9) == 0
+        # S(n, 2) = 2^(n-1) - 1 and S(n, 3) = (3^n - 3 2^n + 3) / 6; the rows
+        # are built iteratively, so a deep rank needs no recursion
+        n = 300
+        two, three = threshold_counts(n).by_degree_classes[1:3]
+        assert two == 2 * (2 * (2 ** (n - 1) - 1) - n)
+        assert three == 2 * ((3**n - 3 * 2**n + 3) - 2 * n * (2 ** (n - 2) - 1))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            stirling2(-1, 0)
-        with pytest.raises(ValueError):
-            stirling2(2, -1)
+        for n in (-1, 0):
+            with pytest.raises(ValueError, match="n >= 1"):
+                threshold_counts(n)
 
 
 class TestEulerianNumbers:
@@ -104,10 +107,12 @@ class TestEulerianNumbers:
             assert eulerian_polynomial(n, kind) == row
 
     def test_triangle_rows(self):
-        assert triangle_rows("A", 4) == [
-            (n, TRIANGLE_A[n]) for n in range(5)
-        ]
-        assert triangle_rows("D", 4) == [(2, (1, 2, 1)), (3, (1, 11, 11, 1)), (4, (1, 44, 102, 44, 1))]
+        # the A and B triangles start at n = 0, the D triangle at n = 2
+        assert eulerian_polynomial(0, "A") == eulerian_polynomial(0, "B") == (1,)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                eulerian_polynomial(n, "D")
+        assert eulerian_polynomial(2, "D") == (1, 2, 1)
 
     @pytest.mark.parametrize("kind, weight", [("A", 1), ("B", 2), ("D", 1)])
     def test_row_sums_and_symmetry(self, kind, weight):
@@ -279,7 +284,7 @@ class TestFormulaCost:
 
 @pytest.mark.parametrize("name, top", [("main", 12), ("eulBodd", 6)])
 def test_verify_json_encodes_each_report_once(name, top, capsys):
-    # the CLI's document nests the same objects report_to_json writes
+    # the CLI's document nests the report_dict object of each report
     for max_n in range(1, top + 1):
         assert cli.run(["verify", "--identity", name, "--max-n", str(max_n),
                         "--format", "json"]) == 0
@@ -287,7 +292,7 @@ def test_verify_json_encodes_each_report_once(name, top, capsys):
         expected = json.dumps({
             "identity": name,
             "holds": all(r.holds for r in reports),
-            "reports": [json.loads(report_to_json(r)) for r in reports],
+            "reports": [report_dict(r) for r in reports],
         }, indent=2)
         assert capsys.readouterr().out == expected + "\n"
 
@@ -379,13 +384,13 @@ class TestIdentities:
 
     def test_report_json(self):
         report = verify_identity("alternating", 3)
-        data = json.loads(report_to_json(report))
+        data = json.loads(json.dumps(report_dict(report)))
         assert data["identity"] == "alternating"
         assert data["n"] == 3
         assert data["holds"] is True
         assert [row["lhs"] for row in data["rows"]] == [1, 4, 1]
         assert all("brute" not in row for row in data["rows"])
-        with_brute = json.loads(report_to_json(verify_identity("eulBodd", 3)))
+        with_brute = report_dict(verify_identity("eulBodd", 3))
         assert all("brute" in row for row in with_brute["rows"])
 
 
@@ -446,11 +451,6 @@ class TestLeastRanks:
             with pytest.raises(ValueError, match=f"identity {name} needs n >= {lo}"):
                 verify_identity(name, n)
         assert verify_identity(name, lo).holds
-
-    def test_report_dict_is_what_report_to_json_encodes(self):
-        for name in IDENTITY_NAMES:
-            report = verify_identity(name, 4)
-            assert json.dumps(report_dict(report), indent=2) == report_to_json(report)
 
 
 class TestOneBruteForcePath:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from signedpaths.pathrep import (
+    PathRepresentation,
     as_height,
     as_path,
-    cells_below,
     classify_height,
     diagonal_crossings,
     east_south_turns,
@@ -38,6 +38,18 @@ def heights(draw, max_n=8):
         draw(st.lists(st.integers(0, n), min_size=n, max_size=n)), reverse=True
     )
     return (n, *values)
+
+
+def cells_below(path):
+    # the cells (x, y) that render_ascii marks "#", rows listed from y = n down
+    n = len(path) // 2
+    grid = render_ascii(PathRepresentation(path, tuple(range(1, n + 1))))
+    return {
+        (x, n - r)
+        for r, row in enumerate(grid.splitlines()[1 : n + 1])
+        for x, mark in enumerate(row.split()[1:], start=1)
+        if mark == "#"
+    }
 
 
 def all_heights(n):
@@ -163,10 +175,11 @@ class TestHeights:
 
 
 class TestCellsAndInversions:
+    # render_ascii marks the cells (x, y) weakly below the path, y <= f(x)
     def test_cells_below_small(self):
-        assert cells_below("ESES") == frozenset({(1, 2), (1, 1), (2, 1)})
-        assert cells_below("SSEE") == frozenset()
-        assert cells_below("EESS") == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+        assert cells_below("ESES") == {(1, 2), (1, 1), (2, 1)}
+        assert cells_below("SSEE") == set()
+        assert cells_below("EESS") == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
     def test_cells_below_count_is_area(self):
         for f in all_heights(4):

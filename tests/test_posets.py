@@ -1,7 +1,6 @@
 """Unit tests for finite posets, weak orders, and the threshold-pair order."""
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,9 +107,8 @@ class TestFinitePoset:
         assert dot.startswith("digraph hasse {")
         assert dot.count("->") == len(p.covers())
         assert '"0" -> "1";' in dot
-        data = json.loads(p.covers_json())
-        assert data["elements"] == ["0", "1", "2"]
-        assert data["covers"] == [["0", "1"], ["1", "2"]]
+        assert p.elements == (0, 1, 2)
+        assert p.covers() == [(0, 1), (1, 2)]
 
 
 def dag_poset(k, arcs, bottom, top, elements=None):

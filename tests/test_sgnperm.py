@@ -14,7 +14,6 @@ from signedpaths.sgnperm import (
     audit_chi,
     chi,
     chi_inverse,
-    classify,
     descent_count,
     descent_set,
     descent_set_d_variant,
@@ -29,7 +28,6 @@ from signedpaths.sgnperm import (
     mate,
     parse_signed,
     positive_descent_count,
-    smooth_representative,
     window_decomposition,
 )
 
@@ -277,16 +275,8 @@ class TestMates:
         for u in windows(3):
             assert is_even_signed(u) != is_even_signed(mate(u))
 
-    def test_smooth_representative_idempotent(self):
-        for u in windows(4):
-            s = smooth_representative(u)
-            assert is_smooth(s)
-            assert smooth_representative(s) == s
-            assert s in (u, mate(u))
-
     def test_classify_anchor(self):
-        c = classify(ANCHOR)
-        assert (c.smooth, c.even_signed) == (False, False)
+        assert (is_smooth(ANCHOR), is_even_signed(ANCHOR)) == (False, False)
 
 
 class TestChi:
