@@ -25,12 +25,15 @@ JSON and CSV.
 ``eulerian.check_budget`` before any work starts; the module doing the
 work counts it.  One unit is a step of the counting DP for ``eulerian
 --method bruteforce`` and ``verify`` (summed over the ranks; ``main``
-reads no histogram), a relation bit of each N x N ``poset``, an edge slot
-(C(n, 2) per graph) for ``threshold --list`` and the bijtgsbps audit, a
-round trip for theta, a round trip walked for psi and tgdo (|B_n| and |D_n|;
-neither walks the other side), a window of B_n walked for chi, and a grid
-cell for ``render``.  Each walk over a rank-n family costs more than
-2^(n-1), so an n past the budget's bit length is refused at once.
+reads no histogram), a machine word of a formula row entry
+(``eulerian.row_cost``) for ``eulerian``, the ``threshold`` counts and,
+charged on its own, the formula side of ``verify``, a relation bit of each
+N x N ``poset``, an edge slot (C(n, 2) per graph) for ``threshold --list``
+and the bijtgsbps audit, a round trip for theta, a round trip walked for psi
+and tgdo (|B_n| and |D_n|; neither walks the other side), a window of B_n
+walked for chi, and a grid cell for ``render``.  Each walk over a rank-n
+family costs more than 2^(n-1), so an n past the budget's bit length is
+refused at once.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ from .eulerian import (
     eulerian_polynomial,
     identity_cost,
     report_dict,
+    row_cost,
     threshold_counts,
-    verify_identity,
+    verify_range,
 )
 
 __all__ = ["main", "run"]
@@ -89,21 +93,24 @@ def _cmd_eulerian(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    name = args.identity
+    name, hi = args.identity, args.max_n
     lo = max(1, IDENTITY_MIN_N[name])  # every range starts at n = 1 or above
-    if args.max_n < lo:
+    if hi < lo:
         raise ValueError(f"identity {name} needs --max-n >= {lo}")
-    ranks = range(lo, args.max_n + 1)
-    what = f"verifying {name} up to n={args.max_n}"
+    ranks = range(lo, hi + 1)
+    what = f"verifying {name} up to n={hi}"
     # the cost grows with n, so the top rank alone refuses a long range at
     # once, and a top rank within the budget keeps the sum over ranks short
-    top = identity_cost(name, args.max_n)
+    top = identity_cost(name, hi)
     check_budget(top, args.max_elements, what)
     if top:
         check_budget(
             sum(identity_cost(name, n) for n in ranks), args.max_elements, what
         )
-    reports = [verify_identity(name, n) for n in ranks]
+    # the formula side, charged on its own: the rows carried to rank hi and
+    # the passes of main and eulBodd over them (see verify_range)
+    check_budget(row_cost(hi, (hi + 1) ** 2 * (hi + 2)), args.max_elements, what)
+    reports = list(verify_range(name, lo, hi))
     ok = all(r.holds for r in reports)
     if args.format == "json":
         print(json.dumps({
@@ -190,7 +197,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         )
         listing = threshold.enumerate_threshold_graphs(args.n)
     show_counts = args.counts or not args.list
-    data = threshold_counts(args.n) if show_counts else None
+    data = threshold_counts(args.n, args.max_elements) if show_counts else None
     if args.format == "json":
         payload: dict = {"n": args.n}
         if data is not None:

@@ -9,12 +9,12 @@ families of (signed) permutation groups:
 * type D: even-signed permutations with the sentinel comparing -u_2
   against u_1.
 
-Every number is available through two independent routes: closed-form or
-summation formulas on one side and brute-force counting (the prefix dynamic
-program in ``kernels``, which counts every group element once) on the
-other.  ``verify_identity`` pits the two routes against each other and
-returns an exact row-by-row report; a formula is never checked against
-itself.
+Every number is available through independent routes: recurrence rows
+(``_rows`` carries the type A and B rows from rank to rank; a D row is
+B_n - n 2^(n-1) t A_(n-1)), closed-form single values (``eulerian(n, k)``
+sums O(k) terms of an alternating formula) and the kernel DP (``kernels``
+counts every group element once).  ``verify_range`` pits them against each
+other row by row; a formula is never checked against itself.
 """
 
 from __future__ import annotations
@@ -31,12 +31,14 @@ __all__ = [
     "MAX_BRUTE_ELEMENTS",
     "check_budget",
     "identity_cost",
+    "row_cost",
     "eulerian",
     "eulerian_polynomial",
     "IdentityRow",
     "IdentityReport",
     "IDENTITY_NAMES",
     "IDENTITY_MIN_N",
+    "verify_range",
     "verify_identity",
     "ThresholdCounts",
     "threshold_counts",
@@ -52,7 +54,7 @@ def check_budget(cost: int, limit: int, what: str) -> None:
     """The one work-budget gate: refuse ``what`` when ``cost`` exceeds ``limit``.
 
     The costs come from functions beside the code that does the work, such
-    as ``kernels.histogram_cost`` and ``posets.poset_cost``.
+    as ``kernels.histogram_cost``, ``row_cost`` and ``posets.poset_cost``.
 
     >>> check_budget(10, 10, "a scan")
     >>> check_budget(11, 10, "a scan")  # doctest: +ELLIPSIS
@@ -69,84 +71,58 @@ def check_budget(cost: int, limit: int, what: str) -> None:
         )
 
 
-def _stirling_rows(n: int, width: int) -> Iterator[list[int]]:
-    # S(m, 0..width-1) for m = 0, ..., n, one row at a time by
-    # S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)
-    row = [1] + [0] * (width - 1)
-    yield row
-    for _ in range(n):
-        row = [0] + [k * row[k] + row[k - 1] for k in range(1, width)]
-        yield row
+def _rows(hi: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    # (n, A_n, B_n) for n = 0..hi by A(n, k) = (k + 1) A(n-1, k) + (n - k) A(n-1, k-1)
+    # and Brenti's B(n, k) = (2k + 1) B(n-1, k) + (2n - 2k + 1) B(n-1, k-1);
+    # A_0 = (1) as A_1, and the zip with range(n) keeps A_1 at one entry
+    a, b = [1], [1]
+    for n in range(hi + 1):
+        if n:
+            a = [(k + 1) * x + (n - k) * y
+                 for k, x, y in zip(range(n), [*a, 0], [0, *a])]
+            b = [(2 * k + 1) * x + (2 * n - 2 * k + 1) * y
+                 for k, x, y in zip(range(n + 1), [*b, 0], [0, *b])]
+        yield n, a, b
 
 
-def _coefficient(p: list[int], q: list[int], m: int) -> int:
-    # [t^m] p(t) q(t) for coefficient lists p and q, zero past their ends
-    lo = max(0, m - len(q) + 1)
-    hi = min(m, len(p) - 1)
-    return sum(p[i] * q[m - i] for i in range(lo, hi + 1))
-
-
-def _eul_a_terms(n: int, stop: int) -> tuple[list[int], list[int]]:
-    # What A(n, k) for k < stop reads, as polynomials in t whose product
-    # has A(n, k) at t^(k+1): the signed binomials (-1)^j C(n+1, j) for
-    # j < stop, and the powers m^n at t^m for m = 1..stop
-    signed = [-comb(n + 1, j) if j & 1 else comb(n + 1, j) for j in range(stop)]
-    powers = [0, *(m**n for m in range(1, stop + 1))]
-    return signed, powers
-
-
-def _eul_a_row(n: int, stop: int | None = None) -> list[int]:
-    # Type A Eulerian numbers A(n, k) for k < stop (the whole row when stop
-    # is None), each by the alternating sum
-    # A(n, k) = sum_j (-1)^j C(n+1, j) (k+1-j)^n over j = 0..k,
-    # with the powers and binomials computed once for the row
-    width = max(n, 1)
-    stop = width if stop is None else min(stop, width)
-    signed, powers = _eul_a_terms(n, stop)
-    return [_coefficient(signed, powers, k + 1) for k in range(stop)]
+def row_cost(n: int, entries: int | None = None) -> int:
+    """Machine-word operations of ``entries`` values of rank n or less, each
+    written by one pass of products and sums; by default the (n + 1)^2
+    entries of the type A and B rows carried from rank 0 to n.  Every entry
+    and every term of the closed-form sums is below 2^(n (b + 2) + 1), b the
+    bit length of n, so it takes at most (n (b + 2) + 1) / 64 + 1 words."""
+    words = (n * (n.bit_length() + 2) + 1) // 64 + 1
+    return ((n + 1) ** 2 if entries is None else entries) * words
 
 
 def _eul_a(n: int, k: int) -> int:
-    # One type A Eulerian number by the same sum, from O(k) terms, padded
-    # with zeros outside the meaningful range
-    if not 0 <= k < max(n, 1):
-        return 0
-    return _coefficient(*_eul_a_terms(n, k + 1), k + 1)
-
-
-def _eul_b_row(n: int, a: list[int]) -> list[int]:
-    # Type B Eulerian numbers from the type A row a = A(n, .) as the
-    # positively weighted sums B(n, k) = sum_i A(n, i) C(n+1, 2k-i)
-    binom = [comb(n + 1, j) for j in range(n + 2)]
-    return [_coefficient(a, binom, 2 * k) for k in range(n + 1)]
+    # One type A Eulerian number from k + 1 terms of the alternating sum
+    # A(n, k) = sum_j (-1)^j C(n+1, j) (k+1-j)^n over j = 0..k (0 at k = n > 0)
+    return sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1))
 
 
 def _eul_b(n: int, k: int) -> int:
-    # One type B Eulerian number by the same sum, reading A(n, i) only for
-    # i <= min(2k, n - 1)
-    binom = [comb(n + 1, j) for j in range(min(2 * k, n + 1) + 1)]
-    return _coefficient(_eul_a_row(n, 2 * k + 1), binom, 2 * k)
-
-
-def _eul_d_row(n: int) -> list[int]:
-    # Type D Eulerian numbers (n >= 2) by the subtraction identity
-    # D(n, k) = B(n, k) - n 2^(n-1) A(n-1, k-1), from the B_n and A_(n-1) rows
-    weight = n * 2 ** (n - 1)
-    shifted = [0, *_eul_a_row(n - 1), 0]
-    return [b - weight * a for b, a in zip(_eul_b_row(n, _eul_a_row(n)), shifted)]
+    # One type B Eulerian number from k + 1 terms of the alternating sum
+    # B(n, k) = sum_j (-1)^j C(n+1, j) (2k+1-2j)^n over j = 0..k
+    return sum((-1) ** j * comb(n + 1, j) * (2 * (k - j) + 1) ** n for j in range(k + 1))
 
 
 def _eul_d(n: int, k: int) -> int:
-    # One type D Eulerian number by the same identity
+    # One type D Eulerian number (n >= 2) by the subtraction identity
+    # D(n, k) = B(n, k) - n 2^(n-1) A(n-1, k-1)
     return _eul_b(n, k) - n * 2 ** (n - 1) * _eul_a(n - 1, k - 1)
 
 
+def _row(kind: str, n: int, a: list[int], b: list[int], prev: list[int]) -> list[int]:
+    # The kind-X row of rank n from the carried rows A_n, B_n and A_(n-1) =
+    # prev; type D (n >= 2) by the same identity
+    if kind != "D":
+        return a if kind == "A" else b
+    weight = n * 2 ** (n - 1)
+    return [x - weight * y for x, y in zip(b, [0, *prev, 0])]
+
+
 _FORMULAS = {"A": _eul_a, "B": _eul_b, "D": _eul_d}
-_ROWS = {
-    "A": _eul_a_row,
-    "B": lambda n: _eul_b_row(n, _eul_a_row(n)),
-    "D": _eul_d_row,
-}
 
 
 @cache
@@ -173,15 +149,15 @@ def eulerian(
     k: int,
     kind: str = "A",
     method: str = "formula",
-    max_elements: int | None = None,
+    max_elements: int = MAX_BRUTE_ELEMENTS,
 ) -> int:
     """Number of kind-X group elements of rank n with exactly k descents.
 
-    The ``formula`` method evaluates the closed summation formulas; the
-    ``bruteforce`` method counts the group's descent histogram with the
-    counting kernel, allowed only when its ``kernels.histogram_cost`` is at
-    most ``max_elements`` DP steps (``MAX_BRUTE_ELEMENTS`` when not given).
-    Type D needs n >= 2.
+    The ``formula`` method evaluates the closed summation formulas from at
+    most 2k + 2 terms (``row_cost``); the ``bruteforce`` method
+    counts the group's descent histogram with the counting kernel
+    (``kernels.histogram_cost`` DP steps).  Either runs only when its cost
+    is at most ``max_elements``.  Type D needs n >= 2.
 
     >>> [eulerian(4, k) for k in range(4)]
     [1, 11, 11, 1]
@@ -196,6 +172,7 @@ def eulerian(
     if not 0 <= k <= hi:
         raise ValueError(f"k must lie in 0..{hi} for kind {kind}, n={n}")
     if method == "formula":
+        check_budget(row_cost(n, 2 * k + 2), max_elements, f"{kind}({n}, {k})")
         return _FORMULAS[kind](n, k)
     return eulerian_polynomial(n, kind, method, max_elements)[k]
 
@@ -204,11 +181,12 @@ def eulerian_polynomial(
     n: int,
     kind: str = "A",
     method: str = "formula",
-    max_elements: int | None = None,
+    max_elements: int = MAX_BRUTE_ELEMENTS,
 ) -> tuple[int, ...]:
     """Coefficient vector (by ascending power of t) of the descent polynomial.
 
-    ``method`` and ``max_elements`` mean what they mean for :func:`eulerian`.
+    ``method`` and ``max_elements`` mean what they mean for :func:`eulerian`;
+    the ``formula`` row is the recurrence row, charged ``row_cost(n)``.
 
     >>> eulerian_polynomial(3)
     (1, 4, 1)
@@ -217,13 +195,14 @@ def eulerian_polynomial(
     """
     hi = _top_descents(kind, n)
     if method == "formula":
-        return tuple(_ROWS[kind](n))
+        check_budget(row_cost(n), max_elements, f"the formula row of {kind}_{n}")
+        a: list[int] = []
+        for _, nxt, b in _rows(n):
+            prev, a = a, nxt
+        return tuple(_row(kind, n, a, b, prev))
     if method == "bruteforce":
-        check_budget(
-            kernels.histogram_cost(kind, n),
-            MAX_BRUTE_ELEMENTS if max_elements is None else max_elements,
-            f"brute force over {kind}_{n}",
-        )
+        cost = kernels.histogram_cost(kind, n)
+        check_budget(cost, max_elements, f"brute force over {kind}_{n}")
         return _brute_histogram(kind, n)[: hi + 1]
     raise ValueError(f"unknown method: {method!r}")
 
@@ -260,54 +239,55 @@ class IdentityReport:
         return all(row.holds for row in self.rows)
 
 
-def _check_row(hist: tuple[int, ...], row: list[int]) -> tuple[IdentityRow, ...]:
+def _check_row(kind, n, a, b, prev, hist) -> tuple[IdentityRow, ...]:
     # a brute-force histogram against the formula row of the same group
+    row = _row(kind, n, a, b, prev)
     return tuple(IdentityRow(k, hist[k], value) for k, value in enumerate(row))
 
 
-def _check_eul_b_odd(n: int, hist: tuple[int, ...]) -> tuple[IdentityRow, ...]:
-    # 2^n Eul_A(n, k) against the odd-indexed binomial sum, with the
-    # brute-force count of signed windows having k strictly positive
-    # descents as the third, enumerative face of the same statement
-    s_n = _eul_a_row(n)
-    binom = [comb(n + 1, j) for j in range(n + 2)]
+def _expanded(n: int, a: list[int]) -> list[int]:
+    # (1 + t)^(n+1) S_n(t) from the row a of S_n: a times (1 + t), n + 1 times
+    for _ in range(n + 1):
+        a = [x + y for x, y in zip([*a, 0], [0, *a])]
+    return a
+
+
+def _check_eul_b_odd(kind, n, a, b, prev, hist) -> tuple[IdentityRow, ...]:
+    # 2^n Eul_A(n, k) against [t^(2k+1)] (1 + t)^(n+1) S_n(t), with the number
+    # of signed windows with k strictly positive descents as the brute value
+    odd = _expanded(n, a)[1::2]
     return tuple(
-        IdentityRow(k, 2**n * a, _coefficient(s_n, binom, 2 * k + 1), brute=hist[k])
-        for k, a in enumerate(s_n)
+        IdentityRow(k, 2**n * x, odd[k], brute=hist[k]) for k, x in enumerate(a)
     )
 
 
-def _check_main(n: int, hist: None) -> tuple[IdentityRow, ...]:
-    # (1 + t)^(n+1) S_n(t) = B_n(t^2) + 2^n t S_n(t^2), coefficientwise up to
-    # the degree of the left side, 2n (1 at n = 0); halves holds the right
-    # side at t^(2j) and at t^(2j+1), whose rows reach that degree exactly
-    s_n = _eul_a_row(n)
-    binom = [comb(n + 1, j) for j in range(n + 2)]
-    halves = (_eul_b_row(n, s_n), [2**n * a for a in s_n])
+def _check_main(kind, n, a, b, prev, hist) -> tuple[IdentityRow, ...]:
+    # (1 + t)^(n+1) S_n(t) = B_n(t^2) + 2^n t S_n(t^2) at every power of t up
+    # to 2n (1 at n = 0); halves holds the right side at t^(2j) and t^(2j+1)
+    halves = (b, [2**n * x for x in a])
     return tuple(
-        IdentityRow(i, _coefficient(binom, s_n, i), halves[i % 2][i // 2])
-        for i in range(len(binom) + len(s_n) - 1)
+        IdentityRow(i, lhs, halves[i % 2][i // 2])
+        for i, lhs in enumerate(_expanded(n, a))
     )
 
 
-def _closed_form_rows(
-    n: int, kind: str, hist: tuple[int, ...]
-) -> tuple[IdentityRow, ...]:
+def _closed_form_rows(kind, n, a, b, prev, hist) -> tuple[IdentityRow, ...]:
     closed = 3**n - n - 1
     if kind == "D":
         closed -= n * 2 ** (n - 1)
     return (IdentityRow(1, _FORMULAS[kind](n, 1), closed, brute=hist[1]),)
 
 
-# identity -> (the kernel histogram its check reads, or None; the check)
+# identity -> (the kernel histogram its check reads, or None; the check of
+# rank n from that kind, the rows A_n, B_n and A_(n-1) and the histogram)
 _CHECKS = {
-    "alternating": ("A", lambda n, hist: _check_row(hist, _ROWS["A"](n))),
-    "eulBeven": ("B", lambda n, hist: _check_row(hist, _ROWS["B"](n))),
+    "alternating": ("A", _check_row),
+    "eulBeven": ("B", _check_row),
     "eulBodd": ("positive", _check_eul_b_odd),
     "main": (None, _check_main),
-    "stembridge": ("D", lambda n, hist: _check_row(hist, _ROWS["D"](n))),
-    "B_n1": ("B", lambda n, hist: _closed_form_rows(n, "B", hist)),
-    "D_n1": ("D", lambda n, hist: _closed_form_rows(n, "D", hist)),
+    "stembridge": ("D", _check_row),
+    "B_n1": ("B", _closed_form_rows),
+    "D_n1": ("D", _closed_form_rows),
 }
 
 #: The identity names accepted by :func:`verify_identity`.
@@ -340,13 +320,30 @@ def identity_cost(name: str, n: int) -> int:
     return 0 if kind is None else kernels.histogram_cost(kind, n)
 
 
-def verify_identity(name: str, n: int) -> IdentityReport:
-    """Check one named identity exactly at rank n and report every row.
+def verify_range(name: str, lo: int, hi: int) -> Iterator[IdentityReport]:
+    """Check one named identity exactly at each rank n = lo..hi, in order.
 
-    Identities whose statement involves a group count pit a brute-force
-    enumeration against a formula; the purely formal identity ``main`` is
-    checked coefficient by coefficient between two independently built
-    polynomials.
+    A brute-force enumeration is pitted against a formula, or, for ``main``,
+    two independently built polynomials.  One walk carries the rows through
+    the range; ``main`` and ``eulBodd`` pass n + 1 more times over those of
+    rank n: ``row_cost(hi, (hi + 1)^2 (hi + 2))`` in all.
+
+    >>> [report.n for report in verify_range("eulBeven", 2, 4)]
+    [2, 3, 4]
+    """
+    kind, check = _identity(name)
+    if lo < IDENTITY_MIN_N[name]:
+        raise ValueError(f"identity {name} needs n >= {IDENTITY_MIN_N[name]}")
+    prev: list[int] = []
+    for n, a, b in _rows(hi):
+        if n >= lo:
+            hist = None if kind is None else _brute_histogram(kind, n)
+            yield IdentityReport(name, n, check(kind, n, a, b, prev, hist))
+        prev = a
+
+
+def verify_identity(name: str, n: int) -> IdentityReport:
+    """The report of :func:`verify_range` at the one rank n.
 
     >>> verify_identity("alternating", 4).holds
     True
@@ -354,11 +351,7 @@ def verify_identity(name: str, n: int) -> IdentityReport:
     >>> (report.holds, len(report.rows))
     (True, 7)
     """
-    kind, check = _identity(name)
-    if n < IDENTITY_MIN_N[name]:
-        raise ValueError(f"identity {name} needs n >= {IDENTITY_MIN_N[name]}")
-    hist = None if kind is None else _brute_histogram(kind, n)
-    return IdentityReport(name, n, check(n, hist))
+    return next(verify_range(name, n, n))
 
 
 @dataclass(frozen=True)
@@ -380,8 +373,9 @@ class ThresholdCounts:
     unlabeled: int
 
 
-def threshold_counts(n: int) -> ThresholdCounts:
-    """Exact counting sequences for threshold graphs on [n], via formulas.
+def threshold_counts(n: int, max_elements: int = MAX_BRUTE_ELEMENTS) -> ThresholdCounts:
+    """Exact counting sequences for threshold graphs on [n], via formulas
+    charged ``2 * row_cost(n)``: A rows to n - 1, Stirling rows to n.
 
     >>> threshold_counts(4).total
     46
@@ -394,16 +388,22 @@ def threshold_counts(n: int) -> ThresholdCounts:
     """
     if n < 1:
         raise ValueError("threshold counts need n >= 1")
+    check_budget(2 * row_cost(n), max_elements, f"counting threshold graphs on [{n}]")
     if n == 1:
         by_classes: tuple[int, ...] = (1,)
     else:
-        *_, before, row = _stirling_rows(n, n + 1)
+        # S(n - 1, .) and S(n, .) by S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)
+        before, row = [], [1] + [0] * n
+        for _ in range(n):
+            before, row = row, [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
         by_classes = tuple(
             2 * (factorial(i) * row[i] - n * factorial(i - 1) * before[i - 1])
             for i in range(1, n + 1)
         )
+    for _, a, _b in _rows(n - 1):
+        pass
     by_partition_descents = tuple(
-        (k + 1) * a * 2 ** (n - 1 - k) for k, a in enumerate(_eul_a_row(n - 1))
+        (k + 1) * x * 2 ** (n - 1 - k) for k, x in enumerate(a)
     )
     total = sum(by_classes)
     if total != sum(by_partition_descents):

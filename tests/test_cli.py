@@ -166,7 +166,7 @@ class TestVerifyCommand:
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         broken = IdentityReport("main", 1, (IdentityRow(0, 1, 2),))
-        monkeypatch.setattr(cli, "verify_identity", lambda *a, **k: broken)
+        monkeypatch.setattr(cli, "verify_range", lambda *a, **k: iter([broken]))
         code = cli.run(["verify", "--identity", "main", "--max-n", "1"])
         out = capsys.readouterr().out
         assert code == 1
@@ -622,6 +622,15 @@ class TestBudgetGate:
         err = run_err(capsys, argv + ["--max-elements", "0"])
         assert "budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eulerian", "--kind", "B", "--n", "3"],
+        ["verify", "--identity", "main", "--max-n", "3"],
+        ["threshold", "--n", "3"],
+    ], ids=" ".join)
+    def test_every_formula_command_meets_the_gate(self, capsys, argv):
+        # charged the machine words of their rows
+        assert "budget" in run_err(capsys, argv + ["--max-elements", "0"])
+
     def test_stembridge_to_fourteen_holds(self, capsys):
         # D_2..D_14 take 307,632 DP steps in all; D_10 alone has 1.9e9 elements
         out = run_ok(capsys, ["verify", "--identity", "stembridge", "--max-n", "14"])
@@ -632,12 +641,54 @@ class TestBudgetGate:
         def forbidden(*args):
             raise AssertionError("a rank ran")
 
-        monkeypatch.setattr(cli, "verify_identity", forbidden)
+        monkeypatch.setattr(cli, "verify_range", forbidden)
         err = run_err(
             capsys,
             ["verify", "--identity", "stembridge", "--max-n", "14",
              "--max-elements", "307631"],
         )
+        assert "budget" in err
+
+    def test_formula_side_is_charged_on_its_own(self, capsys, monkeypatch):
+        # the kernel sum alone meets the limit: the formula side, 7,200
+        # words, is not added to it
+        argv = ["verify", "--identity", "stembridge", "--max-n", "14",
+                "--max-elements", "307632"]
+        assert len(run_ok(capsys, argv).splitlines()) == 13
+        # main reads no histogram; its formula side, (40 + 1)^2 (40 + 2)
+        # entries of 6 words, is charged before the first rank
+        cost = 41**2 * 42 * 6
+        assert "holds" in run_ok(capsys, ["verify", "--identity", "main", "--max-n",
+                                          "40", "--max-elements", str(cost)])
+
+        def forbidden(*args):
+            raise AssertionError("a rank ran")
+
+        monkeypatch.setattr(cli, "verify_range", forbidden)
+        err = run_err(capsys, ["verify", "--identity", "main", "--max-n", "40",
+                               "--max-elements", str(cost - 1)])
+        assert f"verifying main up to n=40 costs {cost}, over the budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--identity", "main", "--max-n", "40"],
+        ["verify", "--identity", "main", "--max-n", "120"],
+        ["eulerian", "--kind", "B", "--n", "300"],
+        ["threshold", "--n", "300"],
+    ])
+    def test_formula_requests_admitted_at_the_default(self, capsys, argv):
+        assert run_ok(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        *(["eulerian", "--kind", kind, "--n", "1000000"] for kind in "ABD"),
+        ["threshold", "--n", "1000000"],
+        ["verify", "--identity", "main", "--max-n", "1000000"],
+        # main's n + 1 passes at each rank n put --max-n 300 at 1.4e9 words
+        ["verify", "--identity", "main", "--max-n", "300"],
+    ])
+    def test_formula_requests_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        err = run_err(capsys, argv)
+        assert time.perf_counter() - start < 0.5
         assert "budget" in err
 
     def test_b7_poset_is_refused_before_the_build(self, capsys, monkeypatch):

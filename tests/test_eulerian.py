@@ -22,6 +22,7 @@ from signedpaths.eulerian import (
     report_dict,
     threshold_counts,
     identity_cost,
+    row_cost,
     verify_identity,
 )
 from signedpaths.sgnperm import descent_count
@@ -253,10 +254,14 @@ class TestRowsAgainstPerCoefficientOracle:
         # C(n+1, j) past the end of their rows
         kind, check = eulerian_module._CHECKS[name]
         lo = 2 if name in ("stembridge", "B_n1", "D_n1") else 0
-        for n in range(lo, 25):
-            hist = None if kind is None else tuple(range(n + 2))
-            rows = [(row.index, row.lhs, row.rhs) for row in check(n, hist)]
-            assert rows == oracle_formula_rows(name, n), (name, n)
+        prev = []
+        for n, a, b in eulerian_module._rows(24):
+            if n >= lo:
+                hist = None if kind is None else tuple(range(n + 2))
+                report = check(kind, n, a, b, prev, hist)
+                rows = [(row.index, row.lhs, row.rhs) for row in report]
+                assert rows == oracle_formula_rows(name, n), (name, n)
+            prev = a
 
     def test_threshold_counts_read_the_type_a_row(self):
         for n in range(1, 40):
@@ -282,19 +287,119 @@ class TestFormulaCost:
         assert time.perf_counter() - start < 5.0
 
 
-@pytest.mark.parametrize("name, top", [("main", 12), ("eulBodd", 6)])
-def test_verify_json_encodes_each_report_once(name, top, capsys):
-    # the CLI's document nests the report_dict object of each report
-    for max_n in range(1, top + 1):
-        assert cli.run(["verify", "--identity", name, "--max-n", str(max_n),
-                        "--format", "json"]) == 0
-        reports = [verify_identity(name, n) for n in range(1, max_n + 1)]
-        expected = json.dumps({
+class TestFormulaBudget:
+    """Every formula path is charged ``row_cost`` before any work."""
+
+    def test_row_cost_is_closed_form(self):
+        # 301^2 entries of at most (300 * 11 + 1) // 64 + 1 = 52 words
+        assert row_cost(300) == 301**2 * 52
+        assert row_cost(300, 7) == 7 * 52
+        assert row_cost(1) == 4 and row_cost(0, 3) == 3
+        start = time.perf_counter()
+        assert row_cost(10**100) > 10**300
+        assert time.perf_counter() - start < 0.1
+
+    def test_each_charge_is_exact(self):
+        for n in (5, 40):
+            for kind in ("A", "B", "D"):
+                eulerian_polynomial(n, kind, max_elements=row_cost(n))
+                with pytest.raises(ValueError, match="budget"):
+                    eulerian_polynomial(n, kind, max_elements=row_cost(n) - 1)
+                # a single value is charged its 2k + 2 terms, not the row
+                eulerian(n, 3, kind, max_elements=row_cost(n, 8))
+                with pytest.raises(ValueError, match="budget"):
+                    eulerian(n, 3, kind, max_elements=row_cost(n, 8) - 1)
+            threshold_counts(n, max_elements=2 * row_cost(n))
+            with pytest.raises(ValueError, match="budget"):
+                threshold_counts(n, max_elements=2 * row_cost(n) - 1)
+
+    def test_rank_300_is_admitted(self):
+        assert sum(eulerian_polynomial(300, "B")) == 2**300 * math.factorial(300)
+        assert sum(eulerian_polynomial(300, "D")) == 2**299 * math.factorial(300)
+        assert threshold_counts(300).unlabeled == 2**299
+
+    def test_huge_ranks_are_refused_before_any_work(self, monkeypatch):
+        def forbidden(hi):
+            raise AssertionError("the rows were built")
+
+        monkeypatch.setattr(eulerian_module, "_rows", forbidden)
+        for request in (
+            lambda: eulerian_polynomial(10**6, "B"),
+            lambda: threshold_counts(10**6),
+            lambda: eulerian(10**6, 5 * 10**5, "D"),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="budget"):
+                request()
+            assert time.perf_counter() - start < 0.5
+
+
+class TestRecurrenceRows:
+    """The checks read the carried rows, so a wrong entry in them fails."""
+
+    @staticmethod
+    def corrupt(monkeypatch, rank, side, k):
+        original = eulerian_module._rows
+
+        def corrupted(hi):
+            for n, a, b in original(hi):
+                if n == rank:
+                    row = [a, b][side]
+                    row = [*row[:k], row[k] + 1, *row[k + 1:]]
+                    a, b = (row, b) if side == 0 else (a, row)
+                yield n, a, b
+
+        monkeypatch.setattr(eulerian_module, "_rows", corrupted)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_corrupted_b_entry_fails_main(self, k, monkeypatch):
+        assert verify_identity("main", 5).holds
+        self.corrupt(monkeypatch, 5, 1, k)
+        report = verify_identity("main", 5)
+        assert not report.holds
+        # only the even-half row 2k reads B(5, k)
+        assert [row.index for row in report.rows if not row.holds] == [2 * k]
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_corrupted_a_entry_fails_main(self, k, monkeypatch):
+        self.corrupt(monkeypatch, 5, 0, k)
+        assert not verify_identity("main", 5).holds
+
+
+def expected_verify_output(name, reports, fmt):
+    # what the CLI prints for these reports, each of which holds
+    if fmt == "json":
+        return json.dumps({
             "identity": name,
-            "holds": all(r.holds for r in reports),
+            "holds": True,
             "reports": [report_dict(r) for r in reports],
-        }, indent=2)
-        assert capsys.readouterr().out == expected + "\n"
+        }, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["identity,n,index,lhs,rhs,brute,holds"] + [
+            f"{name},{r.n},{row.index},{row.lhs},{row.rhs},"
+            f"{'' if row.brute is None else row.brute},true"
+            for r in reports for row in r.rows
+        ]
+    else:
+        lines = [f"{name} at n={r.n}: holds ({len(r.rows)} rows)" for r in reports]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("name, top", [(name, 12) for name in IDENTITY_NAMES])
+def test_verify_json_encodes_each_report_once(name, top, capsys):
+    # the CLI's one walk over the ranks prints what the one-rank checks give;
+    # its JSON document nests the report_dict object of each report
+    for max_n in range(max(1, IDENTITY_MIN_N[name]), top + 1):
+        reports = [
+            verify_identity(name, n)
+            for n in range(max(1, IDENTITY_MIN_N[name]), max_n + 1)
+        ]
+        assert all(r.holds for r in reports)
+        for fmt in ("table", "json", "csv"):
+            assert cli.run(["verify", "--identity", name, "--max-n", str(max_n),
+                            "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert out == expected_verify_output(name, reports, fmt), (max_n, fmt)
 
 
 class TestIdentities:
@@ -469,11 +574,12 @@ class TestOneBruteForcePath:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        formula = eulerian_polynomial(6, "D")
         recording(kernels, "histogram_cost")
         recording(eulerian_module, "check_budget")
         recording(eulerian_module, "_brute_histogram")
         row = eulerian_polynomial(6, "D", "bruteforce", max_elements=10**6)
-        assert row == eulerian_polynomial(6, "D")
+        assert row == formula
         assert [name for name, _ in calls] == [
             "histogram_cost",
             "check_budget",
