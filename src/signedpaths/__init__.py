@@ -19,99 +19,14 @@ The package is organized around one pipeline of exact structures:
   dynamic program over window prefixes;
 * :mod:`signedpaths.cli` — the ``signedpaths`` command-line tool.
 
+Each name is imported from its module (``from signedpaths.barred import
+psi``); ``import signedpaths`` alone loads none of them.
+
 Every number the package produces is exact; floating point is never
 involved.  All exhaustive routines run over deterministic enumeration
 orders so scans can be reproduced.
 """
 
-from .barred import (
-    LooselyBarredPermutation,
-    SimplyBarredPermutation,
-    psi,
-    psi_inverse,
-    theta,
-    theta_inverse,
-)
-from .eulerian import (
-    eulerian,
-    eulerian_polynomial,
-    threshold_counts,
-    verify_identity,
-)
-from .kernels import descent_histogram, positive_descent_histogram
-from .pathrep import (
-    PathRepresentation,
-    height_function,
-    path_from_height,
-    path_representation,
-    signed_from_path,
-)
-from .posets import FinitePoset, tg_poset, weak_poset
-from .sgnperm import (
-    InversionSet,
-    chi,
-    chi_inverse,
-    descent_count,
-    descent_set,
-    enumerate_group,
-    group_order,
-    inversion_set,
-    mate,
-    parse_signed,
-)
-from .threshold import (
-    SimpleGraph,
-    ThresholdPair,
-    canonical_degree_ordering,
-    graph,
-    is_threshold,
-    sbp_from_threshold,
-    signed_from_tg,
-    tg_pair,
-    threshold_from_sbp,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "LooselyBarredPermutation",
-    "SimplyBarredPermutation",
-    "psi",
-    "psi_inverse",
-    "theta",
-    "theta_inverse",
-    "eulerian",
-    "eulerian_polynomial",
-    "threshold_counts",
-    "verify_identity",
-    "descent_histogram",
-    "positive_descent_histogram",
-    "PathRepresentation",
-    "height_function",
-    "path_from_height",
-    "path_representation",
-    "signed_from_path",
-    "FinitePoset",
-    "tg_poset",
-    "weak_poset",
-    "InversionSet",
-    "chi",
-    "chi_inverse",
-    "descent_count",
-    "descent_set",
-    "enumerate_group",
-    "group_order",
-    "inversion_set",
-    "mate",
-    "parse_signed",
-    "SimpleGraph",
-    "ThresholdPair",
-    "canonical_degree_ordering",
-    "graph",
-    "is_threshold",
-    "sbp_from_threshold",
-    "signed_from_tg",
-    "tg_pair",
-    "threshold_from_sbp",
-]
+__all__ = ["__version__"]

@@ -498,7 +498,9 @@ def parse_sbp(text: str) -> SimplyBarredPermutation:
     """Parse the bar form, e.g. ``"74|2|316|5"`` or ``"7,4|2|3,1,6|5|"``.
 
     A trailing bar marks an empty last block; other empty blocks are
-    rejected (consecutive bars are not allowed).
+    rejected (consecutive bars are not allowed).  Blocks without commas
+    are read digit by digit only in text of at most nine digits: n <= 9
+    takes no more, n >= 10 at least eleven.
     """
     text = text.strip()
     segments = text.split("|")
@@ -507,10 +509,11 @@ def parse_sbp(text: str) -> SimplyBarredPermutation:
         segments = segments[:-1]
     if any(seg == "" for seg in segments):
         raise ValueError(f"consecutive bars are not allowed: {text!r}")
+    compact = sum(ch.isdigit() for ch in text) <= 9
     letters: list[int] = []
     bars: set[int] = set()
     for seg in segments:
-        if "," in seg:
+        if "," in seg or not compact:
             letters.extend(int(p) for p in seg.split(","))
         else:
             letters.extend(int(ch) for ch in seg if not ch.isspace())

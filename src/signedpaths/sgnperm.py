@@ -120,6 +120,19 @@ def full_notation(u: SignedPermutation) -> tuple[int, ...]:
 # Descents
 
 
+def _sentinel_descent(u: Sequence[int], kind: str) -> bool:
+    # whether position 0 is a descent: type B compares u_1 with u_0 = 0,
+    # type D compares it with -u_2; type A has no position 0
+    if kind == "B":
+        return bool(u) and u[0] < 0
+    if kind == "D":
+        if len(u) < 2:
+            raise ValueError("type D descents need n >= 2 (sentinel is -u_2)")
+        return -u[1] > u[0]
+    _check_kind(kind)
+    return False
+
+
 def descent_set(u: Sequence[int], kind: str = "A") -> frozenset[int]:
     """Descent positions of ``u`` in the given Coxeter type.
 
@@ -132,17 +145,9 @@ def descent_set(u: Sequence[int], kind: str = "A") -> frozenset[int]:
     >>> sorted(descent_set((-2, 3, 1, 6, -4, -7, 5), "B"))
     [0, 2, 4, 5]
     """
-    _check_kind(kind)
-    n = len(u)
-    out = {i for i in range(1, n) if u[i - 1] > u[i]}
-    if kind == "B":
-        if u and u[0] < 0:
-            out.add(0)
-    elif kind == "D":
-        if n < 2:
-            raise ValueError("type D descents need n >= 2 (sentinel is -u_2)")
-        if -u[1] > u[0]:
-            out.add(0)
+    out = {i for i in range(1, len(u)) if u[i - 1] > u[i]}
+    if _sentinel_descent(u, kind):
+        out.add(0)
     return frozenset(out)
 
 
@@ -170,17 +175,7 @@ def descent_count(u: Sequence[int], kind: str = "A") -> int:
     >>> descent_count((-2, 3, 1, 6, -4, -7, 5), "B")
     4
     """
-    _check_kind(kind)
-    count = sum(map(gt, u, u[1:]))
-    if kind == "B":
-        if u and u[0] < 0:
-            count += 1
-    elif kind == "D":
-        if len(u) < 2:
-            raise ValueError("type D descents need n >= 2 (sentinel is -u_2)")
-        if -u[1] > u[0]:
-            count += 1
-    return count
+    return _sentinel_descent(u, kind) + sum(map(gt, u, u[1:]))
 
 
 def positive_descent_count(u: SignedPermutation) -> int:

@@ -1,10 +1,17 @@
-"""Static checks of the package's public surface, read from each module's AST.
+"""Checks of the package's public surface, most read from each module's AST.
 
 Every name a module exports is defined there, every name the package
 exports resolves, and no module-level import is left without a use.
+The package itself re-exports nothing: each module is reached by its own
+path, and importing one loads only what that module imports.
 """
 
 import ast
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +78,19 @@ def test_no_unused_module_import(path):
     used |= set(exported(module))  # re-exports count as uses
     unused = {name: line for name, line in imported(module).items() if name not in used}
     assert unused == {}
+
+
+def test_each_module_is_the_package_attribute_of_its_name():
+    names = [info.name for info in pkgutil.iter_modules(signedpaths.__path__)]
+    modules = {name: importlib.import_module(f"signedpaths.{name}") for name in names}
+    assert "eulerian" in modules  # the module shares its name with a function
+    assert [name for name, module in modules.items() if getattr(signedpaths, name) is not module] == []
+
+
+def test_importing_one_module_loads_only_its_imports():
+    # a fresh interpreter, so no other test has loaded a module yet
+    src = str(Path(signedpaths.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, signedpaths.kernels; print(sorted(m for m in sys.modules if m.startswith('signedpaths')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "['signedpaths', 'signedpaths.kernels']\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -444,6 +445,24 @@ class TestEnumerationAndText:
         text = format_sbp(sbp)
         assert text == "10,1,2|3,4,5,6,7,8,9"
         assert parse_sbp(text) == sbp
+
+    def test_round_trip_random_up_to_twelve(self):
+        # beyond n = 9 a block of one letter is written without a comma
+        w = tuple(range(1, 11))
+        examples = {
+            "1,2,3,4,5,6,7,8,9|10": SimplyBarredPermutation(w, frozenset({9})),
+            "1|2|3|4|5|6|7|8|9|10": SimplyBarredPermutation(w, frozenset(range(1, 10))),
+        }
+        for text, sbp in examples.items():
+            assert format_sbp(sbp) == text
+            assert parse_sbp(text) == sbp
+        rng = random.Random(18)
+        for _ in range(2000):
+            n = rng.randint(0, 12)
+            w = tuple(rng.sample(range(1, n + 1), n))
+            bars = frozenset(b for b in range(1, n + 1) if rng.random() < 0.5)
+            sbp = SimplyBarredPermutation(w, bars)
+            assert parse_sbp(format_sbp(sbp)) == sbp
 
 
 class TestAudits:

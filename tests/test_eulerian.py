@@ -1,7 +1,6 @@
 """Unit tests for Eulerian numbers, identity checks, and threshold counts."""
 
 import functools
-import importlib
 import itertools
 import json
 import math
@@ -9,6 +8,7 @@ import time
 
 import pytest
 
+import signedpaths.eulerian as eulerian_module
 from signedpaths import cli, kernels
 from signedpaths.eulerian import (
     IDENTITY_MIN_N,
@@ -31,9 +31,6 @@ from signedpaths.threshold import (
     enumerate_threshold_graphs,
     sbp_from_threshold,
 )
-
-# the package re-exports the function eulerian under the module's name
-eulerian_module = importlib.import_module("signedpaths.eulerian")
 
 # Rows frozen from brute-force descent histograms over the three groups.
 TRIANGLE_A = {
