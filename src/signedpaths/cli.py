@@ -33,7 +33,8 @@ and the bijtgsbps audit, a round trip for theta, a round trip walked for psi
 and tgdo (|B_n| and |D_n|; neither walks the other side), a window of B_n
 walked for chi, and a grid cell for ``render``.  Each walk over a rank-n
 family costs more than 2^(n-1), so an n past the budget's bit length is
-refused at once.
+refused at once, and every walk above ``sgnperm.MAX_ENUMERATION_N`` (12)
+is refused whatever the budget.
 """
 
 from __future__ import annotations
@@ -144,11 +145,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _check_walk(cost: Callable[[int], int], n: int, limit: int, what: str) -> None:
     # check_budget for a walk over a rank-n family, which costs more than
-    # 2^(n-1): past the limit's bit length n is refused before n! is built
+    # 2^(n-1): past the limit's bit length n is refused before n! is built,
+    # and above the enumeration cap whatever the limit
     if n - 1 > limit.bit_length():
         raise ValueError(f"{what} costs more than 2^{n - 1}, over the budget of "
                          f"{limit} (raise max_elements, or --max-elements, to allow it)")
     check_budget(cost(n), limit, what)
+    if n > sgnperm.MAX_ENUMERATION_N:
+        raise ValueError(f"n = {n} exceeds the enumeration cap "
+                         f"{sgnperm.MAX_ENUMERATION_N}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +256,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    u = sgnperm.parse_signed(args.perm)
+    # some argparse versions drop a "--" value and leave the list [] instead
+    u = sgnperm.parse_signed(args.perm if isinstance(args.perm, str) else "--")
     check_budget(
         pathrep.render_cost(len(u)),
         args.max_elements,

@@ -71,15 +71,17 @@ def check_budget(cost: int, limit: int, what: str) -> None:
         )
 
 
-def _rows(hi: int) -> Iterator[tuple[int, list[int], list[int]]]:
+def _rows(hi: int, kinds: str = "AB") -> Iterator[tuple[int, list[int], list[int]]]:
     # (n, A_n, B_n) for n = 0..hi by A(n, k) = (k + 1) A(n-1, k) + (n - k) A(n-1, k-1)
     # and Brenti's B(n, k) = (2k + 1) B(n-1, k) + (2n - 2k + 1) B(n-1, k-1);
-    # A_0 = (1) as A_1, and the zip with range(n) keeps A_1 at one entry
+    # A_0 = (1) as A_1, and the zip with range(n) keeps A_1 at one entry.  A
+    # kind missing from kinds is not carried, and its row stays (1)
     a, b = [1], [1]
     for n in range(hi + 1):
-        if n:
+        if n and "A" in kinds:
             a = [(k + 1) * x + (n - k) * y
                  for k, x, y in zip(range(n), [*a, 0], [0, *a])]
+        if n and "B" in kinds:
             b = [(2 * k + 1) * x + (2 * n - 2 * k + 1) * y
                  for k, x, y in zip(range(n + 1), [*b, 0], [0, *b])]
         yield n, a, b
@@ -197,7 +199,7 @@ def eulerian_polynomial(
     if method == "formula":
         check_budget(row_cost(n), max_elements, f"the formula row of {kind}_{n}")
         a: list[int] = []
-        for _, nxt, b in _rows(n):
+        for _, nxt, b in _rows(n, "AB" if kind == "D" else kind):
             prev, a = a, nxt
         return tuple(_row(kind, n, a, b, prev))
     if method == "bruteforce":
@@ -400,7 +402,7 @@ def threshold_counts(n: int, max_elements: int = MAX_BRUTE_ELEMENTS) -> Threshol
             2 * (factorial(i) * row[i] - n * factorial(i - 1) * before[i - 1])
             for i in range(1, n + 1)
         )
-    for _, a, _b in _rows(n - 1):
+    for _, a, _b in _rows(n - 1, "A"):
         pass
     by_partition_descents = tuple(
         (k + 1) * x * 2 ** (n - 1 - k) for k, x in enumerate(a)

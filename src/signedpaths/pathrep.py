@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sgnperm import (
-    InversionSet,
     Permutation,
     SignedPermutation,
     as_permutation,
@@ -228,7 +227,7 @@ def classify_height(f: HeightFunction) -> HeightClassification:
     )
 
 
-def inversions_via_path(u: SignedPermutation) -> InversionSet:
+def inversions_via_path(u: SignedPermutation) -> frozenset[tuple[int, int]]:
     """Read the inversions of ``u`` off its path representation.
 
     Positive pairs are the plain inversions of ``lambda_x``; each cell
@@ -245,8 +244,7 @@ def inversions_via_path(u: SignedPermutation) -> InversionSet:
         for y in range(1, min(x, f[x]) + 1):
             a, b = sorted((rep.lambda_x[x - 1], rep.lambda_x[y - 1]))
             negative.add((-a, b))
-    positive = inversion_set(rep.lambda_x, "A").positive_pairs
-    return InversionSet(positive, frozenset(negative))
+    return inversion_set(rep.lambda_x, "A") | negative
 
 
 def east_south_turns(path: LatticePath) -> list[tuple[int, int]]:

@@ -300,11 +300,7 @@ def weak_leq(a: tuple[int, ...], b: tuple[int, ...], kind: str = "A") -> bool:
     >>> weak_leq((1, -2), (-1, -2), kind="B")
     True
     """
-    ia = inversion_set(a, kind)
-    ib = inversion_set(b, kind)
-    return ia.positive_pairs <= ib.positive_pairs and (
-        ia.negative_pairs <= ib.negative_pairs
-    )
+    return inversion_set(a, kind) <= inversion_set(b, kind)
 
 
 def weak_poset(n: int, kind: str = "A") -> FinitePoset:
@@ -315,11 +311,7 @@ def weak_poset(n: int, kind: str = "A") -> FinitePoset:
     """
     elements = list(enumerate_group(n, kind))
     return FinitePoset._from_feature_sets(
-        elements,
-        (
-            inv.positive_pairs | inv.negative_pairs
-            for inv in (inversion_set(u, kind) for u in elements)
-        ),
+        elements, (inversion_set(u, kind) for u in elements)
     )
 
 
@@ -339,7 +331,7 @@ def tg_poset(n: int) -> FinitePoset:
     4
     """
     elements = list(enumerate_tg(n))
-    inversions = {pair.w: inversion_set(pair.w, "A").positive_pairs for pair in elements}
+    inversions = {pair.w: inversion_set(pair.w, "A") for pair in elements}
     return FinitePoset._from_feature_sets(
         elements,
         (

@@ -27,7 +27,9 @@ Conventions used throughout the package:
 
 * Inversion sets are value-based: ``(i, j)`` is an inversion when ``i``
   occurs after ``j``.  Type B allows negative ``i`` with
-  ``1 <= |i| <= j <= n``; type D discards the pairs ``(-i, i)``.
+  ``1 <= |i| <= j <= n``; type D discards the pairs ``(-i, i)``.  The set
+  is one frozenset of such pairs; a negative first coordinate marks a
+  negative pair.
 
 Group multiplication, reduced words and other word-problem machinery are
 out of scope; only statistics and the bijections built on them live here.
@@ -36,7 +38,6 @@ out of scope; only statistics and the bijections built on them live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
 from operator import gt
 from typing import Iterator, Sequence
@@ -45,7 +46,6 @@ __all__ = [
     "MAX_ENUMERATION_N",
     "Permutation",
     "SignedPermutation",
-    "InversionSet",
     "as_permutation",
     "as_window",
     "full_notation",
@@ -187,26 +187,6 @@ def positive_descent_count(u: SignedPermutation) -> int:
 # Inversions
 
 
-@dataclass(frozen=True)
-class InversionSet:
-    """Value-based inversions, split into positive and negative pairs.
-
-    ``positive_pairs`` holds ``(i, j)`` with ``1 <= i < j <= n``;
-    ``negative_pairs`` holds ``(i, j)`` with ``i < 0`` and
-    ``1 <= |i| <= j <= n`` (so ``(-i, i)`` is a legal member).
-    """
-
-    positive_pairs: frozenset[tuple[int, int]]
-    negative_pairs: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.positive_pairs) + len(self.negative_pairs)
-
-    def unordered_negative_pairs(self) -> list[tuple[int, int]]:
-        """Negative pairs as unordered pairs of absolute values ``{a, b}``."""
-        return sorted((-i, j) for i, j in self.negative_pairs)
-
-
 def _positions(u: SignedPermutation) -> dict[int, int]:
     # position map of u as a permutation of {-n..-1, 1..n}: value -> index,
     # where the window occupies indices 1..n and the prefix -n..-1.
@@ -217,31 +197,34 @@ def _positions(u: SignedPermutation) -> dict[int, int]:
     return pos
 
 
-def inversion_set(u: Sequence[int], kind: str = "A") -> InversionSet:
-    """Inversions of ``u`` in the given type.
+def inversion_set(u: Sequence[int], kind: str = "A") -> frozenset[tuple[int, int]]:
+    """Inversions of ``u`` in the given type, as one frozenset of pairs.
 
-    >>> len(inversion_set((-1, -2), "B"))
-    4
+    A pair ``(i, j)`` with ``1 <= i < j <= n`` is positive; one with
+    ``i < 0`` and ``1 <= |i| <= j <= n`` is negative (types B and D only).
+
+    >>> sorted(inversion_set((-1, -2), "B"))
+    [(-2, 2), (-1, 1), (-1, 2), (1, 2)]
     """
     _check_kind(kind)
     n = len(u)
     pos = _positions(as_permutation(u) if kind == "A" else as_window(u))
-    positive = frozenset(
+    positive = (
         (i, j)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
         if pos[i] > pos[j]
     )
     if kind == "A":
-        return InversionSet(positive, frozenset())
+        return frozenset(positive)
     lo = 0 if kind == "B" else 1  # type D drops the pairs (-i, i)
-    negative = frozenset(
+    negative = (
         (-a, j)
         for a in range(1, n + 1)
         for j in range(a + lo, n + 1)
         if pos[-a] > pos[j]
     )
-    return InversionSet(positive, negative)
+    return frozenset(itertools.chain(positive, negative))
 
 
 def inversion_count(u: Sequence[int], kind: str = "A") -> int:

@@ -459,6 +459,12 @@ class TestRenderCommand:
         assert cli.run(["render", "--perm", "1,1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [["--perm", "--"], ["--perm=--"]], ids=" ".join)
+    def test_double_dash_window_is_one_error_line(self, capsys, argv):
+        # argparse may hand the "--" value over as a list: still a bad window
+        err = run_err(capsys, ["render", *argv])
+        assert err == "error: dangling sign in '--'\n"
+
 
 class TestPosetCommand:
     def test_iso_holds(self, capsys):
@@ -734,6 +740,27 @@ class TestBudgetGate:
         err = run_err(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert "budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        *(["bijection", "--check", check] for check in cli._AUDITS),
+        *(["poset", "--kind", kind, "--check", "lattice"] for kind in "ABD"),
+        ["poset", "--kind", "TG", "--check", "iso"],
+        ["threshold", "--list"],
+    ], ids=" ".join)
+    def test_walks_above_the_cap_are_refused_at_any_budget(
+        self, capsys, monkeypatch, argv
+    ):
+        # each fits a budget of 10^40, and would walk for hours to years
+        def forbidden(*args):
+            raise AssertionError("the walk started")
+
+        for check, (_, cost) in list(cli._AUDITS.items()):
+            monkeypatch.setitem(cli._AUDITS, check, (forbidden, cost))
+        monkeypatch.setattr(posets, "weak_poset", forbidden)
+        monkeypatch.setattr(posets, "tg_poset", forbidden)
+        monkeypatch.setattr(threshold, "enumerate_threshold_graphs", forbidden)
+        err = run_err(capsys, [*argv, "--n", "13", "--max-elements", str(10**40)])
+        assert err == "error: n = 13 exceeds the enumeration cap 12\n"
 
     def test_exact_cost_up_to_the_limit_bits(self, capsys):
         # |B_n| = 2^n n! round trips: exact while n - 1 is within 10's 4 bits

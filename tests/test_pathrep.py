@@ -191,7 +191,7 @@ class TestCellsAndInversions:
                 assert inversions_via_path(u) == inversion_set(u, "B")
 
     def test_anchor_negative_count(self):
-        assert len(inversions_via_path(ANCHOR).negative_pairs) == 12
+        assert sum(i < 0 for i, _ in inversions_via_path(ANCHOR)) == 12
 
 
 class TestTurnsAndCrossings:

@@ -1,6 +1,7 @@
 """Unit tests for permutations, signed permutations and their statistics."""
 
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -173,15 +174,36 @@ class TestDescents:
 class TestInversions:
     def test_type_a_agrees_with_position_scan(self):
         for w in itertools.permutations(range(1, 5)):
-            inv = inversion_set(w)
             expected = {
                 (w[j], w[i])
                 for i in range(4)
                 for j in range(i + 1, 4)
                 if w[i] > w[j]
             }
-            assert set(inv.positive_pairs) == expected
-            assert not inv.negative_pairs
+            assert inversion_set(w) == expected
+
+    @pytest.mark.parametrize("kind", ("B", "D"))
+    def test_signed_kinds_agree_with_full_notation_scan(self, kind):
+        # the module docstring's rule read off positions in the full
+        # notation: (i, j) with 1 <= i < j <= n or 1 <= -i <= j <= n is an
+        # inversion when i occurs after j; type D leaves out (-i, i)
+        rng = random.Random(19)
+        samples = list(enumerate_group(3, kind))
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            samples.append(
+                tuple(rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 1), n))
+            )
+        for u in samples:
+            where = {x: p for p, x in enumerate(full_notation(u))}
+            n = len(u)
+            expected = {
+                (i, j)
+                for j in range(1, n + 1)
+                for i in range(-j, j)
+                if i and where[i] > where[j] and not (kind == "D" and i == -j)
+            }
+            assert inversion_set(u, kind) == expected, u
 
     def test_identity_has_no_inversions(self):
         for kind in ("A", "B", "D"):
@@ -233,13 +255,11 @@ class TestInversions:
         for u in windows(4):
             b = inversion_set(u, "B")
             d = inversion_set(u, "D")
-            assert b.positive_pairs == d.positive_pairs
-            assert d.negative_pairs <= b.negative_pairs
-            dropped = b.negative_pairs - d.negative_pairs
-            assert all(i == -j for i, j in dropped)
+            assert d <= b
+            assert all(i == -j for i, j in b - d)
 
     def test_anchor_negative_pairs(self):
-        pairs = inversion_set(ANCHOR, "B").unordered_negative_pairs()
+        pairs = sorted((-i, j) for i, j in inversion_set(ANCHOR, "B") if i < 0)
         assert pairs == sorted(
             [
                 (7, 7), (4, 7), (2, 7), (3, 7), (1, 7), (6, 7),
