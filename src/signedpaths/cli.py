@@ -40,6 +40,7 @@ is refused whatever the budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -204,13 +205,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     show_counts = args.counts or not args.list
     data = threshold_counts(args.n, args.max_elements) if show_counts else None
     if args.format == "json":
-        payload: dict = {"n": args.n}
-        if data is not None:
-            payload["total"] = data.total
-            payload["by_degree_classes"] = list(data.by_degree_classes)
-            payload["by_partition_descents"] = list(data.by_partition_descents)
-            payload["unlabeled"] = data.unlabeled
-        head = json.dumps(payload, indent=2)
+        head = json.dumps({"n": args.n} if data is None else dataclasses.asdict(data), indent=2)
         if args.list:
             # the document json.dumps would give with the graphs in it,
             # streamed one graph at a time

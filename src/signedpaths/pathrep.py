@@ -95,6 +95,8 @@ def as_height(values) -> HeightFunction:
 def reflect_path(path: LatticePath) -> LatticePath:
     """Mirror image across the diagonal: reverse the word and swap E/S."""
     swap = {EAST: SOUTH, SOUTH: EAST}
+    if set(path) - swap.keys():
+        raise ValueError(f"path steps must be 'E' or 'S': {path!r}")
     return "".join(swap[s] for s in reversed(path))
 
 
@@ -108,6 +110,10 @@ class PathRepresentation:
 
     path: LatticePath
     lambda_x: Permutation
+
+    def __post_init__(self) -> None:
+        if len(self.path) != 2 * len(self.lambda_x):
+            raise ValueError(f"a path of 2n steps needs n labels: {self}")
 
     def lambda_y(self, k: int) -> int:
         """Row label of row ``k``; forced by symmetry, never stored."""
@@ -138,7 +144,6 @@ def signed_from_path(path: LatticePath, w: Permutation) -> SignedPermutation:
     >>> signed_from_path("SEESSSESEEESSE", (7, 4, 2, 3, 1, 6, 5))
     (-2, 3, 1, 6, -4, -7, 5)
     """
-    path = as_path(path)
     if not is_diagonal_symmetric(path):
         raise ValueError(f"path is not diagonal-symmetric: {path!r}")
     w = as_permutation(w)

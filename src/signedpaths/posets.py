@@ -162,6 +162,8 @@ class FinitePoset:
 
     def le(self, a: Hashable, b: Hashable) -> bool:
         """Whether a <= b in the poset."""
+        if a not in self._index or b not in self._index:
+            raise ValueError(f"{a!r} and {b!r} must both be elements of the poset")
         return bool((self._down[self._index[b]] >> self._index[a]) & 1)
 
     def covers(self) -> list[tuple[Hashable, Hashable]]:

@@ -15,8 +15,8 @@ Conventions used throughout the package:
   ``u`` as a permutation of ``{-n, ..., -1, 1, ..., n}`` commuting with
   negation.  The full notation is always derived on demand, never stored.
 
-* An *even-signed* permutation has an even number of negative window
-  letters.  The even-signed elements of ``B_n`` form ``D_n``.
+* An *even-signed* window (``is_even_signed``) has an even number of
+  negative letters; these form ``D_n``, but type D statistics take any window.
 
 * Descent conventions.  Type A scans adjacent positions of the word.
   Type B prepends the sentinel ``u_0 = 0``, so position ``0`` is a descent
@@ -137,8 +137,8 @@ def descent_set(u: Sequence[int], kind: str = "A") -> frozenset[int]:
     """Descent positions of ``u`` in the given Coxeter type.
 
     Type A works on any word of distinct integers and returns positions in
-    ``{1, ..., n-1}``.  Types B and D require a signed window and may also
-    contain the sentinel position ``0``; type D needs ``n >= 2``.
+    ``{1, ..., n-1}``.  Types B and D take any signed window, odd-signed too,
+    and may add the sentinel position ``0``; type D needs ``n >= 2``.
 
     >>> sorted(descent_set((7, 4, 2, 3, 1, 6, 5), "A"))
     [1, 2, 4, 6]
@@ -160,13 +160,7 @@ def descent_set_d_variant(u: SignedPermutation) -> frozenset[int]:
     trades places with position ``1`` under mates, which is what makes
     ``descent_count`` mate-invariant.
     """
-    n = len(u)
-    if n < 2:
-        raise ValueError("type D descents need n >= 2 (sentinel is -u_1)")
-    out = {i for i in range(1, n) if u[i - 1] > u[i]}
-    if -u[0] > u[1]:
-        out.add(-1)
-    return frozenset(out)
+    return frozenset(-1 if i == 0 else i for i in descent_set(u, "D"))
 
 
 def descent_count(u: Sequence[int], kind: str = "A") -> int:
@@ -202,6 +196,7 @@ def inversion_set(u: Sequence[int], kind: str = "A") -> frozenset[tuple[int, int
 
     A pair ``(i, j)`` with ``1 <= i < j <= n`` is positive; one with
     ``i < 0`` and ``1 <= |i| <= j <= n`` is negative (types B and D only).
+    Type D takes any signed window, not only the even-signed ones of D_n.
 
     >>> sorted(inversion_set((-1, -2), "B"))
     [(-2, 2), (-1, 1), (-1, 2), (1, 2)]
@@ -309,6 +304,8 @@ def chi_inverse(x: int, v: SignedPermutation) -> SignedPermutation:
     >>> chi_inverse(3, (-1, 5, -4, 2, 3))
     (3, -1, 6, -5, 2, 4)
     """
+    if not v:
+        raise ValueError("chi_inverse needs n >= 2, so a nonempty v")
     n = len(v) + 1
     if not 1 <= x <= n:
         raise ValueError(f"x must lie in [{n}], got {x}")
@@ -394,11 +391,9 @@ def enumerate_group(n: int, kind: str = "A") -> Iterator[tuple[int, ...]]:
     >>> list(enumerate_group(2, "D"))
     [(-2, -1), (-1, -2), (1, 2), (2, 1)]
     """
-    _check_kind(kind)
-    if n < 0 or (kind == "D" and n < 1):
-        raise ValueError(f"enumeration undefined for kind {kind}, n = {n}")
     if n > MAX_ENUMERATION_N:
         raise ValueError(f"n = {n} exceeds the enumeration cap {MAX_ENUMERATION_N}")
+    group_order(n, kind)  # refuses a kind or rank with no group
     if kind == "A":
         # itertools.permutations already yields in lexicographic order.
         yield from itertools.permutations(range(1, n + 1))

@@ -233,12 +233,8 @@ def height_from_edges(edges: Iterable[Edge], n: int) -> pathrep.HeightFunction:
     >>> height_from_edges([(1, 2), (1, 3)], 3)
     (3, 3, 1, 1)
     """
-    g = graph(n, edges)
-    if not is_threshold(g):
-        raise ValueError("edge set is not threshold")
-    if not is_degree_ordering(g, tuple(range(1, n + 1))):
-        raise ValueError("identity is not a degree ordering of the edge set")
-    return pathrep.as_height(_max_neighbors(g.edges, n, range(n + 1))[:-1])
+    pair = ThresholdPair(tuple(range(1, n + 1)), edges)
+    return pathrep.as_height(_max_neighbors(pair.edges, n, range(n + 1))[:-1])
 
 
 def _max_neighbors(
@@ -395,7 +391,7 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
     if n >= 2 and len(bs[0]) < 2:
         raise ValueError(f"{sbp} must have a first block of at least two letters")
     u = barred.psi(_move_block(bs, 0, barred.central_block_index(sbp) - 1))
-    return SimpleGraph(n, edges_from_signed(u)) if n else SimpleGraph(0)
+    return SimpleGraph(n, edges_from_signed(u))
 
 
 def _move_block(

@@ -2,6 +2,8 @@
 
 Every name a module exports is defined there, every name the package
 exports resolves, and no module-level import is left without a use.
+A public call outside its domain raises ValueError, not an IndexError
+or KeyError from deep inside.
 The package itself re-exports nothing: each module is reached by its own
 path, and importing one loads only what that module imports.
 """
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import signedpaths
+from signedpaths import pathrep, posets, sgnperm
 
 SOURCES = sorted(Path(signedpaths.__file__).parent.glob("*.py"))
 
@@ -94,3 +97,27 @@ def test_importing_one_module_loads_only_its_imports():
     code = "import sys, signedpaths.kernels; print(sorted(m for m in sys.modules if m.startswith('signedpaths')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "['signedpaths', 'signedpaths.kernels']\n"
+
+
+DIVISORS = posets.FinitePoset([1, 2, 4], lambda a, b: b % a == 0)
+
+# public calls on arguments outside their domain: each must refuse with
+# ValueError, not fail inside with IndexError or KeyError, nor draw a
+# wrong picture without complaint
+BAD_CALLS = {
+    "chi_inverse on an empty v": lambda: sgnperm.chi_inverse(1, ()),
+    "reflect_path on a foreign step": lambda: pathrep.reflect_path("ESX"),
+    "is_diagonal_symmetric on a foreign step": lambda: pathrep.is_diagonal_symmetric("ESX"),
+    "render_ascii with too few steps": lambda: pathrep.render_ascii(pathrep.PathRepresentation("ES", (1, 2))),
+    "render_svg with too few steps": lambda: pathrep.render_svg(pathrep.PathRepresentation("ES", (1, 2))),
+    "render_ascii with too many steps": lambda: pathrep.render_ascii(pathrep.PathRepresentation("ESES", (1,))),
+    "render_svg with too many steps": lambda: pathrep.render_svg(pathrep.PathRepresentation("ESES", (1,))),
+    "le below a non-element": lambda: DIVISORS.le(3, 4),
+    "le above a non-element": lambda: DIVISORS.le(1, 3),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS)
+def test_domain_errors_are_value_errors(call):
+    with pytest.raises(ValueError):
+        call()
