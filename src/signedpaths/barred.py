@@ -40,6 +40,7 @@ from .sgnperm import (
     SignedPermutation,
     as_permutation,
     as_window,
+    check_enumeration_cap,
     descent_count,
     descent_set,
     group_order,
@@ -478,6 +479,7 @@ def _enumerate_barred(n: int, cls: type, lowest_bar: int) -> Iterator:
     # each w in lexicographic order, with every bar set inside lowest_bar..n
     if n < 0:
         raise ValueError("n must be nonnegative")
+    check_enumeration_cap(n)
     subsets = list(_subsets(list(range(lowest_bar, n + 1))))
     for w in itertools.permutations(range(1, n + 1)):
         for bars in subsets:

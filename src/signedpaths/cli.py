@@ -152,9 +152,7 @@ def _check_walk(cost: Callable[[int], int], n: int, limit: int, what: str) -> No
         raise ValueError(f"{what} costs more than 2^{n - 1}, over the budget of "
                          f"{limit} (raise max_elements, or --max-elements, to allow it)")
     check_budget(cost(n), limit, what)
-    if n > sgnperm.MAX_ENUMERATION_N:
-        raise ValueError(f"n = {n} exceeds the enumeration cap "
-                         f"{sgnperm.MAX_ENUMERATION_N}")
+    sgnperm.check_enumeration_cap(n)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,9 @@ def descent_histogram(kind: str, n: int) -> tuple[int, ...]:
 
     ``kind`` is "A" (permutations of [n]), "B" (signed permutations) or
     "D" (even-signed permutations, n >= 2); entry ``k`` of the result is
-    the number of group elements with exactly ``k`` descents.
+    the number of group elements with exactly ``k`` descents.  The work
+    budget does not gate this function; ``eulerian.eulerian_polynomial(n,
+    kind, method="bruteforce")`` is the gated entry.
 
     >>> descent_histogram("A", 3)
     (1, 4, 1, 0)
@@ -114,7 +116,7 @@ def positive_descent_histogram(n: int) -> tuple[int, ...]:
 
     Entry ``k`` counts the signed permutations of [n] whose descent set
     contains exactly ``k`` positions >= 1 (the sentinel position 0 is
-    ignored).
+    ignored).  Not gated either; ``histogram_cost("positive", n)`` is its cost.
 
     >>> positive_descent_histogram(2)
     (4, 4, 0)

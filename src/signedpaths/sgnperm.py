@@ -62,6 +62,7 @@ __all__ = [
     "chi_inverse",
     "window_decomposition",
     "group_order",
+    "check_enumeration_cap",
     "enumerate_group",
     "parse_signed",
     "format_signed",
@@ -379,6 +380,12 @@ def group_order(n: int, kind: str = "A") -> int:
     return 2 ** (n - 1) * factorial(n)
 
 
+def check_enumeration_cap(n: int) -> None:
+    """Refuse an exhaustive walk over a rank-n family above the cap."""
+    if n > MAX_ENUMERATION_N:
+        raise ValueError(f"n = {n} exceeds the enumeration cap {MAX_ENUMERATION_N}")
+
+
 def enumerate_group(n: int, kind: str = "A") -> Iterator[tuple[int, ...]]:
     """Yield the elements of A_n/B_n/D_n in window-lexicographic order.
 
@@ -391,8 +398,7 @@ def enumerate_group(n: int, kind: str = "A") -> Iterator[tuple[int, ...]]:
     >>> list(enumerate_group(2, "D"))
     [(-2, -1), (-1, -2), (1, 2), (2, 1)]
     """
-    if n > MAX_ENUMERATION_N:
-        raise ValueError(f"n = {n} exceeds the enumeration cap {MAX_ENUMERATION_N}")
+    check_enumeration_cap(n)
     group_order(n, kind)  # refuses a kind or rank with no group
     if kind == "A":
         # itertools.permutations already yields in lexicographic order.

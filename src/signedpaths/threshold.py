@@ -23,6 +23,7 @@ pair of converters.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from .sgnperm import (
     SignedPermutation,
     as_permutation,
     as_window,
+    check_enumeration_cap,
     full_notation,
     group_order,
     is_even_signed,
@@ -431,16 +433,6 @@ def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
 # Enumeration, counting, text forms
 
 
-def _graph_from_mask(n: int, pairs: list[Edge], bits: int) -> SimpleGraph:
-    # bit i of the mask stands for pairs[i], the i-th pair in lexicographic
-    # order; the pairs are sorted and in range, so the checks are skipped
-    return barred._trusted(
-        SimpleGraph,
-        n=n,
-        edges=frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1),
-    )
-
-
 def _mask_order(edges: frozenset[Edge]) -> list[Edge]:
     # the edge-subset order of enumerate_graphs: bit i of a mask stands for
     # the i-th pair, so masks compare as their pairs listed in decreasing order
@@ -451,58 +443,50 @@ def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     """All ``2^C(n,2)`` simple graphs on [n], by edge-subset order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    check_enumeration_cap(n)
+    # bit i stands for pairs[i], sorted and in range, so the checks are skipped
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for bits in range(2 ** len(pairs)):
-        yield _graph_from_mask(n, pairs, bits)
-
-
-def _layered_masks(
-    vertices: tuple[int, ...], dominating: bool, bit: dict[Edge, int]
-) -> Iterator[int]:
-    # Edge masks of the threshold graphs on ``vertices`` (at least two)
-    # whose outer layer, the set of all isolated or of all dominating
-    # vertices, has the given kind.  That set is never empty and never of
-    # both kinds, and removing it leaves nothing or a threshold graph on at
-    # least two vertices whose outer layer has the other kind, so each
-    # graph comes out once.  ``bit`` maps both orientations of a pair to
-    # its bit.
-    k = len(vertices)
-    for r in range(1, k + 1):
-        if k - r == 1:
-            continue
-        for layer in itertools.combinations(vertices, r):
-            rest = tuple(v for v in vertices if v not in layer)
-            own = 0
-            if dominating:  # joined to each other and to everything inside
-                own = sum({bit[a, b] for a in layer for b in vertices if a != b})
-            if not rest:
-                yield own
-                continue
-            for inner in _layered_masks(rest, not dominating, bit):
-                yield own | inner
+        edges = frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+        yield barred._trusted(SimpleGraph, n=n, edges=edges)
 
 
 def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
     """All labeled threshold graphs on [n], in the order of
     :func:`enumerate_graphs`.
 
-    They are built from creation sequences (Chvatal and Hammer, 1977):
-    vertices are added in layers, each layer all isolated or all
-    dominating, so no graph outside the class is examined.
+    Vertices join from n down to 1: vertex a joins the threshold graph H on
+    a+1..n with each allowed neighbour set S, in increasing order as a bit
+    mask.  The edges of a weigh less in the edge-subset order than those
+    above it, so no sort is needed.  S is allowed exactly when it holds
+    every vertex whose degree exceeds the least degree in S.  Only if: u
+    outside S of higher degree than s in S has a neighbour x that s lacks,
+    and {a, s, u, x} induces one of the three forbidden graphs.  If:
+    unless S is empty or all of H, H has an isolated vertex outside S or a
+    dominating one in S (Chvatal and Hammer, 1977); peel it off and induct.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    if n < 2:
-        yield _graph_from_mask(n, pairs, 0)
-        return
-    bit = {}
-    for i, (a, b) in enumerate(pairs):
-        bit[a, b] = bit[b, a] = 1 << i
-    vertices = tuple(range(1, n + 1))
-    masks = [*_layered_masks(vertices, False, bit), *_layered_masks(vertices, True, bit)]
-    for bits in sorted(masks):
-        yield _graph_from_mask(n, pairs, bits)
+    check_enumeration_cap(n)
+    rows: list[list[Edge]] = [[]] * (n + 1)  # rows[a]: the edges vertex a joined with
+
+    def join(a: int) -> Iterator[SimpleGraph]:
+        if a == 0:
+            yield barred._trusted(SimpleGraph, n=n, edges=frozenset().union(*rows))
+            return
+        older = range(a + 1, n + 1)
+        deg = collections.Counter(v for row in rows[a + 1:] for e in row for v in e)
+        joins = [0]  # S as a mask, bit v for vertex v
+        for d in {deg[v] for v in older}:
+            above = sum(1 << v for v in older if deg[v] > d)
+            cls = [1 << v for v in older if deg[v] == d]
+            for r in range(1, len(cls) + 1):
+                joins += (above | sum(t) for t in itertools.combinations(cls, r))
+        for s in sorted(joins):
+            rows[a] = [(a, v) for v in older if s >> v & 1]
+            yield from join(a - 1)
+
+    yield from join(n)
 
 
 def listing_cost(n: int) -> int:

@@ -10,6 +10,7 @@ path, and importing one loads only what that module imports.
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -121,3 +122,55 @@ BAD_CALLS = {
 def test_domain_errors_are_value_errors(call):
     with pytest.raises(ValueError):
         call()
+
+
+# In a child process under a 200 MB address-space limit, each public
+# enumerator gives its first element at the cap, n = 12, and refuses n = 13
+# and n = 10^6 at once; so do tg_poset and unlabeled_threshold_count, which
+# walk a whole family.  The limit binds only the child.
+HUGE_RANK_CHILD = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+from signedpaths import barred, posets, sgnperm, threshold
+
+def first(walk):
+    return lambda n: next(iter(walk(n)))
+
+calls = {
+    "enumerate_group": first(sgnperm.enumerate_group),
+    "enumerate_graphs": first(threshold.enumerate_graphs),
+    "enumerate_threshold_graphs": first(threshold.enumerate_threshold_graphs),
+    "enumerate_tg": first(threshold.enumerate_tg),
+    "enumerate_sbp": first(barred.enumerate_sbp),
+    "enumerate_lbp": first(barred.enumerate_lbp),
+    "tg_poset": posets.tg_poset,
+    "unlabeled_threshold_count": threshold.unlabeled_threshold_count,
+}
+results = []
+for name, call in calls.items():
+    for n in (12, 13, 10**6) if name.startswith("enumerate") else (13, 10**6):
+        start = time.perf_counter()
+        try:
+            call(n)
+            outcome = "first element"
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        results.append([name, n, outcome, time.perf_counter() - start])
+print(json.dumps(results))
+"""
+
+
+def test_huge_ranks_are_refused_at_once():
+    src = str(Path(signedpaths.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", HUGE_RANK_CHILD], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    results = json.loads(out.stdout)
+    expected = {12: "first element"} | {
+        n: f"ValueError: n = {n} exceeds the enumeration cap 12" for n in (13, 10**6)
+    }
+    assert [(name, n, outcome) for name, n, outcome, _ in results] == [
+        (name, n, expected[n]) for name, n, _, _ in results
+    ]
+    assert len(results) == 6 * 3 + 2 * 2
+    assert [(name, n) for name, n, _, seconds in results if seconds >= 1.0] == []

@@ -711,7 +711,7 @@ class TestBudgetGate:
         ["threshold", "--list"], ["bijection", "--check", "bijtgsbps"],
     ])
     def test_large_threshold_listings_are_refused(self, capsys, monkeypatch, argv, n):
-        # 4.3e6 graphs at n = 9 and 6.3e7 at n = 10 would each be kept in memory
+        # 156,581,712 edge slots at n = 9 are over the default budget of 10^8
         def forbidden(n):
             raise AssertionError("the graphs were generated")
 

@@ -214,6 +214,17 @@ class TestDegreeOrderings:
             tracemalloc.stop()
         assert peak < 50_000
 
+    def test_threshold_walk_holds_no_list(self):
+        # the 2,874 threshold graphs on [6], one at a time (collecting and
+        # sorting every edge mask before the first yield peaked at 289 KB)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in enumerate_threshold_graphs(6)) == 2874
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
+
 
 class TestHeightsAndEdges:
     def test_worked_examples(self):
