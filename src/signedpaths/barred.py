@@ -268,34 +268,29 @@ def positive_descB_formula(sbp: SimplyBarredPermutation) -> int:
     return _descB(descent_set(sbp.w, "A"), sbp.bars, False)
 
 
-class _SignPlans(dict):
-    # signs of a window (True: negative) -> psi^-1's plan and bars
-    def __missing__(self, signs: tuple[bool, ...]):
-        entry = self[signs] = _psi_inverse_plan([-1 if s else 1 for s in signs])
-        return entry
-
-
 def audit_psi(n: int) -> tuple[int, str | None]:
     """Round trips of psi and ``descB_formula`` over :func:`enumerate_sbp`:
     ``(count, None)``, or the count and a message at the first failure.
     The round trips make psi injective and its 2^n n! images fill B_n, so
     psi^-1's round trips on B_n hold too: the count credits those |B_n|, as
     :func:`audit_theta` credits the descent sets that have passed."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    # Plans run on letter tables (*seq, *-seq), as in _apply: one per w, one
-    # per window, whose sign pattern keys its plan.  The windows are built
-    # here, so none is validated again; Desc(w) is read once per w.
-    neg, negative = operator.neg, (0).__gt__
-    plans = [(bars, _psi_plan(bars, n)) for bars in _subsets(list(range(1, n + 1)))]
-    by_signs = _SignPlans()
+    check_enumeration_cap(n)
+    # Plans run on letter tables (*seq, *-seq), as in _apply: one per w and
+    # one per window.  psi negates the letters at positions its bars fix, so
+    # the images of a bar set share the signs that psi^-1's plan reads: it is
+    # derived once per bar set.  The windows are built here, so none is
+    # validated again; Desc(w) is read once per w.
+    neg = operator.neg
+    plans = []
+    for bars in _subsets(list(range(1, n + 1))):
+        plan = _psi_plan(bars, n)
+        plans.append((bars, plan, *_psi_inverse_plan(_apply(plan, (1,) * n))))
     checked = 0
     for w in itertools.permutations(range(1, n + 1)):
         d = descent_set(w, "A")
         table = (*w, *map(neg, w))
-        for bars, plan in plans:
+        for bars, plan, back, back_bars in plans:
             u = plan(table)
-            back, back_bars = by_signs[tuple(map(negative, u))]
             if back_bars != bars or back((*u, *map(neg, u))) != w:
                 sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
                 return checked, f"psi round trip broke at {format_sbp(sbp)}"
@@ -384,8 +379,7 @@ def theta_inverse(
 def audit_theta(n: int) -> tuple[int, str | None]:
     """Round trips of theta and ``theta_inverse`` over :func:`enumerate_lbp`,
     each image in the class its descent sum names; as :func:`audit_psi`."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_enumeration_cap(n)
     # The cores see w only through d = Desc(w): the bar sets of a w whose d
     # has passed are counted, not rechecked, and a failure is met at the
     # first w with its d, after the same count as an element-wise walk.
@@ -477,8 +471,6 @@ def _subsets(ground: list[int]) -> Iterator[frozenset[int]]:
 
 def _enumerate_barred(n: int, cls: type, lowest_bar: int) -> Iterator:
     # each w in lexicographic order, with every bar set inside lowest_bar..n
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     check_enumeration_cap(n)
     subsets = list(_subsets(list(range(lowest_bar, n + 1))))
     for w in itertools.permutations(range(1, n + 1)):

@@ -328,7 +328,9 @@ def verify_range(name: str, lo: int, hi: int) -> Iterator[IdentityReport]:
     A brute-force enumeration is pitted against a formula, or, for ``main``,
     two independently built polynomials.  One walk carries the rows through
     the range; ``main`` and ``eulBodd`` pass n + 1 more times over those of
-    rank n: ``row_cost(hi, (hi + 1)^2 (hi + 2))`` in all.
+    rank n: ``row_cost(hi, (hi + 1)^2 (hi + 2))`` in all.  No budget gates
+    it; the CLI's ``verify`` charges that and each rank's ``identity_cost``
+    before it calls this.
 
     >>> [report.n for report in verify_range("eulBeven", 2, 4)]
     [2, 3, 4]
@@ -345,7 +347,7 @@ def verify_range(name: str, lo: int, hi: int) -> Iterator[IdentityReport]:
 
 
 def verify_identity(name: str, n: int) -> IdentityReport:
-    """The report of :func:`verify_range` at the one rank n.
+    """The report of :func:`verify_range` at the one rank n, also not gated.
 
     >>> verify_identity("alternating", 4).holds
     True

@@ -320,6 +320,7 @@ def audit_chi(n: int) -> tuple[int, str | None]:
     as ``barred.audit_psi``."""
     if n < 2:
         raise ValueError("chi needs --n at least 2")
+    check_enumeration_cap(n)
     # chi and chi_inverse as the public maps run them, through the renaming
     # tables of each x, built once; the windows are built here, so none is
     # validated again
@@ -381,7 +382,9 @@ def group_order(n: int, kind: str = "A") -> int:
 
 
 def check_enumeration_cap(n: int) -> None:
-    """Refuse an exhaustive walk over a rank-n family above the cap."""
+    """Refuse an exhaustive walk over a rank-n family with n < 0 or n above the cap."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > MAX_ENUMERATION_N:
         raise ValueError(f"n = {n} exceeds the enumeration cap {MAX_ENUMERATION_N}")
 
@@ -391,9 +394,12 @@ def enumerate_group(n: int, kind: str = "A") -> Iterator[tuple[int, ...]]:
 
     Words are compared as integer tuples, so the all-negative window
     (-n, ..., -1) comes first and the decreasing positive window
-    (n, ..., 1) last.  The signed windows come from a depth-first walk with
-    an explicit stack: each position takes the free letters in increasing
-    order, and the last one is forced in type D by the sign parity.
+    (n, ..., 1) last.  The signed windows come from a recursive walk: each
+    position takes the free letters in increasing order, the negatives of
+    the free absolute values before them, and the walk carries the parity
+    of the negative letters placed.  With two absolute values a < b left,
+    the last two positions read the eight windows of B_2 in order, and
+    type D keeps the four that leave an even number of negative letters.
 
     >>> list(enumerate_group(2, "D"))
     [(-2, -1), (-1, -2), (1, 2), (2, 1)]
@@ -404,42 +410,26 @@ def enumerate_group(n: int, kind: str = "A") -> Iterator[tuple[int, ...]]:
         # itertools.permutations already yields in lexicographic order.
         yield from itertools.permutations(range(1, n + 1))
         return
-    if n == 0:
-        yield ()
+    if n < 2:  # B_0 = {()}; B_1 = {(-1,), (1,)}, of which D_1 keeps (1,)
+        yield from [()] if n == 0 else [(1,)] if kind == "D" else [(-1,), (1,)]
         return
-    letters = [*range(-n, 0), *range(1, n + 1)]
-    last = n - 1
-    free = [False] + [True] * n  # free[v]: neither v nor -v is placed
-    window = [0] * n
-    at = [0] * n  # at[d]: index in letters of the next candidate at depth d
-    odd = False  # parity of the negative letters in window[:depth]
-    depth = 0
-    while depth >= 0:
-        if depth == last:
-            v = free.index(True)
-            for x in (-v, v):
-                if kind == "B" or odd == (x < 0):
-                    window[last] = x
-                    yield tuple(window)
-            depth -= 1
-            continue
-        i = at[depth]
-        if i:  # take back the letter placed here before trying the next one
-            x = window[depth]
-            free[abs(x)] = True
-            odd ^= x < 0
-        while i < 2 * n and not free[abs(letters[i])]:
-            i += 1
-        if i == 2 * n:
-            at[depth] = 0
-            depth -= 1
-            continue
-        x = letters[i]
-        at[depth] = i + 1
-        window[depth] = x
-        free[abs(x)] = False
-        odd ^= x < 0
-        depth += 1
+    # keep[odd]: the B_2 tails kept after a prefix with that parity of
+    # negative letters; type D keeps those that leave an even number
+    keep = [[kind == "B" or t == odd for t in (0, 1, 0, 1, 1, 0, 1, 0)] for odd in (0, 1)]
+
+    def walk(prefix: SignedPermutation, free: tuple[int, ...], odd: bool) -> Iterator:
+        if len(free) == 2:
+            a, b = free
+            tails = ((-b, -a), (-b, a), (-a, -b), (-a, b), (a, -b), (a, b), (b, -a), (b, a))
+            yield from map(prefix.__add__, itertools.compress(tails, keep[odd]))
+            return
+        rests = [free[:i] + free[i + 1:] for i in range(len(free))]
+        for x, rest in zip(free[::-1], rests[::-1]):
+            yield from walk((*prefix, -x), rest, not odd)
+        for x, rest in zip(free, rests):
+            yield from walk((*prefix, x), rest, odd)
+
+    yield from walk((), tuple(range(1, n + 1)), False)
 
 
 # ---------------------------------------------------------------------------

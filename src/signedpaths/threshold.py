@@ -337,6 +337,7 @@ def audit_tgdo(n: int) -> tuple[int, str | None]:
     its pair back, so distinct pairs have distinct images in D_n, and equal
     counts make ``signed_from_tg`` onto D_n with ``tg_pair`` its inverse.
     No image is kept, and the count is the round trips, |D_n|."""
+    check_enumeration_cap(n)
     expected = group_order(n, "D")
     checked = 0
     last = shared = None
@@ -441,8 +442,6 @@ def _mask_order(edges: frozenset[Edge]) -> list[Edge]:
 
 def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     """All ``2^C(n,2)`` simple graphs on [n], by edge-subset order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     check_enumeration_cap(n)
     # bit i stands for pairs[i], sorted and in range, so the checks are skipped
     pairs = list(itertools.combinations(range(1, n + 1), 2))
@@ -465,8 +464,6 @@ def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
     unless S is empty or all of H, H has an isolated vertex outside S or a
     dominating one in S (Chvatal and Hammer, 1977); peel it off and induct.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     check_enumeration_cap(n)
     rows: list[list[Edge]] = [[]] * (n + 1)  # rows[a]: the edges vertex a joined with
 

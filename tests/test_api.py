@@ -174,3 +174,41 @@ def test_huge_ranks_are_refused_at_once():
     ]
     assert len(results) == 6 * 3 + 2 * 2
     assert [(name, n) for name, n, _, seconds in results if seconds >= 1.0] == []
+
+
+# As above for the five bijection audits: each refuses n = 13 and n = 10^6
+# at its first step, before it builds a table or multiplies out a group
+# order.
+HUGE_AUDIT_CHILD = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+from signedpaths import barred, sgnperm, threshold
+
+audits = [barred.audit_psi, barred.audit_theta, sgnperm.audit_chi,
+          threshold.audit_tgdo, threshold.audit_bijtgsbps]
+results = []
+for audit in audits:
+    for n in (13, 10**6):
+        start = time.perf_counter()
+        try:
+            audit(n)
+            outcome = "ran"
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        results.append([audit.__name__, n, outcome, time.perf_counter() - start])
+print(json.dumps(results))
+"""
+
+
+def test_audits_refuse_huge_ranks_at_once():
+    src = str(Path(signedpaths.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", HUGE_AUDIT_CHILD], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    results = json.loads(out.stdout)
+    assert [(name, n, outcome) for name, n, outcome, _ in results] == [
+        (name, n, f"ValueError: n = {n} exceeds the enumeration cap 12")
+        for name in ("audit_psi", "audit_theta", "audit_chi", "audit_tgdo", "audit_bijtgsbps")
+        for n in (13, 10**6)
+    ]
+    assert [(name, n) for name, n, _, seconds in results if seconds >= 1.0] == []
