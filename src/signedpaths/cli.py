@@ -51,11 +51,12 @@ from .eulerian import (
     IDENTITY_MIN_N,
     IDENTITY_NAMES,
     MAX_BRUTE_ELEMENTS,
+    IdentityReport,
+    IdentityRow,
     check_budget,
     eulerian as eulerian_number,
     eulerian_polynomial,
     identity_cost,
-    report_dict,
     row_cost,
     threshold_counts,
     verify_range,
@@ -112,36 +113,54 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # the formula side, charged on its own: the rows carried to rank hi and
     # the passes of main and eulBodd over them (see verify_range)
     check_budget(row_cost(hi, (hi + 1) ** 2 * (hi + 2)), args.max_elements, what)
-    reports = list(verify_range(name, lo, hi))
-    ok = all(r.holds for r in reports)
-    if args.format == "json":
-        print(json.dumps({
-            "identity": name,
-            "holds": ok,
-            "reports": [report_dict(r) for r in reports],
-        }, indent=2))
-    elif args.format == "csv":
+    if args.format == "json":  # holds comes first, so every report is held
+        reports = list(verify_range(name, lo, hi))
+        ok = all(r.holds for r in reports)
+        print(_verify_json(name, ok, reports))
+        return 0 if ok else 1
+    # table and CSV print each rank as it is checked
+    ok = True
+    if args.format == "csv":
         print("identity,n,index,lhs,rhs,brute,holds")
-        for r in reports:
+    for r in verify_range(name, lo, hi):
+        ok &= r.holds
+        if args.format == "csv":
             for row in r.rows:
                 brute = "" if row.brute is None else row.brute
-                print(
-                    f"{name},{r.n},{row.index},{row.lhs},{row.rhs},{brute},"
-                    f"{str(row.holds).lower()}"
-                )
-    else:
-        for r in reports:
+                print(f"{name},{r.n},{row.index},{row.lhs},{row.rhs},{brute},"
+                      f"{str(row.holds).lower()}")
+        else:
             status = "holds" if r.holds else "FAILS"
             print(f"{name} at n={r.n}: {status} ({len(r.rows)} rows)")
             if not r.holds:
                 for row in r.rows:
                     if not row.holds:
                         extra = "" if row.brute is None else f", brute={row.brute}"
-                        print(
-                            f"  index {row.index}: lhs={row.lhs} "
-                            f"rhs={row.rhs}{extra}"
-                        )
+                        print(f"  index {row.index}: lhs={row.lhs} rhs={row.rhs}{extra}")
     return 0 if ok else 1
+
+
+def _verify_json(name: str, ok: bool, reports: list[IdentityReport]) -> str:
+    # the bytes of json.dumps({"identity": name, "holds": ok, "reports":
+    # [report_dict(r) for r in reports]}, indent=2), one f-string per row;
+    # every report has rows, so no list prints as []
+    quoted, word, pad = json.dumps(name), ("false", "true"), "\n" + " " * 10
+
+    def row_text(row: IdentityRow) -> str:
+        brute = "" if row.brute is None else f'{pad}"brute": {row.brute},'
+        return (f'        {{{pad}"index": {row.index},{pad}"lhs": {row.lhs},'
+                f'{pad}"rhs": {row.rhs},{brute}'
+                f'{pad}"holds": {word[row.holds]}\n        }}')
+
+    def report_text(r: IdentityReport) -> str:
+        rows = ",\n".join(map(row_text, r.rows))
+        return (f'    {{\n      "identity": {quoted},\n      "n": {r.n},\n'
+                f'      "holds": {word[r.holds]},\n      "rows": [\n'
+                f'{rows}\n      ]\n    }}')
+
+    reports_text = ",\n".join(map(report_text, reports))
+    return (f'{{\n  "identity": {quoted},\n  "holds": {word[ok]},\n  "reports": [\n'
+            f'{reports_text}\n  ]\n}}')
 
 
 def _check_walk(cost: Callable[[int], int], n: int, limit: int, what: str) -> None:

@@ -17,60 +17,64 @@ on their values, so the prefixes are lumped into standardized states:
 
 The sentinels: type B starts from u_0 = 0, which lies above the n negative
 letters (j = n); type D adds a descent at the second letter when
-u_1 + u_2 < 0, i.e. p < 2m - j, and keeps only even parity at the end; the
+u_1 + u_2 < 0, i.e. j < 2m - p, and keeps only even parity at the end; the
 positive histogram has no sentinel.  Each state carries the descent-count
-vector of the prefixes it stands for, so every group element is counted
-exactly once in O(n^4) work, and no closed formula is used: the result stays
-an independent check on the formulas in ``eulerian``.
+vector of its prefixes, packed into one integer (entry k at bit k*w, for
+a w that holds the group's order), so a shift is a multiplication by 2^w.
+For a next letter p, the sources j > p add their vector shifted by one (a
+descent) and the sources j <= p add it unshifted, so one running sum over j
+per level and parity serves every target; the type D sentinel is one more
+split of the same sums.  Every group element is counted exactly once in
+O(n^3) vector additions, and no closed formula is used: the result stays an
+independent check on the formulas in ``eulerian``.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "descent_histogram",
-    "histogram_cost",
-    "positive_descent_histogram",
-]
+__all__ = ["descent_histogram", "histogram_cost", "positive_descent_histogram"]
 
 
 def _histogram(kind: str, n: int) -> tuple[int, ...]:
-    # kind is "A", "B", "D" or "positive"; see the module docstring.
-    # states maps (j, parity) to a descent-count vector.
+    # kind is "A", "B", "D" or "positive"; states[parity][j] is the packed
+    # vector of state (j, parity), as the module docstring sets out
     signed = kind != "A"
-    states = {(n if kind == "B" else 0, 0): [1] + [0] * n}
+    w = n * (n.bit_length() + 1) + 1  # 2^n n! < 2^w
+    states = [[0] * (n if kind == "B" else 0) + [1]] + [[]] * (kind == "D")
     for i in range(n):
         m = n - i
         size = 2 * m if signed else m
-        nxt: dict[tuple[int, int], list[int]] = {}
-        for (j, parity), counts in states.items():
+        nxt = [[0] * (size - signed) for _ in states]
+        for parity, vectors in enumerate(states):
+            sums = [0]  # sums[s] adds the vectors of the sources j < s
+            for vector in vectors:
+                sums.append(sums[-1] + vector)
+            top = len(vectors)
             for p in range(size):
-                step = p < j
-                if kind == "D" and i == 1:
-                    step += p < size - j
+                # the sources j >= a make a descent, and in type D's second
+                # letter the sources j < b make one more
+                a = min(p + 1, top)
+                b = min(size - p, top) if kind == "D" and i == 1 else 0
+                mid = sums[max(a, b)] - sums[min(a, b)]
+                vector = (sums[top] - mid) << w
+                vector += mid << 2 * w if b > a else mid
                 negative = signed and p < m
-                key = (
-                    p - (signed and not negative),
-                    parity ^ (kind == "D" and negative),
-                )
-                target = nxt.setdefault(key, [0] * (n + 1))
-                for k in range(n + 1 - step):
-                    target[k + step] += counts[k]
+                target = nxt[parity ^ (kind == "D" and negative)]
+                target[p - (signed and not negative)] += vector
         states = nxt
-    total = [0] * (n + 1)
-    for (_, parity), counts in states.items():
-        if not parity:
-            total = [a + b for a, b in zip(total, counts)]
-    return tuple(total)
+    total = sum(states[0])
+    return tuple(total >> k * w & (1 << w) - 1 for k in range(n + 1))
 
 
 def histogram_cost(kind: str, n: int) -> int:
-    """Inner steps of the DP behind the rank-n histogram of ``kind``.
+    """Budgeted steps of the DP behind the rank-n histogram of ``kind``.
 
-    Each (state, letter) pair of the loops adds an (n + 1)-entry count
-    vector into a successor; the pairs are summed in closed form: after the
+    This is still the transfer-matrix count, one (n + 1)-entry vector
+    addition per (state, letter) pair, summed in closed form: after the
     first letter, m + 1 states meet m free letters in type A, 2m + 1 states
     2m letters in types B and "positive", and type D doubles the states
-    from the third letter on (the sign parity).  O(1) arithmetic.
+    from the third letter on (the sign parity).  It bounds the running
+    sums' additions from above and stays the budget unit until the budget
+    is reweighted.  O(1) arithmetic.
 
     >>> histogram_cost("B", 9), histogram_cost("D", 14)
     (9060, 94020)
@@ -95,12 +99,8 @@ def descent_histogram(kind: str, n: int) -> tuple[int, ...]:
     budget does not gate this function; ``eulerian.eulerian_polynomial(n,
     kind, method="bruteforce")`` is the gated entry.
 
-    >>> descent_histogram("A", 3)
-    (1, 4, 1, 0)
-    >>> descent_histogram("B", 2)
-    (1, 6, 1)
-    >>> descent_histogram("D", 2)
-    (1, 2, 1)
+    >>> descent_histogram("A", 3), descent_histogram("B", 2), descent_histogram("D", 2)
+    ((1, 4, 1, 0), (1, 6, 1), (1, 2, 1))
     """
     if kind not in ("A", "B", "D"):
         raise ValueError(f"unknown group kind: {kind!r}")

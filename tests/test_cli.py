@@ -172,6 +172,29 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAILS" in out
         assert "index 0: lhs=1 rhs=2" in out
+        argv = ["verify", "--identity", "main", "--max-n", "1", "--format", "csv"]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == ["main,1,0,1,2,,false"]
+
+    @pytest.mark.parametrize(
+        "fmt, lines", [("table", 2), ("csv", 1 + 3 + 5), ("json", 0)]
+    )
+    def test_table_and_csv_print_each_rank_as_it_is_checked(
+        self, fmt, lines, capsys, monkeypatch
+    ):
+        # ranks 1 and 2 are out before rank 3's check raises; the JSON
+        # document leads with holds, so it prints nothing
+        real = cli.verify_range
+
+        def stopping(name, lo, hi):
+            yield from real(name, lo, 2)
+            raise ValueError("stopped at rank 3")
+
+        monkeypatch.setattr(cli, "verify_range", stopping)
+        argv = ["verify", "--identity", "main", "--max-n", "4", "--format", fmt]
+        code, out = cli.run(argv), capsys.readouterr()
+        assert code == 2 and out.err == "error: stopped at rank 3\n"
+        assert len(out.out.splitlines()) == lines
 
 
 class TestBijectionCommand:

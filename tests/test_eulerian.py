@@ -24,6 +24,7 @@ from signedpaths.eulerian import (
     identity_cost,
     row_cost,
     verify_identity,
+    verify_range,
 )
 from signedpaths.sgnperm import descent_count
 from signedpaths.threshold import (
@@ -364,11 +365,12 @@ class TestRecurrenceRows:
 
 
 def expected_verify_output(name, reports, fmt):
-    # what the CLI prints for these reports, each of which holds
+    # what the CLI prints for these reports, each of which holds (in JSON,
+    # any reports: the document by the standard library's encoder)
     if fmt == "json":
         return json.dumps({
             "identity": name,
-            "holds": True,
+            "holds": all(r.holds for r in reports),
             "reports": [report_dict(r) for r in reports],
         }, indent=2) + "\n"
     if fmt == "csv":
@@ -384,8 +386,9 @@ def expected_verify_output(name, reports, fmt):
 
 @pytest.mark.parametrize("name, top", [(name, 12) for name in IDENTITY_NAMES])
 def test_verify_json_encodes_each_report_once(name, top, capsys):
-    # the CLI's one walk over the ranks prints what the one-rank checks give;
-    # its JSON document nests the report_dict object of each report
+    # the CLI's one walk over the ranks prints what the one-rank checks give,
+    # from each identity's least rank on; its JSON document has the bytes
+    # json.dumps gives for the report_dict object of each report
     for max_n in range(max(1, IDENTITY_MIN_N[name]), top + 1):
         reports = [
             verify_identity(name, n)
@@ -397,6 +400,34 @@ def test_verify_json_encodes_each_report_once(name, top, capsys):
                             "--format", fmt]) == 0
             out = capsys.readouterr().out
             assert out == expected_verify_output(name, reports, fmt), (max_n, fmt)
+
+
+class TestVerifyJsonWriter:
+    """The CLI writes the verify document itself, with the encoder's bytes."""
+
+    @staticmethod
+    def printed(capsys, name, max_n):
+        argv = ["verify", "--identity", name, "--max-n", str(max_n), "--format", "json"]
+        return cli.run(argv), capsys.readouterr().out
+
+    def test_main_at_40(self, capsys):
+        reports = list(verify_range("main", 1, 40))
+        assert sum(len(r.rows) for r in reports) == 1680
+        expected = expected_verify_output("main", reports, "json")
+        assert self.printed(capsys, "main", 40) == (0, expected)
+
+    @pytest.mark.parametrize(
+        "name, side, brute", [("main", 1, False), ("eulBodd", 0, True)]
+    )
+    def test_failing_report(self, name, side, brute, monkeypatch, capsys):
+        # a corrupted row at rank 5 fails that rank alone
+        TestRecurrenceRows.corrupt(monkeypatch, 5, side, 2)
+        reports = list(verify_range(name, 1, 6))
+        assert [r.n for r in reports if not r.holds] == [5]
+        code, out = self.printed(capsys, name, 6)
+        assert (code, out) == (1, expected_verify_output(name, reports, "json"))
+        assert out.startswith('{\n  "identity": "%s",\n  "holds": false,' % name)
+        assert ('"brute": ' in out) is brute
 
 
 class TestIdentities:

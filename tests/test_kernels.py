@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from signedpaths.eulerian import verify_identity
+from signedpaths.eulerian import eulerian_polynomial, verify_identity
 from signedpaths.kernels import (
     descent_histogram,
     histogram_cost,
@@ -90,6 +90,24 @@ class TestCrossChecks:
             else:
                 hist = descent_histogram(kind, n)
             assert hist == object_level_histogram(kind, n)
+
+
+class TestAgainstFormulas:
+    """The running sums against the recurrence rows, far above any walk."""
+
+    RANKS = [*range(41), 100]
+
+    @pytest.mark.parametrize("kind", ["A", "B", "D"])
+    def test_descent_histogram(self, kind):
+        for n in self.RANKS[2 if kind == "D" else 0:]:
+            row = eulerian_polynomial(n, kind, "formula")
+            assert descent_histogram(kind, n) == row + (0,) * (n + 1 - len(row)), n
+
+    def test_positive_descent_histogram(self):
+        # 2^n windows share each permutation's positive descents
+        for n in self.RANKS:
+            row = [2**n * x for x in eulerian_polynomial(n, "A", "formula")]
+            assert positive_descent_histogram(n) == (*row, *[0] * (n + 1 - len(row))), n
 
 
 class TestLargeRanks:
