@@ -8,14 +8,16 @@ and makes N^2 calls to it.  The weak and threshold-pair posets are
 containment orders, so they are built from feature masks instead: each
 element is an int over its M features (inversion pairs, plus edges for
 threshold pairs), and with col(f) the bitmask of the elements having
-feature f, down(b) = ALL & ~OR{col(f) : f not in mask(b)} -- N*M big-int
-operations.  Both constructors list the elements in the linear extension
-by down-set size (ties by input order), and the build runs the same
-distinctness, reflexivity, antisymmetry and transitivity checks on it; a
-list that is no linear extension fails the antisymmetry check.  The
-transitivity check peels the highest-ranked element off each strict
-down-set, which yields the lower covers; the up-sets are unions along
-them.
+feature f, down(b) = ALL & ~OR{col(f) : f not in mask(b)}.  The columns
+come from transposing the masks' bit strings, and each run of 8 features
+has one table of the unions of its columns, so the down-sets take
+N*ceil(M/8) table reads.  Both constructors list the elements in the
+linear extension by down-set size (ties by input order), and the build
+runs the same distinctness, reflexivity, antisymmetry and transitivity
+checks on it; a list that is no linear extension fails the antisymmetry
+check.  The transitivity check peels the highest-ranked element off each
+strict down-set, which yields the lower covers; the up-sets are unions
+along them.
 
 A finite bounded poset is a lattice as soon as any two elements covering
 a common element have a join (Bjorner, Edelman and Ziegler, *Hyperplane
@@ -35,9 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
-from .sgnperm import enumerate_group, group_order, inversion_set
+from .sgnperm import _checked, _inversion_mask, _inversion_pairs, enumerate_group, group_order
 from .threshold import ThresholdPair, enumerate_tg
 
 __all__ = [
@@ -91,23 +93,14 @@ class FinitePoset:
         )
 
     @classmethod
-    def _from_feature_sets(
-        cls, elements: Sequence[Hashable], feature_sets: Iterable[Iterable[Hashable]]
-    ) -> FinitePoset:
-        """The containment order: a <= b iff the features of a are among
-        those of b.  ``feature_sets`` runs parallel to ``elements``."""
-        items = list(elements)
-        index: dict[Hashable, int] = {}
-        masks = [
-            sum(1 << index.setdefault(f, len(index)) for f in features)
-            for features in feature_sets
-        ]
+    def _from_masks(cls, elements: list, masks: list[int], width: int) -> FinitePoset:
+        """The containment order: a <= b iff mask a lies inside mask b.
+        ``masks`` runs parallel to ``elements`` and holds ints below 2**width."""
         # list the elements in the linear extension that _build requires
-        order = _extension_order(_containment_downs(masks, len(index)))
+        order = _extension_order(_containment_downs(masks, width))
         poset = cls.__new__(cls)
         poset._build(
-            [items[i] for i in order],
-            _containment_downs([masks[i] for i in order], len(index)),
+            [elements[i] for i in order], _containment_downs([masks[i] for i in order], width)
         )
         return poset
 
@@ -260,21 +253,25 @@ def _extension_order(downs: list[int]) -> list[int]:
 
 def _containment_downs(masks: list[int], width: int) -> list[int]:
     # bit a of down(b) is set iff masks[a] lies inside masks[b]: down(b) is
-    # everything outside the columns of the features that b lacks
-    columns = [0] * width
-    for i, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            columns[low.bit_length() - 1] |= 1 << i
-            mask ^= low
+    # everything outside the columns of the features that b lacks.  Columns
+    # come from the transposed bit strings; each run of 8 features has a
+    # table of the unions of its columns, reversed so that the byte of
+    # features b has reads the union over those it lacks.
+    rows = [format(mask, f"0{width}b") for mask in reversed(masks)]
+    columns = [int("".join(bits), 2) for bits in zip(*rows)][::-1]
+    tables = []
+    for start in range(0, width, 8):
+        table = [0]
+        for column in columns[start:start + 8]:
+            table += [union | column for union in table]
+        tables.append(table[::-1])
     everything = (1 << len(masks)) - 1
     downs = []
     for mask in masks:
         outside = 0
-        for f, column in enumerate(columns):
-            if not (mask >> f) & 1:
-                outside |= column
-        downs.append(everything & ~outside)
+        for shift, table in zip(range(0, width, 8), tables):
+            outside |= table[mask >> shift & 255]
+        downs.append(everything ^ outside)
     return downs
 
 
@@ -293,7 +290,7 @@ def poset_cost(kind: str, n: int) -> int:
 
 
 def weak_leq(a: tuple[int, ...], b: tuple[int, ...], kind: str = "A") -> bool:
-    """Weak order comparison: containment of kind-X inversion sets.
+    """Weak order comparison of two windows of one rank: inversion-set containment.
 
     >>> weak_leq((2, 1, 3), (3, 1, 2))
     False
@@ -302,7 +299,10 @@ def weak_leq(a: tuple[int, ...], b: tuple[int, ...], kind: str = "A") -> bool:
     >>> weak_leq((1, -2), (-1, -2), kind="B")
     True
     """
-    return inversion_set(a, kind) <= inversion_set(b, kind)
+    a, b = _checked(a, kind), _checked(b, kind)
+    if len(a) != len(b):
+        raise ValueError(f"weak order compares windows of one rank, got {a} and {b}")
+    return not _inversion_mask(a, kind) & ~_inversion_mask(b, kind)
 
 
 def weak_poset(n: int, kind: str = "A") -> FinitePoset:
@@ -312,13 +312,12 @@ def weak_poset(n: int, kind: str = "A") -> FinitePoset:
     6
     """
     elements = list(enumerate_group(n, kind))
-    return FinitePoset._from_feature_sets(
-        elements, (inversion_set(u, kind) for u in elements)
-    )
+    masks = [_inversion_mask(u, kind) for u in elements]
+    return FinitePoset._from_masks(elements, masks, len(_inversion_pairs(n, kind)[0]))
 
 
 def tg_order_leq(a: ThresholdPair, b: ThresholdPair) -> bool:
-    """Componentwise comparison of threshold pairs.
+    """Componentwise comparison of threshold pairs of one rank.
 
     The degree-ordering components are compared in the weak order of type
     A and the edge sets by inclusion.
@@ -333,15 +332,12 @@ def tg_poset(n: int) -> FinitePoset:
     4
     """
     elements = list(enumerate_tg(n))
-    inversions = {pair.w: inversion_set(pair.w, "A") for pair in elements}
-    return FinitePoset._from_feature_sets(
-        elements,
-        (
-            {("inversion", p) for p in inversions[pair.w]}
-            | {("edge", e) for e in pair.edges}
-            for pair in elements
-        ),
-    )
+    # an edge of K_n is a candidate type A inversion; its bit sits above theirs
+    pairs = _inversion_pairs(n, "A")[0]
+    edge_bits = {e: 1 << k for k, e in enumerate(pairs, start=len(pairs))}
+    inversions = {w: _inversion_mask(w, "A") for w in {pair.w for pair in elements}}
+    masks = [inversions[p.w] | sum(map(edge_bits.__getitem__, p.edges)) for p in elements]
+    return FinitePoset._from_masks(elements, masks, 2 * len(pairs))
 
 
 def order_isomorphism_check(

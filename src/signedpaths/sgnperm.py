@@ -38,6 +38,7 @@ out of scope; only statistics and the bijections built on them live here.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 from operator import gt
 from typing import Iterator, Sequence
@@ -76,6 +77,7 @@ Permutation = tuple[int, ...]
 SignedPermutation = tuple[int, ...]
 
 _KINDS = ("A", "B", "D")
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _check_kind(kind: str) -> str:
@@ -182,14 +184,40 @@ def positive_descent_count(u: SignedPermutation) -> int:
 # Inversions
 
 
-def _positions(u: SignedPermutation) -> dict[int, int]:
-    # position map of u as a permutation of {-n..-1, 1..n}: value -> index,
-    # where the window occupies indices 1..n and the prefix -n..-1.
-    pos: dict[int, int] = {}
+@lru_cache(maxsize=16)
+def _inversion_pairs(n: int, kind: str) -> tuple[tuple, tuple, tuple]:
+    # the candidate inversions of a rank-n window of the given kind:
+    # (pairs, their left values, their right values)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if kind != "A":
+        lo = 0 if kind == "B" else 1  # type D drops the pairs (-i, i)
+        pairs += [(-a, j) for a in range(1, n + 1) for j in range(a + lo, n + 1)]
+    lefts, rights = zip(*pairs) if pairs else ((), ())
+    return tuple(pairs), lefts, rights
+
+
+def _inversion_flags(u: Sequence[int], kind: str) -> Iterator[bool]:
+    # for each candidate pair (i, j) in table order, whether i occurs after j
+    # in u as a permutation of {-n..-1, 1..n}: pos maps a value to its index
+    # (window at 1..n, prefix at -n..-1; a negative value reads from the end)
+    pos = [0] * (2 * len(u) + 1)
     for k, x in enumerate(u, start=1):
         pos[x] = k
         pos[-x] = -k
-    return pos
+    _, lefts, rights = _inversion_pairs(len(u), kind)
+    return map(gt, map(pos.__getitem__, lefts), map(pos.__getitem__, rights))
+
+
+def _inversion_mask(u: Sequence[int], kind: str) -> int:
+    # the inversion flags of a valid window read as the digits of a binary
+    # numeral, one bit per candidate pair (the first pair is the highest)
+    return int(b"0" + bytes(_inversion_flags(u, kind)).translate(_BINARY_DIGITS), 2)
+
+
+def _checked(u: Sequence[int], kind: str) -> tuple[int, ...]:
+    # u validated as an element of the given kind's group
+    _check_kind(kind)
+    return as_permutation(u) if kind == "A" else as_window(u)
 
 
 def inversion_set(u: Sequence[int], kind: str = "A") -> frozenset[tuple[int, int]]:
@@ -202,30 +230,14 @@ def inversion_set(u: Sequence[int], kind: str = "A") -> frozenset[tuple[int, int
     >>> sorted(inversion_set((-1, -2), "B"))
     [(-2, 2), (-1, 1), (-1, 2), (1, 2)]
     """
-    _check_kind(kind)
-    n = len(u)
-    pos = _positions(as_permutation(u) if kind == "A" else as_window(u))
-    positive = (
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if pos[i] > pos[j]
-    )
-    if kind == "A":
-        return frozenset(positive)
-    lo = 0 if kind == "B" else 1  # type D drops the pairs (-i, i)
-    negative = (
-        (-a, j)
-        for a in range(1, n + 1)
-        for j in range(a + lo, n + 1)
-        if pos[-a] > pos[j]
-    )
-    return frozenset(itertools.chain(positive, negative))
+    u = _checked(u, kind)
+    pairs = _inversion_pairs(len(u), kind)[0]
+    return frozenset(itertools.compress(pairs, _inversion_flags(u, kind)))
 
 
 def inversion_count(u: Sequence[int], kind: str = "A") -> int:
     """Number of inversions of ``u`` in the given type."""
-    return len(inversion_set(u, kind))
+    return sum(_inversion_flags(_checked(u, kind), kind))
 
 
 # ---------------------------------------------------------------------------

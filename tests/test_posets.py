@@ -1,6 +1,7 @@
 """Unit tests for finite posets, weak orders, and the threshold-pair order."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from signedpaths.eulerian import eulerian
 from signedpaths.posets import (
     FinitePoset,
     LatticeReport,
+    _containment_downs,
     order_isomorphism_check,
     poset_cost,
     tg_order_leq,
@@ -174,6 +176,14 @@ class TestWeakOrder:
         assert not weak_leq((-1, -2), (1, -2), kind="B")
         assert weak_leq((1, 2), (2, 1), kind="A")
 
+    @pytest.mark.parametrize("kind", ["A", "B", "D"])
+    def test_weak_leq_refuses_two_ranks(self, kind):
+        # the rank-1 window has no inversions, so a subset test alone says True
+        with pytest.raises(ValueError, match="one rank"):
+            weak_leq((1,), (2, 1), kind)
+        with pytest.raises(ValueError, match="one rank"):
+            weak_leq((2, 1), (1,), kind)
+
     def test_bottom_and_top(self):
         identity = (1, 2, 3)
         p = weak_poset(3, "A")
@@ -246,6 +256,25 @@ class TestMaskBuild:
     def test_tg_poset(self, n):
         self.assert_same(tg_poset(n), FinitePoset(list(enumerate_tg(n)), tg_order_leq))
 
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 25])
+    def test_containment_downs_follow_the_subset_rule(self, width):
+        # bit a of down(b) is set iff masks[a] & ~masks[b] == 0; each random
+        # mask comes with two random submasks, so containment is common
+        rng = random.Random(width)
+        masks = [0, (1 << width) - 1]
+        for _ in range(15):
+            top = rng.getrandbits(width)
+            masks += [top, top & rng.getrandbits(width), top & rng.getrandbits(width)]
+        rng.shuffle(masks)
+        downs = _containment_downs(masks, width)
+        assert len(downs) == len(masks)
+        for down, mb in zip(downs, masks):
+            assert down == sum(1 << a for a, ma in enumerate(masks) if not ma & ~mb)
+
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_containment_downs_of_no_masks(self, width):
+        assert _containment_downs([], width) == []
+
 
 class TestThresholdOrder:
     def test_tg_order_leq(self):
@@ -254,6 +283,8 @@ class TestThresholdOrder:
         assert tg_order_leq(empty, full)
         assert not tg_order_leq(full, empty)
         assert tg_order_leq(empty, empty)
+        with pytest.raises(ValueError, match="one rank"):
+            tg_order_leq(ThresholdPair((1,), frozenset()), empty)
 
     def test_tg2_is_a_grid(self):
         p = tg_poset(2)
