@@ -310,12 +310,14 @@ def render_ascii(rep: PathRepresentation) -> str:
         str(v).rjust(width) for v in rep.lambda_x
     )
     lines = [header]
+    below, above = "#".rjust(width), ".".rjust(width)
+    # row y marks its first c = #{x >= 1 : f(x) >= y} cells; f never increases
+    c = 0
     for y in range(n, 0, -1):
+        while c < n and f[c + 1] >= y:
+            c += 1
         label = str(rep.lambda_y(y)).rjust(width)
-        row = " ".join(
-            ("#" if y <= f[x] else ".").rjust(width) for x in range(1, n + 1)
-        )
-        lines.append(f"{label}  {row}")
+        lines.append(f"{label}  " + " ".join([below] * c + [above] * (n - c)))
     lines.append("")
     lines.append(rep.path)
     return "\n".join(lines)

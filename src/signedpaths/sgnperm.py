@@ -326,33 +326,35 @@ def chi_inverse(x: int, v: SignedPermutation) -> SignedPermutation:
 
 
 def audit_chi(n: int) -> tuple[int, str | None]:
-    """Round trips of chi and its descent shift over the non-smooth windows of
-    B_n (n >= 2).  The windows must strictly increase, so the round trips make
-    chi injective, and there must be as many as ``[n] x B_(n-1)`` has pairs;
-    as ``barred.audit_psi``."""
+    """Round trips of chi and its descent shift over its domain: each x in
+    1..n with each v of ``enumerate_group(n - 1, "B")`` (n >= 2).  Each
+    ``u = chi_inverse(x, v)`` must be non-smooth with |u_1| = x and chi must
+    give v back, so chi^-1 is injective; the v must strictly increase and
+    number |B_(n-1)|, so its images are n·|B_(n-1)| = |B_n| / 2 non-smooth
+    windows, all of them (mates pair each smooth window with a non-smooth
+    one): chi^-1 is onto and chi its inverse.  As ``barred.audit_psi``."""
     if n < 2:
         raise ValueError("chi needs --n at least 2")
     check_enumeration_cap(n)
     # chi and chi_inverse as the public maps run them, through the renaming
     # tables of each x, built once; the windows are built here, so none is
-    # validated again
+    # validated again, and the descent shift of v is read once for all x
     down = [_renaming(x, n, False).__getitem__ for x in range(n + 1)]
     up = [_renaming(x, n, True).__getitem__ for x in range(n + 1)]
     checked = 0
     last = ()  # precedes every window
-    for u in enumerate_group(n, "B"):
-        if u <= last:
-            return checked, f"windows not strictly increasing at {u}"
-        last = u
-        if is_smooth(u):
-            continue
-        x = abs(u[0])
-        v = tuple(map(down[x], u[1:]))
-        if _unsplit(x, tuple(map(up[x], v))) != u:
-            return checked, f"chi round trip broke at {u}"
-        if positive_descent_count(v) != descent_count(u, "B") - 1:
-            return checked, f"descent shift broke at {u}"
-        checked += 1
+    for v in enumerate_group(n - 1, "B"):
+        if v <= last:
+            return checked, f"windows not strictly increasing at {v}"
+        last = v
+        shifted = positive_descent_count(v) + 1
+        for x in range(1, n + 1):
+            u = _unsplit(x, tuple(map(up[x], v)))
+            if is_smooth(u) or abs(u[0]) != x or tuple(map(down[x], u[1:])) != v:
+                return checked, f"chi round trip broke at {u}"
+            if descent_count(u, "B") != shifted:
+                return checked, f"descent shift broke at {u}"
+            checked += 1
     expected = n * group_order(n - 1, "B")
     if checked != expected:
         return checked, f"chi image has {checked} pairs, expected {expected}"

@@ -527,6 +527,19 @@ class TestAudits:
         assert barred.audit_theta(5) == (2**6 * math.factorial(5), None)
         assert calls == {"descent_set": 120, "_theta_inverse": 2**4 * 2**6}
 
+    def test_psi_reads_its_formula_once_per_descent_set_and_bars(self, monkeypatch):
+        # each of the 2^4 descent sets of S_5 with each of the 2^5 bar sets
+        calls = []
+        formula = barred._descB
+
+        def counted(d, bars, ceil):
+            calls.append((d, bars))
+            return formula(d, bars, ceil)
+
+        monkeypatch.setattr(barred, "_descB", counted)
+        assert barred.audit_psi(5) == (2**6 * math.factorial(5), None)
+        assert len(calls) == len(set(calls)) == 2**4 * 2**5
+
 
 class TestDescentMemo:
     # on permutations that alternate, descB_formula and the other Desc(w)

@@ -253,9 +253,11 @@ def audit_failure(capsys, check, n):
 
 
 class TestAuditFailures:
-    # The expected lines are those of the audits that walked enumerate_sbp
-    # and enumerate_lbp element by element, with the same fault injected:
-    # a failure names the same first element after the same count.
+    # The psi and theta lines are those of the audits that walked
+    # enumerate_sbp and enumerate_lbp element by element, with the same
+    # fault injected: a failure names the same first element after the same
+    # count.  chi walks its domain, the pairs (x, v) of [n] x B_(n-1) in
+    # the order (v, x), so its lines count those pairs.
 
     def test_psi_fault_in_the_middle(self, capsys, monkeypatch):
         # a wrong formula for the first w with Desc(w) = {2} and bars {1, 2, 4}
@@ -290,7 +292,8 @@ class TestAuditFailures:
         )
 
     def test_chi_descent_shift_fault(self, capsys, monkeypatch):
-        # (-2, 1, -4, -3) is the 49th non-smooth window of B_4
+        # (-2, 1, -4, -3) = chi^-1(2, v) for the 25th window v of B_3, so
+        # its pair is the 98th walked
         from signedpaths import sgnperm
 
         target = (-2, 1, -4, -3)
@@ -299,23 +302,24 @@ class TestAuditFailures:
             sgnperm, "descent_count", lambda u, kind="A": count(u, kind) + (u == target)
         )
         assert audit_failure(capsys, "chi", 4) == (
-            "chi at n=4: FAILED after 48 round trips\n"
+            "chi at n=4: FAILED after 97 round trips\n"
             "  descent shift broke at (-2, 1, -4, -3)\n"
         )
 
     def test_chi_count_fault(self, capsys, monkeypatch):
-        # one non-smooth window dropped: every round trip holds
+        # one window of B_3 dropped, so its n = 4 pairs: every round trip
+        # holds
         from signedpaths import sgnperm
 
         enumerate_all = sgnperm.enumerate_group
         monkeypatch.setattr(
             sgnperm,
             "enumerate_group",
-            lambda n, kind: (u for u in enumerate_all(n, kind) if u != (-2, 1, -4, -3)),
+            lambda n, kind: (u for u in enumerate_all(n, kind) if u != (1, -3, -2)),
         )
         assert audit_failure(capsys, "chi", 4) == (
-            "chi at n=4: FAILED after 191 round trips\n"
-            "  chi image has 191 pairs, expected 192\n"
+            "chi at n=4: FAILED after 188 round trips\n"
+            "  chi image has 188 pairs, expected 192\n"
         )
 
     def test_bijtgsbps_round_trip_fault(self, capsys, monkeypatch):

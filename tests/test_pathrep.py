@@ -1,6 +1,7 @@
 """Unit tests for the lattice-path representation and height functions."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -50,6 +51,18 @@ def cells_below(path):
         for x, mark in enumerate(row.split()[1:], start=1)
         if mark == "#"
     }
+
+
+def cell_by_cell(rep):
+    # render_ascii drawn one cell at a time: (x, y) is "#" when y <= f(x)
+    f = height_function(rep.path)
+    n = len(rep.lambda_x)
+    width = max((len(str(-v)) for v in rep.lambda_x), default=1)
+    lines = [" " * (width + 2) + " ".join(str(v).rjust(width) for v in rep.lambda_x)]
+    for y in range(n, 0, -1):
+        row = " ".join(("#" if y <= f[x] else ".").rjust(width) for x in range(1, n + 1))
+        lines.append(f"{str(rep.lambda_y(y)).rjust(width)}  {row}")
+    return "\n".join([*lines, "", rep.path])
 
 
 def all_heights(n):
@@ -244,6 +257,17 @@ class TestRendering:
         # 21 cells lie below the anchor path
         assert art.count("#") == 21
         assert art.count("#") + art.count(".") == render_cost(len(ANCHOR)) == 49
+
+    def test_ascii_rows_match_the_cell_rule(self):
+        rng = random.Random(25)
+        windows = [(), (1,), (-1,)]
+        for _ in range(300):
+            n = rng.randint(0, 30)
+            letters = rng.sample(range(1, n + 1), n)
+            windows.append(tuple(x * rng.choice((1, -1)) for x in letters))
+        for u in windows:
+            rep = path_representation(u)
+            assert render_ascii(rep) == cell_by_cell(rep), u
 
     def test_svg_structure(self):
         svg = render_svg(path_representation((-2, 3, 1)))

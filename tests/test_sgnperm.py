@@ -450,10 +450,24 @@ class TestChiAudit:
         with pytest.raises(ValueError, match="chi needs --n at least 2"):
             audit_chi(n)
 
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_walks_the_domain_not_b_n(self, monkeypatch, n):
+        # the pairs (x, v) of [n] x B_(n-1): one walk of B_(n-1), none of B_n
+        calls = []
+        enumerate_all = sgnperm.enumerate_group
+
+        def recorded(*args):
+            calls.append(args)
+            return enumerate_all(*args)
+
+        monkeypatch.setattr(sgnperm, "enumerate_group", recorded)
+        assert audit_chi(n) == (2 ** (n - 1) * factorial(n), None)
+        assert calls == [(n - 1, "B")]
+
     def test_catches_a_repeat_in_place_of_a_window(self, monkeypatch):
-        # window 200 is dropped and window 199 walked twice; both are
-        # non-smooth, so every round trip holds and the count matches, and
-        # only the order guard sees it
+        # window 200 of B_4 is dropped and window 199 walked twice, so
+        # every round trip holds and the count matches, and only the order
+        # guard sees it
         enumerate_all = sgnperm.enumerate_group
 
         def repeating(n, kind):
@@ -463,8 +477,8 @@ class TestChiAudit:
 
         monkeypatch.setattr(sgnperm, "enumerate_group", repeating)
         assert audit_chi(5) == (
-            8,
-            "windows not strictly increasing at (-5, 1, -4, 3, 2)",
+            1000,
+            "windows not strictly increasing at (1, -4, 3, 2)",
         )
 
 
@@ -492,7 +506,7 @@ class TestChiTables:
             return table if up or x != 2 else tuple(t + (t == 1) for t in table)
 
         monkeypatch.setattr(sgnperm, "_renaming", off_by_one)
-        assert audit_chi(4)[1] == "chi round trip broke at (-2, 1, -4, -3)"
+        assert audit_chi(4)[1] == "chi round trip broke at (2, -4, -3, 1)"
 
     def test_walks_validate_no_window_they_built(self, monkeypatch):
         def forbidden(values):
