@@ -26,12 +26,13 @@ from __future__ import annotations
 import collections
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Iterable, Iterator
 
 from . import barred, pathrep
-from .eulerian import threshold_counts
+from .eulerian import MAX_BRUTE_ELEMENTS, check_budget, threshold_counts
 from .sgnperm import (
     Permutation,
     SignedPermutation,
@@ -41,8 +42,6 @@ from .sgnperm import (
     full_notation,
     group_order,
     is_even_signed,
-    is_smooth,
-    mate,
 )
 
 __all__ = [
@@ -170,8 +169,8 @@ def is_degree_ordering(g: SimpleGraph, w: Permutation) -> bool:
     w = as_permutation(w)
     if len(w) != g.n:
         raise ValueError(f"ordering length {len(w)} does not match n = {g.n}")
-    degs = [degree(g, v) for v in w]
-    return all(a >= b for a, b in itertools.pairwise(degs))
+    deg = collections.Counter(itertools.chain.from_iterable(g.edges))  # one pass
+    return all(deg[a] >= deg[b] for a, b in itertools.pairwise(w))
 
 
 def canonical_degree_ordering(g: SimpleGraph) -> Permutation:
@@ -184,27 +183,33 @@ def canonical_degree_ordering(g: SimpleGraph) -> Permutation:
     """
     if not is_threshold(g):
         raise ValueError("canonical degree ordering is defined for threshold graphs")
-    return tuple(
-        sorted(range(1, g.n + 1), key=lambda v: (-degree(g, v), v))
-    )
+    return tuple(v for _, vs in _degree_classes(g) for v in vs)
 
 
 def degree_orderings(g: SimpleGraph) -> Iterator[Permutation]:
     """All degree orderings of ``g``: permute freely within degree classes."""
-    classes: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        classes.setdefault(degree(g, v), []).append(v)
-    ordered = [vs for _, vs in sorted(classes.items(), reverse=True)]
+    return _orderings(_degree_classes(g))
 
+
+def _degree_classes(g: SimpleGraph) -> list:
+    # (degree, its vertices by label) for each degree, the highest first,
+    # from one pass over the edges
+    deg = collections.Counter(itertools.chain.from_iterable(g.edges))
+    order = sorted(range(1, g.n + 1), key=deg.__getitem__, reverse=True)  # stable
+    return [(d, tuple(vs)) for d, vs in itertools.groupby(order, deg.__getitem__)]
+
+
+def _orderings(classes: list) -> Iterator[Permutation]:
+    # each class permuted in lexicographic order, the highest degree first
     def extend(prefix: Permutation, i: int) -> Iterator[Permutation]:
         # lazily, where itertools.product would hold every class's k! at once
-        if i == len(ordered):
+        if i == len(classes):
             yield prefix
         else:
-            for block in itertools.permutations(ordered[i]):
+            for block in itertools.permutations(classes[i][1]):
                 yield from extend(prefix + block, i + 1)
 
-    yield from extend((), 0)
+    return extend((), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +241,10 @@ def height_from_edges(edges: Iterable[Edge], n: int) -> pathrep.HeightFunction:
     (3, 3, 1, 1)
     """
     pair = ThresholdPair(tuple(range(1, n + 1)), edges)
-    return pathrep.as_height(_max_neighbors(pair.edges, n, range(n + 1))[:-1])
-
-
-def _max_neighbors(
-    edges: Iterable[Edge], n: int, rank: dict[int, int] | range
-) -> list[int]:
-    # f(0) = n and f(x) = max N(x), 0 for an isolated x, once each vertex v
-    # is renamed rank[v] in 1..n; then f(n + 1) = 0, which closes the last
-    # drop of f
-    f = [n] + [0] * (n + 1)
-    for a, b in edges:
-        i, j = rank[a], rank[b]
-        if f[i] < j:
-            f[i] = j
-        if f[j] < i:
-            f[j] = i
-    return f
+    f = [n] + [0] * n  # f(0) = n, and 0 for an isolated vertex
+    for a, b in pair.edges:
+        f[a], f[b] = max(f[a], b), max(f[b], a)
+    return pathrep.as_height(f)
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +268,23 @@ class ThresholdPair:
             raise ValueError(f"{self.w} is not a degree ordering of the edge set")
 
 
-def _labels_and_edges(u: SignedPermutation) -> tuple[Permutation, frozenset[Edge]]:
-    # lambda_x and E(u) of a valid window, from one pass over the full
-    # notation: the x-th East step runs at height f(x), and column x is
-    # joined to the columns y < x with y <= f(x).  No pair comes twice; a
-    # plain loop costs less than a comprehension per East step.
+def _labels_and_mask(u: SignedPermutation, low: list[int]) -> tuple[Permutation, int]:
+    # lambda_x and the edge mask of E(u), low = _lows(n), from one pass over
+    # the full notation: the x-th East step runs at height f(x), and f is
+    # self-adjoint, as the path of u is symmetric, so column x is joined to
+    # every other column y <= f(x), the first f(x) labels
     height = len(u)
     labels: list[int] = []
-    edges: list[Edge] = []
+    heights: list[int] = []
+    below = [0]  # below[k]: the first k labels as a vertex mask
     for letter in full_notation(u):
         if letter > 0:
-            for b in labels[:height]:
-                edges.append((letter, b) if letter < b else (b, letter))
             labels.append(letter)
+            heights.append(height)
+            below.append(below[-1] | 1 << letter)
         else:
             height -= 1
-    return tuple(labels), frozenset(edges)
+    return tuple(labels), sum([below[h] >> v + 1 << low[v] for v, h in zip(labels, heights)])
 
 
 def edges_from_signed(u: SignedPermutation) -> frozenset[Edge]:
@@ -301,64 +294,85 @@ def edges_from_signed(u: SignedPermutation) -> frozenset[Edge]:
     >>> sorted(edges_from_signed((-2, 3, 1, 6, -4, -7, 5)))
     [(1, 4), (1, 7), (2, 4), (2, 7), (3, 4), (3, 7), (4, 6), (4, 7), (6, 7)]
     """
-    return _labels_and_edges(as_window(u))[1]
+    return tg_pair(u).edges
 
 
 def tg_pair(u: SignedPermutation) -> ThresholdPair:
     """The pair (column labels, edge set) of ``u``."""
-    w, edges = _labels_and_edges(as_window(u))
-    return barred._trusted(ThresholdPair, w=w, edges=edges)
+    u = as_window(u)
+    w, mask = _labels_and_mask(u, _lows(len(u)))
+    return barred._trusted(ThresholdPair, w=w, edges=_mask_edges(mask, _pairs(len(u))))
 
 
 def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
     """The unique even-signed ``u`` with ``tg_pair(u) = pair``.
 
-    Relabels the edges through ``w^{-1}`` so the identity orders degrees
-    and reads off the height function ``f(x) = max N(x)``.  The path of
-    ``f`` has its East-South turns where ``f`` drops, so ``u`` is ``psi``
-    of ``w`` with bars at those abscissas, or its even-signed mate.  The
-    pair is already valid, so nothing is checked again.
+    Relabeled through ``w^{-1}``, the graph has the identity as a degree
+    ordering and the height function ``f(x) = max N(x)``, read off the
+    degrees.  The path of ``f`` has its East-South turns where ``f``
+    drops, so ``u`` is ``psi`` of ``w`` with bars at those abscissas, or
+    its even-signed mate.  The pair is already valid, so nothing is
+    checked again.
 
     >>> signed_from_tg(ThresholdPair((1, 2, 3), frozenset()))
     (1, 2, 3)
     """
-    n = len(pair.w)
-    pos = {v: i for i, v in enumerate(pair.w, start=1)}
-    f = _max_neighbors(pair.edges, n, pos)
-    bars = frozenset(x for x in range(1, n + 1) if f[x] > f[x + 1])
-    u = barred._apply(barred._psi_plan(bars, n), pair.w)  # psi of (w, bars)
-    return u if is_even_signed(u) else mate(u)
+    deg = collections.Counter(itertools.chain.from_iterable(pair.edges))
+    return barred._apply(_tg_plan([deg[v] for v in pair.w]), pair.w)
+
+
+def _tg_plan(degrees: list[int]) -> operator.itemgetter:
+    # signed_from_tg as a plan on (*w, *-w), for each degree ordering w with
+    # these degrees along it.  N(w_x) is {w_1, ..., w_f(x)} less w_x, so f(x)
+    # is d_x + 1 when w_x is among the first d_x + 1 letters and d_x if not
+    n = len(degrees)
+    f = [d + (d >= x) for x, d in enumerate(degrees, start=1)] + [0]
+    bars = frozenset(x for x in range(1, n + 1) if f[x - 1] > f[x])
+    picks = list(barred._psi_plan(bars, n)(range(2 * n)))
+    if sum(p >= n for p in picks) % 2:  # psi's image is odd-signed: its mate
+        picks[0] = (picks[0] + n) % (2 * n)
+    return barred._getter(picks)
 
 
 def audit_tgdo(n: int) -> tuple[int, str | None]:
-    """Round trips of :func:`signed_from_tg` over :func:`enumerate_tg`, whose
-    pairs must strictly increase and be |D_n| in number; as
-    ``barred.audit_psi``.  Each image is even-signed and ``tg_pair`` gives
-    its pair back, so distinct pairs have distinct images in D_n, and equal
-    counts make ``signed_from_tg`` onto D_n with ``tg_pair`` its inverse.
+    """Round trips of :func:`signed_from_tg` over the pairs of
+    :func:`enumerate_tg`, which must strictly increase and be |D_n| in
+    number; as ``barred.audit_psi``.  Each image is even-signed and
+    ``tg_pair`` gives its pair back, so distinct pairs have distinct images
+    in D_n, and equal counts make ``signed_from_tg`` onto D_n with
+    ``tg_pair`` its inverse.
+
+    The plan of ``signed_from_tg`` is built once per graph: vertices of
+    one degree in a threshold graph are twins, so the degree orderings of
+    a graph have the same degrees along them, the same relabeled graph
+    and the same plan.  Every ordering is still walked and round-tripped.
     No image is kept, and the count is the round trips, |D_n|."""
     check_enumeration_cap(n)
     expected = group_order(n, "D")
     checked = 0
-    last = shared = None
-    for pair in enumerate_tg(n):
-        if pair.edges is not shared:  # the orderings of one graph share its edges
-            shared, order = pair.edges, _mask_order(pair.edges)
-        key = (order, pair.w)
-        if last is not None and key <= last:
-            return checked, f"tgdo pairs not strictly increasing at {_pair_text(pair)}"
-        last = key
-        u = signed_from_tg(pair)
-        if not is_even_signed(u) or _labels_and_edges(u) != (pair.w, pair.edges):
-            return checked, f"tgdo round trip broke at {_pair_text(pair)}"
-        checked += 1
+    last: tuple = (-1,)  # below every (mask, w)
+    low = _lows(n)
+    for mask, classes in _walk(n):
+        plan = _tg_plan([d for d, vs in classes for _ in vs])
+        for w in _orderings(classes):
+            if (mask, w) <= last:
+                return checked, f"tgdo pairs not strictly increasing at {_pair_text(w, mask)}"
+            last = (mask, w)
+            u = barred._apply(plan, w)
+            if not is_even_signed(u) or _labels_and_mask(u, low) != (w, mask):
+                return checked, f"tgdo round trip broke at {_pair_text(w, mask)}"
+            checked += 1
     if checked != expected:
         return checked, f"tgdo image has {checked} pairs, expected {expected}"
     return checked, None
 
 
-def _pair_text(pair: ThresholdPair) -> str:
-    return f"{pair.w} on {format_graph(SimpleGraph(len(pair.w), pair.edges))}"
+def _graph_text(mask: int, n: int) -> str:
+    return format_graph(graph(n, _mask_edges(mask, _pairs(n))))
+
+
+def _pair_text(w: Permutation, mask: int) -> str:
+    return f"{w} on {_graph_text(mask, len(w))}"
 
 
 # ---------------------------------------------------------------------------
@@ -372,57 +386,67 @@ def sbp_from_threshold(g: SimpleGraph) -> barred.SimplyBarredPermutation:
     The word is the canonical degree ordering, the blocks are the degree
     classes, and the block holding the diagonal is rotated to the front.
     """
-    w = canonical_degree_ordering(g)
-    # w is a degree ordering of g, which canonical_degree_ordering found
-    # threshold, so the pair is not checked again
-    u = signed_from_tg(barred._trusted(ThresholdPair, w=w, edges=g.edges))
-    if g.n >= 2 and not is_smooth(u):
-        u = mate(u)
-    sbp = barred.psi_inverse(u)
-    return _move_block(barred.blocks(sbp), barred.central_block_index(sbp) - 1, 0)
+    canonical_degree_ordering(g)  # refuses a graph that is not threshold
+    bs = _encode(_degree_classes(g))
+    cuts = itertools.accumulate(len(b) for b in bs[:-1])
+    return barred.SimplyBarredPermutation(tuple(itertools.chain(*bs)), frozenset(cuts))
 
 
 def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
     """Decode :func:`sbp_from_threshold`: move the first block back to the
-    central position and read the graph off the resulting signed
-    permutation."""
-    n = len(sbp.w)
-    cls = barred.classify_sbp(sbp)
-    if not cls.normal:
-        raise ValueError(f"{sbp} is not normal (blocks must increase)")
-    bs = barred.blocks(sbp)
-    if n >= 2 and len(bs[0]) < 2:
-        raise ValueError(f"{sbp} must have a first block of at least two letters")
-    u = barred.psi(_move_block(bs, 0, barred.central_block_index(sbp) - 1))
-    return SimpleGraph(n, edges_from_signed(u))
+    central position and read the graph off the path of its ``psi``,
+    which joins the letters of blocks i and j when i + j is less than
+    the number of bars."""
+    mask = _decode(barred.blocks(sbp), _lows(len(sbp.w)))
+    if isinstance(mask, str):
+        raise ValueError(f"{sbp} {mask}")
+    return graph(len(sbp.w), _mask_edges(mask, _pairs(len(sbp.w))))
 
 
-def _move_block(
-    bs: list[tuple[int, ...]], src: int, dst: int
-) -> barred.SimplyBarredPermutation:
-    # the barred permutation with the blocks bs, block src moved to index dst
-    bs = bs[:]
-    bs.insert(dst, bs.pop(src))
-    word = tuple(itertools.chain.from_iterable(bs))
-    cuts = itertools.accumulate(len(b) for b in bs[:-1])
-    return barred.SimplyBarredPermutation(word, frozenset(cuts))
+def _encode(classes: list) -> list[tuple[int, ...]]:
+    # the blocks of sbp_from_threshold: the degree classes from the highest
+    # degree down, then an empty block unless a vertex is isolated, with the
+    # central block moved to the front
+    bs = [vs for _, vs in classes]
+    if not classes or classes[-1][0]:
+        bs.append(())
+    bs.insert(0, bs.pop((len(bs) - 1) // 2))
+    return bs
+
+
+def _decode(bs: list[tuple[int, ...]], low: list[int]) -> int | str:
+    # The edge mask of the graph encoded by the blocks bs, or why none is;
+    # low = _lows(n).  With the first block back in the centre, psi's path
+    # runs East through block i at the height of blocks 0..m-i-1, m the
+    # bars, so letters of blocks i and j are joined exactly when i + j < m.
+    if not all(a < b for blk in bs for a, b in itertools.pairwise(blk)):
+        return "is not normal (blocks must increase)"
+    if len(low) > 2 and len(bs[0]) < 2:  # n >= 2
+        return "must have a first block of at least two letters"
+    m = len(bs) - 1
+    bs = [*bs[1:m // 2 + 1], bs[0], *bs[m // 2 + 1:]]
+    below = [0]  # below[k]: the letters of the first k blocks as a vertex mask
+    for blk in bs:
+        below.append(below[-1] | sum(1 << v for v in blk))
+    return sum(below[m - i] >> v + 1 << low[v] for i, blk in enumerate(bs) for v in blk)
 
 
 def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
     """Round trips of :func:`sbp_from_threshold` over the threshold graphs on
     [n], which must strictly increase, so no two share an encoding, and be
     as many as the counting formula of ``eulerian.threshold_counts`` gives;
-    as :func:`audit_tgdo`."""
+    as :func:`audit_tgdo`.  It runs the public pair's cores on each graph's
+    degree classes and edge mask."""
+    check_enumeration_cap(n)
     checked = 0
-    last = None
-    for g in enumerate_threshold_graphs(n):
-        key = _mask_order(g.edges)
-        if last is not None and key <= last:
-            return checked, f"graphs not strictly increasing at {format_graph(g)}"
-        last = key
-        sbp = sbp_from_threshold(g)
-        if threshold_from_sbp(sbp) != g:
-            return checked, f"round trip broke at {format_graph(g)}"
+    last = -1
+    low = _lows(n)
+    for mask, classes in _walk(n):
+        if mask <= last:
+            return checked, f"graphs not strictly increasing at {_graph_text(mask, n)}"
+        last = mask
+        if _decode(_encode(classes), low) != mask:
+            return checked, f"round trip broke at {_graph_text(mask, n)}"
         checked += 1
     total = threshold_counts(n).total if n else 1  # the empty graph at n = 0
     if checked != total:
@@ -433,21 +457,69 @@ def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
 # ---------------------------------------------------------------------------
 # Enumeration, counting, text forms
 
+# An edge mask of a graph on [n] has bit i for the i-th pair of
+# itertools.combinations([n], 2).
 
-def _mask_order(edges: frozenset[Edge]) -> list[Edge]:
-    # the edge-subset order of enumerate_graphs: bit i of a mask stands for
-    # the i-th pair, so masks compare as their pairs listed in decreasing order
-    return sorted(edges, reverse=True)
+_BIT = bytes.maketrans(b"01", b"\0\1")  # binary digits as the bytes 0 and 1
+
+
+def _pairs(n: int) -> Iterator[Edge]:
+    return itertools.combinations(range(1, n + 1), 2)
+
+
+def _mask_edges(mask: int, pairs: Iterable[Edge]) -> frozenset[Edge]:
+    return frozenset(itertools.compress(pairs, bin(mask)[:1:-1].encode().translate(_BIT)))
+
+
+def _lows(n: int) -> list[int]:
+    # low[a] is the bit of the pair (a, a + 1), and the pairs (a, v) follow,
+    # so those with v > a in a vertex mask S (bit v for v) are S >> a + 1 << low[a]
+    return [(a - 1) * (2 * n - a) // 2 for a in range(n + 1)]
+
+
+def _walk(n: int) -> Iterator[tuple[int, list]]:
+    # Each threshold graph on [n] as its edge mask and its _degree_classes,
+    # in the order of enumerate_threshold_graphs, which proves the walk: a
+    # joins S, empty or the classes above a class C and a nonempty part T
+    # of C, so the degrees in S rise, T splits off C and a gets degree |S|.
+    check_enumeration_cap(n)
+    low = _lows(n)
+
+    def join(a: int, mask: int, classes: list) -> Iterator[tuple[int, list]]:
+        steps = [(0, 0, classes)]  # S, |S| and the older classes once a joins S
+        above = size = 0
+        for j, (d, vs) in enumerate(classes):
+            head = [(e + 1, ws) for e, ws in classes[:j]]
+            for r in range(1, len(vs) + 1):
+                for t in itertools.combinations(vs, r):
+                    rest = [(d, tuple(v for v in vs if v not in t))] if r < len(vs) else []
+                    new = [*head, (d + 1, t), *rest, *classes[j + 1:]]
+                    steps.append((above | sum(1 << v for v in t), size + r, new))
+            above |= sum(1 << v for v in vs)
+            size += len(vs)
+        for s, k, new in sorted(steps):  # no two share S
+            i = 0  # a's class: the first of degree k or less
+            while i < len(new) and new[i][0] > k:
+                i += 1
+            tie = i < len(new) and new[i][0] == k
+            new = [*new[:i], (k, (a, *new[i][1]) if tie else (a,)), *new[i + tie:]]
+            joined = mask | s >> a + 1 << low[a]
+            if a == 1:
+                yield joined, new
+            else:
+                yield from join(a - 1, joined, new)
+
+    yield from join(n, 0, []) if n else [(0, [])]
 
 
 def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     """All ``2^C(n,2)`` simple graphs on [n], by edge-subset order."""
     check_enumeration_cap(n)
-    # bit i stands for pairs[i], sorted and in range, so the checks are skipped
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for bits in range(2 ** len(pairs)):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
-        yield barred._trusted(SimpleGraph, n=n, edges=edges)
+    # the edge masks in turn: their pairs are sorted and in range, so the
+    # checks are skipped
+    pairs = list(_pairs(n))
+    for mask in range(2 ** len(pairs)):
+        yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, pairs))
 
 
 def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
@@ -456,34 +528,20 @@ def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
 
     Vertices join from n down to 1: vertex a joins the threshold graph H on
     a+1..n with each allowed neighbour set S, in increasing order as a bit
-    mask.  The edges of a weigh less in the edge-subset order than those
-    above it, so no sort is needed.  S is allowed exactly when it holds
-    every vertex whose degree exceeds the least degree in S.  Only if: u
-    outside S of higher degree than s in S has a neighbour x that s lacks,
-    and {a, s, u, x} induces one of the three forbidden graphs.  If:
-    unless S is empty or all of H, H has an isolated vertex outside S or a
-    dominating one in S (Chvatal and Hammer, 1977); peel it off and induct.
+    mask.  The pairs of a take lower bits of the edge mask than those of
+    the vertices above it, so the masks increase without a sort.  S is
+    allowed exactly when it holds every vertex whose degree exceeds the
+    least degree in S: some classes of H from the highest degree down and
+    part of the next.  Only if: u outside S of higher degree than s in S
+    has a neighbour x that s lacks, and {a, s, u, x} induces one of the
+    three forbidden graphs.  If: unless S is empty or all of H, H has an
+    isolated vertex outside S or a dominating one in S (Chvatal and
+    Hammer, 1977); peel it off and induct.
     """
     check_enumeration_cap(n)
-    rows: list[list[Edge]] = [[]] * (n + 1)  # rows[a]: the edges vertex a joined with
-
-    def join(a: int) -> Iterator[SimpleGraph]:
-        if a == 0:
-            yield barred._trusted(SimpleGraph, n=n, edges=frozenset().union(*rows))
-            return
-        older = range(a + 1, n + 1)
-        deg = collections.Counter(v for row in rows[a + 1:] for e in row for v in e)
-        joins = [0]  # S as a mask, bit v for vertex v
-        for d in {deg[v] for v in older}:
-            above = sum(1 << v for v in older if deg[v] > d)
-            cls = [1 << v for v in older if deg[v] == d]
-            for r in range(1, len(cls) + 1):
-                joins += (above | sum(t) for t in itertools.combinations(cls, r))
-        for s in sorted(joins):
-            rows[a] = [(a, v) for v in older if s >> v & 1]
-            yield from join(a - 1)
-
-    yield from join(n)
+    pairs = list(_pairs(n))
+    for mask, _ in _walk(n):
+        yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, pairs))
 
 
 def listing_cost(n: int) -> int:
@@ -515,23 +573,25 @@ def enumerate_tg(n: int) -> Iterator[ThresholdPair]:
 
     The pairs strictly increase: graphs come in the edge-subset order of
     :func:`enumerate_threshold_graphs`, and the orderings of one graph in
-    lexicographic order.  :func:`audit_tgdo` checks and relies on this.
+    lexicographic order.  :func:`audit_tgdo` checks this order.
     """
     for g in enumerate_threshold_graphs(n):
         for w in degree_orderings(g):
             yield barred._trusted(ThresholdPair, w=w, edges=g.edges)
 
 
-def unlabeled_threshold_count(n: int) -> int:
+def unlabeled_threshold_count(n: int, max_elements: int = MAX_BRUTE_ELEMENTS) -> int:
     """Number of threshold graphs on [n] up to isomorphism (``2^(n-1)``).
 
     Threshold graphs are isomorphic exactly when their degree sequences
-    agree, so the count is over sorted degree sequences.
+    agree, so the count is over the degree classes' sizes and degrees.
+    The walk is charged as a listing, :func:`listing_cost` (n = 8 fits
+    the default budget, n = 9 does not), after the enumeration cap.
     """
-    seen = set()
-    for g in enumerate_threshold_graphs(n):
-        seen.add(tuple(sorted(degree(g, v) for v in range(1, n + 1))))
-    return len(seen)
+    check_enumeration_cap(n)
+    what = f"counting the unlabeled threshold graphs on [{n}]"
+    check_budget(listing_cost(n), max_elements, what)
+    return len({tuple((d, len(vs)) for d, vs in classes) for _, classes in _walk(n)})
 
 
 def parse_graph(text: str) -> SimpleGraph:

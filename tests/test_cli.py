@@ -323,13 +323,14 @@ class TestAuditFailures:
         )
 
     def test_bijtgsbps_round_trip_fault(self, capsys, monkeypatch):
-        # graph 20 of n = 4 encoded as graph 19
-        graphs = list(threshold.enumerate_threshold_graphs(4))
-        encode = threshold.sbp_from_threshold
+        # graph 20 of n = 4 encoded as graph 19, through the degree classes
+        # the audit encodes
+        classes = [c for _, c in threshold._walk(4)]
+        encode = threshold._encode
         monkeypatch.setattr(
             threshold,
-            "sbp_from_threshold",
-            lambda g: encode(graphs[19] if g == graphs[20] else g),
+            "_encode",
+            lambda c: encode(classes[19] if c == classes[20] else c),
         )
         assert audit_failure(capsys, "bijtgsbps", 4) == (
             "bijtgsbps at n=4: FAILED after 20 round trips\n"
@@ -743,6 +744,7 @@ class TestBudgetGate:
             raise AssertionError("the graphs were generated")
 
         monkeypatch.setattr(threshold, "enumerate_threshold_graphs", forbidden)
+        monkeypatch.setattr(threshold, "_walk", forbidden)
         assert "budget" in run_err(capsys, argv + ["--n", n])
 
     def test_long_render_is_refused(self, capsys):
@@ -786,6 +788,7 @@ class TestBudgetGate:
         monkeypatch.setattr(posets, "weak_poset", forbidden)
         monkeypatch.setattr(posets, "tg_poset", forbidden)
         monkeypatch.setattr(threshold, "enumerate_threshold_graphs", forbidden)
+        monkeypatch.setattr(threshold, "_walk", forbidden)
         err = run_err(capsys, [*argv, "--n", "13", "--max-elements", str(10**40)])
         assert err == "error: n = 13 exceeds the enumeration cap 12\n"
 
@@ -910,17 +913,21 @@ class TestStreamedOutput:
 
 class TestTgdoAuditFailure:
     def test_tgdo_fault_in_the_middle(self, capsys, monkeypatch):
-        # the audit walks the pairs of enumerate_tg: the mate of the image
-        # of the 256th pair is not even-signed
+        # the audit walks the pairs of enumerate_tg, one plan per graph: the
+        # mate of the image of the 256th pair is not even-signed
         from signedpaths.sgnperm import mate
 
         target = threshold.tg_pair((-3, 1, -2, 5, 4))
-        inverse = threshold.signed_from_tg
-        monkeypatch.setattr(
-            threshold,
-            "signed_from_tg",
-            lambda pair: mate(inverse(pair)) if pair == target else inverse(pair),
-        )
+        make = threshold._tg_plan
+
+        def faulty(degrees):
+            # the plan of the target's graph: its degrees along w and w fix it
+            plan = make(degrees)
+            if degrees != [2, 1, 1, 0, 0]:
+                return plan
+            return lambda table: mate(plan(table)) if table[:5] == target.w else plan(table)
+
+        monkeypatch.setattr(threshold, "_tg_plan", faulty)
         assert audit_failure(capsys, "tgdo", 5) == (
             "tgdo at n=5: FAILED after 255 round trips\n"
             "  tgdo round trip broke at (2, 3, 1, 5, 4) on 5; 1-2, 2-3\n"

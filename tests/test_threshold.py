@@ -1,8 +1,10 @@
 """Unit tests for threshold graphs and their signed/barred correspondences."""
 
+import collections
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -11,9 +13,11 @@ from signedpaths import threshold
 from signedpaths.barred import (
     SimplyBarredPermutation,
     blocks,
+    central_block_index,
     classify_sbp,
     enumerate_lbp,
     enumerate_sbp,
+    psi_inverse,
 )
 from signedpaths.pathrep import (
     classify_height,
@@ -29,6 +33,7 @@ from signedpaths.sgnperm import (
     enumerate_group,
     group_order,
     is_even_signed,
+    is_smooth,
     mate,
 )
 from signedpaths.eulerian import MAX_BRUTE_ELEMENTS, threshold_counts
@@ -385,6 +390,17 @@ class TestBarredCorrespondence:
         }
         assert images == eligible
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_encoding_is_the_psi_route(self, n):
+        # psi^-1 of the smooth one of signed_from_tg's image and its mate,
+        # with the central block rotated to the front
+        for g in enumerate_threshold_graphs(n):
+            u = signed_from_tg(ThresholdPair(canonical_degree_ordering(g), g.edges))
+            sbp = psi_inverse(u if is_smooth(u) else mate(u))
+            bs = blocks(sbp)
+            bs.insert(0, bs.pop(central_block_index(sbp) - 1))
+            assert blocks(sbp_from_threshold(g)) == bs, g
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_blocks_are_degree_classes(self, n):
         for g in enumerate_threshold_graphs(n):
@@ -432,9 +448,36 @@ class TestCountsAndText:
         assert listing_cost(8) == 9_379_496 <= MAX_BRUTE_ELEMENTS
         assert listing_cost(9) == 156_581_712 > MAX_BRUTE_ELEMENTS
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_unlabeled_counts(self, n):
         assert unlabeled_threshold_count(n) == 2 ** (n - 1)
+
+    def test_unlabeled_count_is_charged_its_walk(self):
+        # 4,349,492 graphs at n = 9, over the default budget; refused at once
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget"):
+            unlabeled_threshold_count(9)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ValueError, match="budget"):
+            unlabeled_threshold_count(5, max_elements=listing_cost(5) - 1)
+        assert unlabeled_threshold_count(5, max_elements=listing_cost(5)) == 16
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_walk_masks_are_the_listed_graphs(self, n):
+        # bit i of a mask is the i-th pair of combinations([n], 2); the
+        # masks increase strictly, and the classes are the degree classes
+        bit = {p: 1 << i for i, p in enumerate(itertools.combinations(range(1, n + 1), 2))}
+        walked = list(threshold._walk(n))
+        masks = [mask for mask, _ in walked]
+        assert all(a < b for a, b in itertools.pairwise(masks))
+        graphs = list(enumerate_threshold_graphs(n))
+        assert masks == [sum(bit[e] for e in g.edges) for g in graphs]
+        for (_, classes), g in zip(walked, graphs):
+            degrees = collections.Counter(v for e in g.edges for v in e)
+            order = sorted(range(1, n + 1), key=lambda v: (-degrees[v], v))
+            assert classes == [
+                (d, tuple(vs)) for d, vs in itertools.groupby(order, degrees.__getitem__)
+            ]
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_tg_cardinality(self, n):
@@ -489,6 +532,21 @@ def repeat_in_place(stream, k):
     return walk
 
 
+def edit_pairs(monkeypatch, edit):
+    # the (graph, ordering) pairs audit_tgdo walks, numbered from 0 over the
+    # whole walk: each graph's orderings pass through
+    # edit(first, classes, orderings), first the number of its first pair
+    orderings = threshold._orderings
+    walked = [0]
+
+    def edited(classes):
+        ws = list(orderings(classes))
+        first, walked[0] = walked[0], walked[0] + len(ws)
+        return iter(edit(first, classes, ws))
+
+    monkeypatch.setattr(threshold, "_orderings", edited)
+
+
 class TestAudits:
     def test_tgdo_round_trips_cover_d_n(self):
         for n in range(1, 5):
@@ -500,13 +558,13 @@ class TestAudits:
             assert audit_bijtgsbps(n) == (threshold_counts(n).total, None), n
 
     def test_bijtgsbps_counts_the_class(self, monkeypatch):
-        # one graph dropped from the enumeration leaves every round trip and
-        # every image distinct; only the count against the formula sees it
-        enumerate_all = threshold.enumerate_threshold_graphs
+        # one graph dropped from the walk leaves every round trip and every
+        # image distinct; only the count against the formula sees it
+        walk = threshold._walk
         monkeypatch.setattr(
             threshold,
-            "enumerate_threshold_graphs",
-            lambda n: (g for i, g in enumerate(enumerate_all(n)) if i != 100),
+            "_walk",
+            lambda n: (g for i, g in enumerate(walk(n)) if i != 100),
         )
         assert audit_bijtgsbps(5) == (
             331,
@@ -514,13 +572,13 @@ class TestAudits:
         )
 
     def test_bijtgsbps_catches_a_repeated_graph(self, monkeypatch):
-        enumerate_all = threshold.enumerate_threshold_graphs
+        walk = threshold._walk
 
         def repeating(n):
-            graphs = list(enumerate_all(n))
+            graphs = list(walk(n))
             return [*graphs, graphs[100]]
 
-        monkeypatch.setattr(threshold, "enumerate_threshold_graphs", repeating)
+        monkeypatch.setattr(threshold, "_walk", repeating)
         assert audit_bijtgsbps(5) == (
             332,
             "graphs not strictly increasing at 5; 1-5, 3-5",
@@ -529,31 +587,29 @@ class TestAudits:
     def test_bijtgsbps_catches_a_repeat_in_place_of_a_graph(self, monkeypatch):
         # graph 100 is dropped and graph 99 walked twice: every round trip
         # holds and the count matches, so only the order guard sees it
-        monkeypatch.setattr(
-            threshold,
-            "enumerate_threshold_graphs",
-            repeat_in_place(threshold.enumerate_threshold_graphs, 100),
-        )
+        monkeypatch.setattr(threshold, "_walk", repeat_in_place(threshold._walk, 100))
         assert audit_bijtgsbps(5) == (
             100,
             "graphs not strictly increasing at 5; 1-3, 3-5",
         )
 
     def test_tgdo_catches_a_repeat_in_place_of_a_pair(self, monkeypatch):
-        monkeypatch.setattr(
-            threshold, "enumerate_tg", repeat_in_place(threshold.enumerate_tg, 100)
-        )
+        # pair 100 is an ordering of the empty graph, as is pair 99
+        def repeat(first, classes, ws):
+            if first <= 100 < first + len(ws):
+                ws[100 - first] = ws[99 - first]
+            return ws
+
+        edit_pairs(monkeypatch, repeat)
         assert audit_tgdo(5) == (
             100,
             "tgdo pairs not strictly increasing at (5, 1, 3, 4, 2) on 5;",
         )
 
     def test_tgdo_catches_a_dropped_pair(self, monkeypatch):
-        enumerate_all = threshold.enumerate_tg
-        monkeypatch.setattr(
-            threshold,
-            "enumerate_tg",
-            lambda n: (p for i, p in enumerate(enumerate_all(n)) if i != 100),
+        edit_pairs(
+            monkeypatch,
+            lambda first, classes, ws: [w for i, w in enumerate(ws, start=first) if i != 100],
         )
         assert audit_tgdo(5) == (1919, "tgdo image has 1919 pairs, expected 1920")
 
@@ -561,15 +617,40 @@ class TestAudits:
         # the last pair of the graph with the one edge 1-2 gets the largest
         # word, which keeps the stream increasing; only the round trip sees
         # that 5 4 3 2 1 is no degree ordering of that graph
-        pairs = list(enumerate_tg(5))
-        i = max(i for i, p in enumerate(pairs) if p.edges == {(1, 2)})
-        pairs[i] = threshold.barred._trusted(
-            ThresholdPair, w=(5, 4, 3, 2, 1), edges=pairs[i].edges
-        )
-        monkeypatch.setattr(threshold, "enumerate_tg", lambda n: iter(pairs))
+        def last_reversed(first, classes, ws):
+            if classes == [(1, (1, 2)), (0, (3, 4, 5))]:
+                ws[-1] = (5, 4, 3, 2, 1)
+            return ws
+
+        edit_pairs(monkeypatch, last_reversed)
         assert audit_tgdo(5) == (
             131,
             "tgdo round trip broke at (5, 4, 3, 2, 1) on 5; 1-2",
+        )
+
+    def test_tgdo_fault_in_one_later_ordering_names_its_pair(self, monkeypatch):
+        # the plan of the graph 2-4, 3-4, 4-5 is right for its first
+        # ordering and wrong for its third, (4, 3, 2, 5, 1): the shared plan
+        # is applied to every ordering, and each image is checked
+        from signedpaths.sgnperm import mate
+
+        target = (4, 3, 2, 5, 1)
+        pairs = list(enumerate_tg(5))
+        index = pairs.index(ThresholdPair(target, [(2, 4), (3, 4), (4, 5)]))
+        assert pairs[index - 2].edges == pairs[index].edges != pairs[index - 3].edges
+        make = threshold._tg_plan
+
+        def faulty(degrees):
+            # the degrees along an ordering and the ordering fix the graph
+            plan = make(degrees)
+            if degrees != [3, 1, 1, 1, 0]:
+                return plan
+            return lambda table: mate(plan(table)) if table[:5] == target else plan(table)
+
+        monkeypatch.setattr(threshold, "_tg_plan", faulty)
+        assert audit_tgdo(5) == (
+            index,
+            "tgdo round trip broke at (4, 3, 2, 5, 1) on 5; 2-4, 3-4, 4-5",
         )
 
     @pytest.mark.parametrize(
@@ -597,8 +678,8 @@ class TestAudits:
             assert graph_from_json(json.dumps(graph_dict(g))) == g
 
     def test_tgdo_walks_each_pair_once(self, monkeypatch):
-        # one walk over enumerate_tg: a second walk over D_n would repeat
-        # every call on the same arguments
+        # one walk over the pairs of enumerate_tg: a second walk over D_n
+        # would repeat every inverse on the same window
         calls = {}
 
         def count(name):
@@ -611,10 +692,11 @@ class TestAudits:
 
             monkeypatch.setattr(threshold, name, counted)
 
-        count("_labels_and_edges")
-        count("signed_from_tg")
+        count("_labels_and_mask")
+        count("_tg_plan")
         assert audit_tgdo(5) == (1920, None)
-        assert calls == {"_labels_and_edges": 1920, "signed_from_tg": 1920}
+        # one plan per graph, one inverse per pair
+        assert calls == {"_labels_and_mask": 1920, "_tg_plan": 332}
 
     def test_tgdo_validates_no_window_it_built(self, monkeypatch):
         def forbidden(values):
