@@ -181,9 +181,7 @@ def canonical_degree_ordering(g: SimpleGraph) -> Permutation:
     >>> canonical_degree_ordering(graph(3, [(1, 2), (1, 3)]))
     (1, 2, 3)
     """
-    if not is_threshold(g):
-        raise ValueError("canonical degree ordering is defined for threshold graphs")
-    return tuple(v for _, vs in _degree_classes(g) for v in vs)
+    return tuple(v for _, vs in _threshold_classes(g) for v in vs)
 
 
 def degree_orderings(g: SimpleGraph) -> Iterator[Permutation]:
@@ -192,10 +190,20 @@ def degree_orderings(g: SimpleGraph) -> Iterator[Permutation]:
 
 
 def _degree_classes(g: SimpleGraph) -> list:
-    # (degree, its vertices by label) for each degree, the highest first,
     # from one pass over the edges
-    deg = collections.Counter(itertools.chain.from_iterable(g.edges))
-    order = sorted(range(1, g.n + 1), key=deg.__getitem__, reverse=True)  # stable
+    return _classes(collections.Counter(itertools.chain.from_iterable(g.edges)), g.n)
+
+
+def _threshold_classes(g: SimpleGraph) -> list:
+    if not is_threshold(g):
+        raise ValueError("canonical degree ordering is defined for threshold graphs")
+    return _degree_classes(g)
+
+
+def _classes(deg, n: int) -> list:
+    # (degree, its vertices by label) for each degree deg[v] of v in [n],
+    # the highest first
+    order = sorted(range(1, n + 1), key=deg.__getitem__, reverse=True)  # stable
     return [(d, tuple(vs)) for d, vs in itertools.groupby(order, deg.__getitem__)]
 
 
@@ -268,23 +276,22 @@ class ThresholdPair:
             raise ValueError(f"{self.w} is not a degree ordering of the edge set")
 
 
-def _labels_and_mask(u: SignedPermutation, low: list[int]) -> tuple[Permutation, int]:
-    # lambda_x and the edge mask of E(u), low = _lows(n), from one pass over
-    # the full notation: the x-th East step runs at height f(x), and f is
-    # self-adjoint, as the path of u is symmetric, so column x is joined to
-    # every other column y <= f(x), the first f(x) labels
+def _labels_and_edges(u: SignedPermutation) -> tuple[Permutation, frozenset[Edge]]:
+    # lambda_x and E(u) of a valid window, from one pass over the full
+    # notation: the x-th East step runs at height f(x), and column x is
+    # joined to the columns y < x with y <= f(x).  No pair comes twice; a
+    # plain loop costs less than a comprehension per East step.
     height = len(u)
     labels: list[int] = []
-    heights: list[int] = []
-    below = [0]  # below[k]: the first k labels as a vertex mask
+    edges: list[Edge] = []
     for letter in full_notation(u):
         if letter > 0:
+            for b in labels[:height]:
+                edges.append((letter, b) if letter < b else (b, letter))
             labels.append(letter)
-            heights.append(height)
-            below.append(below[-1] | 1 << letter)
         else:
             height -= 1
-    return tuple(labels), sum([below[h] >> v + 1 << low[v] for v, h in zip(labels, heights)])
+    return tuple(labels), frozenset(edges)
 
 
 def edges_from_signed(u: SignedPermutation) -> frozenset[Edge]:
@@ -294,14 +301,13 @@ def edges_from_signed(u: SignedPermutation) -> frozenset[Edge]:
     >>> sorted(edges_from_signed((-2, 3, 1, 6, -4, -7, 5)))
     [(1, 4), (1, 7), (2, 4), (2, 7), (3, 4), (3, 7), (4, 6), (4, 7), (6, 7)]
     """
-    return tg_pair(u).edges
+    return _labels_and_edges(as_window(u))[1]
 
 
 def tg_pair(u: SignedPermutation) -> ThresholdPair:
     """The pair (column labels, edge set) of ``u``."""
-    u = as_window(u)
-    w, mask = _labels_and_mask(u, _lows(len(u)))
-    return barred._trusted(ThresholdPair, w=w, edges=_mask_edges(mask, _pairs(len(u))))
+    w, edges = _labels_and_edges(as_window(u))
+    return barred._trusted(ThresholdPair, w=w, edges=edges)
 
 
 def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
@@ -309,10 +315,8 @@ def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
 
     Relabeled through ``w^{-1}``, the graph has the identity as a degree
     ordering and the height function ``f(x) = max N(x)``, read off the
-    degrees.  The path of ``f`` has its East-South turns where ``f``
-    drops, so ``u`` is ``psi`` of ``w`` with bars at those abscissas, or
-    its even-signed mate.  The pair is already valid, so nothing is
-    checked again.
+    degrees.  ``u`` is ``psi`` of ``w`` with bars where ``f`` drops, or
+    its even-signed mate.  The pair is valid, so nothing is checked again.
 
     >>> signed_from_tg(ThresholdPair((1, 2, 3), frozenset()))
     (1, 2, 3)
@@ -340,39 +344,34 @@ def audit_tgdo(n: int) -> tuple[int, str | None]:
     number; as ``barred.audit_psi``.  Each image is even-signed and
     ``tg_pair`` gives its pair back, so distinct pairs have distinct images
     in D_n, and equal counts make ``signed_from_tg`` onto D_n with
-    ``tg_pair`` its inverse.
-
-    The plan of ``signed_from_tg`` is built once per graph: vertices of
-    one degree in a threshold graph are twins, so the degree orderings of
-    a graph have the same degrees along them, the same relabeled graph
-    and the same plan.  Every ordering is still walked and round-tripped.
-    No image is kept, and the count is the round trips, |D_n|."""
+    ``tg_pair`` its inverse.  Vertices of one degree in a threshold graph
+    are twins, so all degree orderings of a graph share one plan, built
+    once per graph; every ordering is still round-tripped.  No image is
+    kept, and the count is the round trips, |D_n|."""
     check_enumeration_cap(n)
     expected = group_order(n, "D")
     checked = 0
     last: tuple = (-1,)  # below every (mask, w)
-    low = _lows(n)
-    for mask, classes in _walk(n):
+    pairs = _pairs(n)
+    for mask, deg in _walk(n):
+        classes = _classes(deg, n)
         plan = _tg_plan([d for d, vs in classes for _ in vs])
+        edges = _mask_edges(mask, pairs)
         for w in _orderings(classes):
             if (mask, w) <= last:
-                return checked, f"tgdo pairs not strictly increasing at {_pair_text(w, mask)}"
+                return checked, f"tgdo pairs not strictly increasing at {w} on {_text(edges, n)}"
             last = (mask, w)
             u = barred._apply(plan, w)
-            if not is_even_signed(u) or _labels_and_mask(u, low) != (w, mask):
-                return checked, f"tgdo round trip broke at {_pair_text(w, mask)}"
+            if not is_even_signed(u) or _labels_and_edges(u) != (w, edges):
+                return checked, f"tgdo round trip broke at {w} on {_text(edges, n)}"
             checked += 1
     if checked != expected:
         return checked, f"tgdo image has {checked} pairs, expected {expected}"
     return checked, None
 
 
-def _graph_text(mask: int, n: int) -> str:
-    return format_graph(graph(n, _mask_edges(mask, _pairs(n))))
-
-
-def _pair_text(w: Permutation, mask: int) -> str:
-    return f"{w} on {_graph_text(mask, len(w))}"
+def _text(edges: frozenset[Edge], n: int) -> str:
+    return format_graph(SimpleGraph(n, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +385,19 @@ def sbp_from_threshold(g: SimpleGraph) -> barred.SimplyBarredPermutation:
     The word is the canonical degree ordering, the blocks are the degree
     classes, and the block holding the diagonal is rotated to the front.
     """
-    canonical_degree_ordering(g)  # refuses a graph that is not threshold
-    bs = _encode(_degree_classes(g))
+    bs = _encode(_threshold_classes(g))
     cuts = itertools.accumulate(len(b) for b in bs[:-1])
     return barred.SimplyBarredPermutation(tuple(itertools.chain(*bs)), frozenset(cuts))
 
 
 def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
     """Decode :func:`sbp_from_threshold`: move the first block back to the
-    central position and read the graph off the path of its ``psi``,
-    which joins the letters of blocks i and j when i + j is less than
-    the number of bars."""
-    mask = _decode(barred.blocks(sbp), _lows(len(sbp.w)))
-    if isinstance(mask, str):
-        raise ValueError(f"{sbp} {mask}")
-    return graph(len(sbp.w), _mask_edges(mask, _pairs(len(sbp.w))))
+    central position and read the graph off the path of its ``psi``, which
+    joins the letters of blocks i and j when i + j is below the bar count."""
+    edges = _decode(barred.blocks(sbp), len(sbp.w))
+    if isinstance(edges, str):
+        raise ValueError(f"{sbp} {edges}")
+    return barred._trusted(SimpleGraph, n=len(sbp.w), edges=edges)
 
 
 def _encode(classes: list) -> list[tuple[int, ...]]:
@@ -414,39 +411,38 @@ def _encode(classes: list) -> list[tuple[int, ...]]:
     return bs
 
 
-def _decode(bs: list[tuple[int, ...]], low: list[int]) -> int | str:
-    # The edge mask of the graph encoded by the blocks bs, or why none is;
-    # low = _lows(n).  With the first block back in the centre, psi's path
-    # runs East through block i at the height of blocks 0..m-i-1, m the
-    # bars, so letters of blocks i and j are joined exactly when i + j < m.
+def _decode(bs: list[tuple[int, ...]], n: int) -> frozenset[Edge] | str:
+    # The edge set of the graph on [n] encoded by the blocks bs, or why
+    # none is.  With the first block back in the centre, psi's path runs
+    # East through block i at the height of blocks 0..m-i-1, m the bars,
+    # so letters of blocks i and j are joined exactly when i + j < m.
     if not all(a < b for blk in bs for a, b in itertools.pairwise(blk)):
         return "is not normal (blocks must increase)"
-    if len(low) > 2 and len(bs[0]) < 2:  # n >= 2
+    if n >= 2 and len(bs[0]) < 2:
         return "must have a first block of at least two letters"
     m = len(bs) - 1
     bs = [*bs[1:m // 2 + 1], bs[0], *bs[m // 2 + 1:]]
-    below = [0]  # below[k]: the letters of the first k blocks as a vertex mask
-    for blk in bs:
-        below.append(below[-1] | sum(1 << v for v in blk))
-    return sum(below[m - i] >> v + 1 << low[v] for i, blk in enumerate(bs) for v in blk)
+    word, ends = tuple(itertools.chain(*bs)), [0, *itertools.accumulate(map(len, bs))]
+    below = [word[:ends[m - i]] for i in range(m + 1)]  # the letters of blocks 0..m-i-1
+    return frozenset((a, b) for blk, ws in zip(bs, below) for a in blk for b in ws if a < b)
 
 
 def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
     """Round trips of :func:`sbp_from_threshold` over the threshold graphs on
     [n], which must strictly increase, so no two share an encoding, and be
     as many as the counting formula of ``eulerian.threshold_counts`` gives;
-    as :func:`audit_tgdo`.  It runs the public pair's cores on each graph's
-    degree classes and edge mask."""
+    as :func:`audit_tgdo`, on the cores of the public pair."""
     check_enumeration_cap(n)
     checked = 0
     last = -1
-    low = _lows(n)
-    for mask, classes in _walk(n):
+    pairs = _pairs(n)
+    for mask, deg in _walk(n):
+        edges = _mask_edges(mask, pairs)
         if mask <= last:
-            return checked, f"graphs not strictly increasing at {_graph_text(mask, n)}"
+            return checked, f"graphs not strictly increasing at {_text(edges, n)}"
         last = mask
-        if _decode(_encode(classes), low) != mask:
-            return checked, f"round trip broke at {_graph_text(mask, n)}"
+        if _decode(_encode(_classes(deg, n)), n) != edges:
+            return checked, f"round trip broke at {_text(edges, n)}"
         checked += 1
     total = threshold_counts(n).total if n else 1  # the empty graph at n = 0
     if checked != total:
@@ -457,67 +453,51 @@ def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
 # ---------------------------------------------------------------------------
 # Enumeration, counting, text forms
 
-# An edge mask of a graph on [n] has bit i for the i-th pair of
-# itertools.combinations([n], 2).
-
 _BIT = bytes.maketrans(b"01", b"\0\1")  # binary digits as the bytes 0 and 1
 
 
-def _pairs(n: int) -> Iterator[Edge]:
-    return itertools.combinations(range(1, n + 1), 2)
+def _pairs(n: int) -> list[Edge]:
+    # bit i of an edge mask of a graph on [n] stands for the i-th pair
+    return list(itertools.combinations(range(1, n + 1), 2))
 
 
-def _mask_edges(mask: int, pairs: Iterable[Edge]) -> frozenset[Edge]:
+def _mask_edges(mask: int, pairs: list[Edge]) -> frozenset[Edge]:
     return frozenset(itertools.compress(pairs, bin(mask)[:1:-1].encode().translate(_BIT)))
 
 
-def _lows(n: int) -> list[int]:
+def _walk(n: int) -> Iterator[tuple[int, list[int]]]:
+    # Each threshold graph on [n] as its edge mask and its degrees by vertex
+    # (index 0 unused), in the order of enumerate_threshold_graphs, whose
+    # docstring proves the walk
+    check_enumeration_cap(n)
     # low[a] is the bit of the pair (a, a + 1), and the pairs (a, v) follow,
     # so those with v > a in a vertex mask S (bit v for v) are S >> a + 1 << low[a]
-    return [(a - 1) * (2 * n - a) // 2 for a in range(n + 1)]
+    low = [(a - 1) * (2 * n - a) // 2 for a in range(n + 1)]
 
+    def join(a: int, mask: int, deg: list[int]) -> Iterator[tuple[int, list[int]]]:
+        if a == 0:
+            yield mask, deg
+            return
+        older = range(a + 1, n + 1)
+        joins = [0]  # S as a vertex mask, bit v for vertex v
+        for d in {deg[v] for v in older}:
+            above = sum(1 << v for v in older if deg[v] > d)
+            cls = [1 << v for v in older if deg[v] == d]
+            for r in range(1, len(cls) + 1):
+                joins += (above | sum(t) for t in itertools.combinations(cls, r))
+        for s in sorted(joins):
+            up = [d + (s >> v & 1) for v, d in enumerate(deg)]  # a joins S
+            up[a] = s.bit_count()
+            yield from join(a - 1, mask | s >> a + 1 << low[a], up)
 
-def _walk(n: int) -> Iterator[tuple[int, list]]:
-    # Each threshold graph on [n] as its edge mask and its _degree_classes,
-    # in the order of enumerate_threshold_graphs, which proves the walk: a
-    # joins S, empty or the classes above a class C and a nonempty part T
-    # of C, so the degrees in S rise, T splits off C and a gets degree |S|.
-    check_enumeration_cap(n)
-    low = _lows(n)
-
-    def join(a: int, mask: int, classes: list) -> Iterator[tuple[int, list]]:
-        steps = [(0, 0, classes)]  # S, |S| and the older classes once a joins S
-        above = size = 0
-        for j, (d, vs) in enumerate(classes):
-            head = [(e + 1, ws) for e, ws in classes[:j]]
-            for r in range(1, len(vs) + 1):
-                for t in itertools.combinations(vs, r):
-                    rest = [(d, tuple(v for v in vs if v not in t))] if r < len(vs) else []
-                    new = [*head, (d + 1, t), *rest, *classes[j + 1:]]
-                    steps.append((above | sum(1 << v for v in t), size + r, new))
-            above |= sum(1 << v for v in vs)
-            size += len(vs)
-        for s, k, new in sorted(steps):  # no two share S
-            i = 0  # a's class: the first of degree k or less
-            while i < len(new) and new[i][0] > k:
-                i += 1
-            tie = i < len(new) and new[i][0] == k
-            new = [*new[:i], (k, (a, *new[i][1]) if tie else (a,)), *new[i + tie:]]
-            joined = mask | s >> a + 1 << low[a]
-            if a == 1:
-                yield joined, new
-            else:
-                yield from join(a - 1, joined, new)
-
-    yield from join(n, 0, []) if n else [(0, [])]
+    yield from join(n, 0, [0] * (n + 1))
 
 
 def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     """All ``2^C(n,2)`` simple graphs on [n], by edge-subset order."""
     check_enumeration_cap(n)
-    # the edge masks in turn: their pairs are sorted and in range, so the
-    # checks are skipped
-    pairs = list(_pairs(n))
+    # the edge masks in turn: pairs sorted and in range, so no checks
+    pairs = _pairs(n)
     for mask in range(2 ** len(pairs)):
         yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, pairs))
 
@@ -528,18 +508,16 @@ def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
 
     Vertices join from n down to 1: vertex a joins the threshold graph H on
     a+1..n with each allowed neighbour set S, in increasing order as a bit
-    mask.  The pairs of a take lower bits of the edge mask than those of
-    the vertices above it, so the masks increase without a sort.  S is
-    allowed exactly when it holds every vertex whose degree exceeds the
-    least degree in S: some classes of H from the highest degree down and
-    part of the next.  Only if: u outside S of higher degree than s in S
-    has a neighbour x that s lacks, and {a, s, u, x} induces one of the
-    three forbidden graphs.  If: unless S is empty or all of H, H has an
-    isolated vertex outside S or a dominating one in S (Chvatal and
-    Hammer, 1977); peel it off and induct.
+    mask.  The edges of a weigh less in the edge-subset order than those
+    above it, so no sort is needed.  S is allowed exactly when it holds
+    every vertex whose degree exceeds the least degree in S.  Only if: u
+    outside S of higher degree than s in S has a neighbour x that s lacks,
+    and {a, s, u, x} induces one of the three forbidden graphs.  If:
+    unless S is empty or all of H, H has an isolated vertex outside S or a
+    dominating one in S (Chvatal and Hammer, 1977); peel it off and induct.
     """
     check_enumeration_cap(n)
-    pairs = list(_pairs(n))
+    pairs = _pairs(n)
     for mask, _ in _walk(n):
         yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, pairs))
 
@@ -580,18 +558,18 @@ def enumerate_tg(n: int) -> Iterator[ThresholdPair]:
             yield barred._trusted(ThresholdPair, w=w, edges=g.edges)
 
 
-def unlabeled_threshold_count(n: int, max_elements: int = MAX_BRUTE_ELEMENTS) -> int:
+def unlabeled_threshold_count(n: int) -> int:
     """Number of threshold graphs on [n] up to isomorphism (``2^(n-1)``).
 
     Threshold graphs are isomorphic exactly when their degree sequences
-    agree, so the count is over the degree classes' sizes and degrees.
-    The walk is charged as a listing, :func:`listing_cost` (n = 8 fits
-    the default budget, n = 9 does not), after the enumeration cap.
+    agree, so the count is over sorted degree sequences.  The walk is
+    charged :func:`listing_cost` against ``MAX_BRUTE_ELEMENTS``, after the
+    enumeration cap: n = 8 fits, n = 9 does not.
     """
     check_enumeration_cap(n)
     what = f"counting the unlabeled threshold graphs on [{n}]"
-    check_budget(listing_cost(n), max_elements, what)
-    return len({tuple((d, len(vs)) for d, vs in classes) for _, classes in _walk(n)})
+    check_budget(listing_cost(n), MAX_BRUTE_ELEMENTS, what)
+    return len({tuple(sorted(deg)) for _, deg in _walk(n)})
 
 
 def parse_graph(text: str) -> SimpleGraph:

@@ -325,7 +325,7 @@ class TestAuditFailures:
     def test_bijtgsbps_round_trip_fault(self, capsys, monkeypatch):
         # graph 20 of n = 4 encoded as graph 19, through the degree classes
         # the audit encodes
-        classes = [c for _, c in threshold._walk(4)]
+        classes = [threshold._classes(deg, 4) for _, deg in threshold._walk(4)]
         encode = threshold._encode
         monkeypatch.setattr(
             threshold,

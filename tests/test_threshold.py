@@ -1,6 +1,7 @@
 """Unit tests for threshold graphs and their signed/barred correspondences."""
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -458,26 +459,35 @@ class TestCountsAndText:
         with pytest.raises(ValueError, match="budget"):
             unlabeled_threshold_count(9)
         assert time.perf_counter() - start < 1.0
-        with pytest.raises(ValueError, match="budget"):
-            unlabeled_threshold_count(5, max_elements=listing_cost(5) - 1)
-        assert unlabeled_threshold_count(5, max_elements=listing_cost(5)) == 16
 
     @pytest.mark.parametrize("n", range(8))
-    def test_walk_masks_are_the_listed_graphs(self, n):
-        # bit i of a mask is the i-th pair of combinations([n], 2); the
-        # masks increase strictly, and the classes are the degree classes
-        bit = {p: 1 << i for i, p in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    def test_walk_masks_are_the_threshold_graphs(self, n):
+        # bit i of a mask is the i-th pair of combinations([n], 2).  Built
+        # independently, by adding the vertices one at a time, each isolated
+        # or dominating, the threshold graphs' masks sorted are the walk's,
+        # and the walk's degrees are theirs
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        bit = {p: 1 << i for i, p in enumerate(pairs)}
+
+        @functools.cache
+        def built(vs):
+            if not vs:
+                return {0}
+            masks = set()
+            for v in vs:
+                star = sum(bit[min(v, x), max(v, x)] for x in vs - {v})
+                for mask in built(vs - {v}):
+                    masks |= {mask, mask | star}
+            return masks
+
         walked = list(threshold._walk(n))
         masks = [mask for mask, _ in walked]
         assert all(a < b for a, b in itertools.pairwise(masks))
-        graphs = list(enumerate_threshold_graphs(n))
-        assert masks == [sum(bit[e] for e in g.edges) for g in graphs]
-        for (_, classes), g in zip(walked, graphs):
-            degrees = collections.Counter(v for e in g.edges for v in e)
-            order = sorted(range(1, n + 1), key=lambda v: (-degrees[v], v))
-            assert classes == [
-                (d, tuple(vs)) for d, vs in itertools.groupby(order, degrees.__getitem__)
-            ]
+        assert masks == sorted(built(frozenset(range(1, n + 1))))
+        for mask, deg in walked:
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            degrees = collections.Counter(itertools.chain(*edges))
+            assert deg == [degrees[v] for v in range(n + 1)]
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_tg_cardinality(self, n):
@@ -692,11 +702,11 @@ class TestAudits:
 
             monkeypatch.setattr(threshold, name, counted)
 
-        count("_labels_and_mask")
+        count("_labels_and_edges")
         count("_tg_plan")
         assert audit_tgdo(5) == (1920, None)
         # one plan per graph, one inverse per pair
-        assert calls == {"_labels_and_mask": 1920, "_tg_plan": 332}
+        assert calls == {"_labels_and_edges": 1920, "_tg_plan": 332}
 
     def test_tgdo_validates_no_window_it_built(self, monkeypatch):
         def forbidden(values):
