@@ -379,7 +379,8 @@ class ThresholdCounts:
 
 def threshold_counts(n: int, max_elements: int = MAX_BRUTE_ELEMENTS) -> ThresholdCounts:
     """Exact counting sequences for threshold graphs on [n], via formulas
-    charged ``2 * row_cost(n)``: A rows to n - 1, Stirling rows to n.
+    charged ``2 * row_cost(n)``: A rows to n - 1, Stirling rows to n.  Two
+    formulas give the total, and ``AssertionError`` names both if they differ.
 
     >>> threshold_counts(4).total
     46
@@ -409,9 +410,9 @@ def threshold_counts(n: int, max_elements: int = MAX_BRUTE_ELEMENTS) -> Threshol
     by_partition_descents = tuple(
         (k + 1) * x * 2 ** (n - 1 - k) for k, x in enumerate(a)
     )
-    total = sum(by_classes)
-    if total != sum(by_partition_descents):
-        raise AssertionError("internal threshold counts disagree")
+    total, other = sum(by_classes), sum(by_partition_descents)
+    if total != other:
+        raise AssertionError(f"by degree classes {total}, by partition descents {other}")
     return ThresholdCounts(
         n=n,
         total=total,

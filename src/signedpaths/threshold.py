@@ -340,8 +340,8 @@ def _tg_plan(degrees: list[int]) -> operator.itemgetter:
 
 def audit_tgdo(n: int) -> tuple[int, str | None]:
     """Round trips of :func:`signed_from_tg` over the pairs of
-    :func:`enumerate_tg`, which must strictly increase and be |D_n| in
-    number; as ``barred.audit_psi``.  Each image is even-signed and
+    :func:`enumerate_tg` (n >= 1), which must strictly increase and be
+    |D_n| in number; as ``barred.audit_psi``.  Each image is even-signed and
     ``tg_pair`` gives its pair back, so distinct pairs have distinct images
     in D_n, and equal counts make ``signed_from_tg`` onto D_n with
     ``tg_pair`` its inverse.  Vertices of one degree in a threshold graph
@@ -349,6 +349,8 @@ def audit_tgdo(n: int) -> tuple[int, str | None]:
     once per graph; every ordering is still round-tripped.  No image is
     kept, and the count is the round trips, |D_n|."""
     check_enumeration_cap(n)
+    if n < 1:
+        raise ValueError("tgdo needs --n at least 1")
     expected = group_order(n, "D")
     checked = 0
     last: tuple = (-1,)  # below every (mask, w)

@@ -489,6 +489,29 @@ class TestAudits:
         monkeypatch.setattr(barred, "_descB", lambda d, bars, ceil: -1)
         assert barred.audit_psi(2) == (0, "descent formula broke at 12")
 
+    def test_psi_plan_fault_is_named_at_the_first_w(self, monkeypatch):
+        # two picks of one bar set's plan swapped: that bar set breaks its
+        # round trip for every w, so an element-wise walk over enumerate_sbp
+        # meets it first at w = 12345, after the bar sets before it; that
+        # image keeps its descent count, so only the round trip sees it there
+        n, broken = 5, frozenset({2, 4})
+        plan = barred._psi_plan
+
+        def swapped(bars, m):
+            picks = list(plan(bars, m)(range(2 * m)))
+            if bars == broken:
+                picks[1], picks[4] = picks[4], picks[1]
+            return barred._getter(picks)
+
+        monkeypatch.setattr(barred, "_psi_plan", swapped)
+        first = next(
+            i for i, sbp in enumerate(enumerate_sbp(n))
+            if psi_inverse(psi(sbp)) != sbp
+            or descent_count(psi(sbp), "B") != descB_formula(sbp)
+        )
+        assert first == list(barred._subsets(list(range(1, n + 1)))).index(broken)
+        assert barred.audit_psi(n) == (first, "psi round trip broke at 12|34|5")
+
     def test_theta_fault_at_a_descent_set_met_last(self, monkeypatch):
         # only w = 54321 has Desc(w) = {1, 2, 3, 4}: every earlier w is
         # credited or checked, and the count is the element-wise one

@@ -215,6 +215,11 @@ class TestBijectionCommand:
     def test_chi_needs_two(self, capsys):
         assert "at least 2" in run_err(capsys, ["bijection", "--check", "chi", "--n", "1"])
 
+    def test_tgdo_needs_one(self, capsys):
+        # D_0 has no group order: the audit's own refusal, not group_order's
+        err = run_err(capsys, ["bijection", "--check", "tgdo", "--n", "0"])
+        assert err == "error: tgdo needs --n at least 1\n"
+
     def test_budget_violation(self, capsys):
         err = run_err(
             capsys,
@@ -289,6 +294,26 @@ class TestAuditFailures:
         assert audit_failure(capsys, "psi", 3) == (
             "psi at n=3: FAILED after 4 round trips\n"
             "  psi round trip broke at 1|2|3\n"
+        )
+
+    def test_psi_plan_fault(self, capsys, monkeypatch):
+        # two picks of the plan of bars {1, 3} swapped, which keeps the
+        # descent count of the image of 123: the round trip is checked on
+        # that first w, after the five bar sets before it
+        from signedpaths import barred
+
+        plan = barred._psi_plan
+
+        def swapped(bars, m):
+            picks = list(plan(bars, m)(range(2 * m)))
+            if bars == {1, 3}:
+                picks[1], picks[2] = picks[2], picks[1]
+            return barred._getter(picks)
+
+        monkeypatch.setattr(barred, "_psi_plan", swapped)
+        assert audit_failure(capsys, "psi", 3) == (
+            "psi at n=3: FAILED after 5 round trips\n"
+            "  psi round trip broke at 1|23|\n"
         )
 
     def test_chi_descent_shift_fault(self, capsys, monkeypatch):
@@ -447,6 +472,25 @@ class TestThresholdCommand:
 
     def test_rejects_nonpositive(self, capsys):
         run_err(capsys, ["threshold", "--n", "0"])
+
+    def test_disagreeing_counts_exit_one(self, capsys, monkeypatch):
+        # a wrong type A row under the partition-descent counts: one line
+        # naming n, no traceback
+        from signedpaths import eulerian
+
+        rows = eulerian._rows
+
+        def wrong(hi, kinds="AB"):
+            for m, a, b in rows(hi, kinds):
+                yield m, [a[0] + 1, *a[1:]] if m == hi else a, b
+
+        monkeypatch.setattr(eulerian, "_rows", wrong)
+        code = cli.run(["threshold", "--n", "5", "--list", "--counts"])
+        out = capsys.readouterr()
+        assert code == 1 and not out.err
+        assert out.out == (
+            "threshold at n=5: FAILED, by degree classes 332, by partition descents 348\n"
+        )
 
     def test_budget_guards_listing(self, capsys):
         err = run_err(

@@ -508,6 +508,33 @@ class TestChiTables:
         monkeypatch.setattr(sgnperm, "_renaming", off_by_one)
         assert audit_chi(4)[1] == "chi round trip broke at (2, -4, -3, 1)"
 
+    def test_table_fault_is_named_where_a_walk_meets_it(self, monkeypatch):
+        # chi with x = 3 renames the positive letter 4 to 4, not 3: the
+        # tables check finds it, and the audit names the pair an element-wise
+        # walk of the public maps over [n] x B_(n-1) meets first, at the 12th v
+        n = 5
+        renaming = sgnperm._renaming
+
+        def faulty(x, m, up):
+            table = renaming(x, m, up)
+            return table if up or x != 3 else (*table[:4], 4, *table[5:])
+
+        monkeypatch.setattr(sgnperm, "_renaming", faulty)
+
+        def walk():
+            checked = 0
+            for v in enumerate_group(n - 1, "B"):
+                for x in range(1, n + 1):
+                    u = chi_inverse(x, v)
+                    if is_smooth(u) or chi(u) != (x, v):
+                        return checked, f"chi round trip broke at {u}"
+                    if descent_count(u, "B") != positive_descent_count(v) + 1:
+                        return checked, f"descent shift broke at {u}"
+                    checked += 1
+            return checked, None
+
+        assert audit_chi(n) == walk() == (57, "chi round trip broke at (3, -5, -2, -1, 4)")
+
     def test_walks_validate_no_window_they_built(self, monkeypatch):
         def forbidden(values):
             raise AssertionError("as_window called")

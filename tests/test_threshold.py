@@ -562,6 +562,11 @@ class TestAudits:
         for n in range(1, 5):
             assert audit_tgdo(n) == (group_order(n, "D"), None), n
 
+    def test_tgdo_needs_rank_one(self):
+        # D_0 has no group order; the message names the argument
+        with pytest.raises(ValueError, match="^tgdo needs --n at least 1$"):
+            audit_tgdo(0)
+
     def test_bijtgsbps_round_trips_cover_the_class(self):
         assert audit_bijtgsbps(0) == (1, None)
         for n in range(1, 6):
