@@ -31,10 +31,9 @@ charged on its own, the formula side of ``verify``, a relation bit of each
 N x N ``poset``, an edge slot (C(n, 2) per graph) for ``threshold --list``
 and the bijtgsbps audit, a round trip for theta, a round trip walked for psi
 and tgdo (|B_n| and |D_n|; neither walks the other side), a window of B_n
-walked for chi, and a grid cell for ``render``.  Each walk over a rank-n
-family costs more than 2^(n-1), so an n past the budget's bit length is
-refused at once, and every walk above ``sgnperm.MAX_ENUMERATION_N`` (12)
-is refused whatever the budget.
+walked for chi, and a grid cell for ``render``.  A walk over a rank-n
+family is first refused above ``sgnperm.MAX_ENUMERATION_N`` (12) or below
+0, whatever the budget, and only then priced at its exact cost.
 """
 
 from __future__ import annotations
@@ -164,14 +163,10 @@ def _verify_json(name: str, ok: bool, reports: list[IdentityReport]) -> str:
 
 
 def _check_walk(cost: Callable[[int], int], n: int, limit: int, what: str) -> None:
-    # check_budget for a walk over a rank-n family, which costs more than
-    # 2^(n-1): past the limit's bit length n is refused before n! is built,
-    # and above the enumeration cap whatever the limit
-    if n - 1 > limit.bit_length():
-        raise ValueError(f"{what} costs more than 2^{n - 1}, over the budget of "
-                         f"{limit} (raise max_elements, or --max-elements, to allow it)")
-    check_budget(cost(n), limit, what)
+    # check_budget for a walk over a rank-n family, after the enumeration
+    # cap: only ranks 0..12 are priced, each cost an exact integer at once
     sgnperm.check_enumeration_cap(n)
+    check_budget(cost(n), limit, what)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +186,6 @@ _AUDITS = {
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     audit, cost = _AUDITS[args.check]
     _check_walk(cost, args.n, args.max_elements, f"the {args.check} audit")
     checked, failure = audit(args.n)

@@ -32,7 +32,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator
 
 from . import barred, pathrep
-from .eulerian import MAX_BRUTE_ELEMENTS, check_budget, threshold_counts
+from .eulerian import MAX_BRUTE_ELEMENTS, check_budget
 from .sgnperm import (
     Permutation,
     SignedPermutation,
@@ -396,10 +396,12 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
     """Decode :func:`sbp_from_threshold`: move the first block back to the
     central position and read the graph off the path of its ``psi``, which
     joins the letters of blocks i and j when i + j is below the bar count."""
-    edges = _decode(barred.blocks(sbp), len(sbp.w))
-    if isinstance(edges, str):
-        raise ValueError(f"{sbp} {edges}")
-    return barred._trusted(SimpleGraph, n=len(sbp.w), edges=edges)
+    bs, n = barred.blocks(sbp), len(sbp.w)
+    if not all(a < b for blk in bs for a, b in itertools.pairwise(blk)):
+        raise ValueError(f"{sbp} is not normal (blocks must increase)")
+    if n >= 2 and len(bs[0]) < 2:
+        raise ValueError(f"{sbp} must have a first block of at least two letters")
+    return barred._trusted(SimpleGraph, n=n, edges=_decode(bs))
 
 
 def _encode(classes: list) -> list[tuple[int, ...]]:
@@ -413,15 +415,11 @@ def _encode(classes: list) -> list[tuple[int, ...]]:
     return bs
 
 
-def _decode(bs: list[tuple[int, ...]], n: int) -> frozenset[Edge] | str:
-    # The edge set of the graph on [n] encoded by the blocks bs, or why
-    # none is.  With the first block back in the centre, psi's path runs
+def _decode(bs: list[tuple[int, ...]]) -> frozenset[Edge]:
+    # The edge set encoded by the blocks bs of a normal diagram with a long
+    # first block.  With the first block back in the centre, psi's path runs
     # East through block i at the height of blocks 0..m-i-1, m the bars,
     # so letters of blocks i and j are joined exactly when i + j < m.
-    if not all(a < b for blk in bs for a, b in itertools.pairwise(blk)):
-        return "is not normal (blocks must increase)"
-    if n >= 2 and len(bs[0]) < 2:
-        return "must have a first block of at least two letters"
     m = len(bs) - 1
     bs = [*bs[1:m // 2 + 1], bs[0], *bs[m // 2 + 1:]]
     word, ends = tuple(itertools.chain(*bs)), [0, *itertools.accumulate(map(len, bs))]
@@ -432,8 +430,9 @@ def _decode(bs: list[tuple[int, ...]], n: int) -> frozenset[Edge] | str:
 def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
     """Round trips of :func:`sbp_from_threshold` over the threshold graphs on
     [n], which must strictly increase, so no two share an encoding, and be
-    as many as the counting formula of ``eulerian.threshold_counts`` gives;
-    as :func:`audit_tgdo`, on the cores of the public pair."""
+    as many as the ordered-Bell count 2(F(n) - n F(n-1)) of
+    :func:`listing_cost` (1 for n < 2); as :func:`audit_tgdo`, on the cores
+    of the public pair, whose blocks are normal by construction."""
     check_enumeration_cap(n)
     checked = 0
     last = -1
@@ -443,10 +442,10 @@ def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
         if mask <= last:
             return checked, f"graphs not strictly increasing at {_text(edges, n)}"
         last = mask
-        if _decode(_encode(_classes(deg, n)), n) != edges:
+        if _decode(_encode(_classes(deg, n))) != edges:
             return checked, f"round trip broke at {_text(edges, n)}"
         checked += 1
-    total = threshold_counts(n).total if n else 1  # the empty graph at n = 0
+    total = _graph_count(n)
     if checked != total:
         return checked, f"the counting formula gives {total} threshold graphs"
     return checked, None
@@ -470,8 +469,7 @@ def _mask_edges(mask: int, pairs: list[Edge]) -> frozenset[Edge]:
 def _walk(n: int) -> Iterator[tuple[int, list[int]]]:
     # Each threshold graph on [n] as its edge mask and its degrees by vertex
     # (index 0 unused), in the order of enumerate_threshold_graphs, whose
-    # docstring proves the walk
-    check_enumeration_cap(n)
+    # docstring proves the walk; each caller checks the enumeration cap
     # low[a] is the bit of the pair (a, a + 1), and the pairs (a, v) follow,
     # so those with v > a in a vertex mask S (bit v for v) are S >> a + 1 << low[a]
     low = [(a - 1) * (2 * n - a) // 2 for a in range(n + 1)]
@@ -542,10 +540,17 @@ def listing_cost(n: int) -> int:
         return 1
     if n > 100:
         return -(-2 * factorial(n) * 3**n // 2**n) * comb(n, 2)
+    return _graph_count(n) * comb(n, 2)
+
+
+def _graph_count(n: int) -> int:
+    # the class size 2(F(n) - n F(n-1)) of listing_cost, 1 for n < 2
+    if n < 2:
+        return 1
     fubini = [1]
     for m in range(1, n + 1):
         fubini.append(sum(comb(m, k) * fubini[m - k] for k in range(1, m + 1)))
-    return 2 * (fubini[n] - n * fubini[n - 1]) * comb(n, 2)
+    return 2 * (fubini[n] - n * fubini[n - 1])
 
 
 def enumerate_tg(n: int) -> Iterator[ThresholdPair]:

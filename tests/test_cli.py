@@ -473,9 +473,9 @@ class TestThresholdCommand:
     def test_rejects_nonpositive(self, capsys):
         run_err(capsys, ["threshold", "--n", "0"])
 
-    def test_disagreeing_counts_exit_one(self, capsys, monkeypatch):
-        # a wrong type A row under the partition-descent counts: one line
-        # naming n, no traceback
+    @staticmethod
+    def wrong_type_a_row(monkeypatch):
+        # a wrong top type A row under the partition-descent counts
         from signedpaths import eulerian
 
         rows = eulerian._rows
@@ -485,6 +485,10 @@ class TestThresholdCommand:
                 yield m, [a[0] + 1, *a[1:]] if m == hi else a, b
 
         monkeypatch.setattr(eulerian, "_rows", wrong)
+
+    def test_disagreeing_counts_exit_one(self, capsys, monkeypatch):
+        # one line naming n, no traceback
+        self.wrong_type_a_row(monkeypatch)
         code = cli.run(["threshold", "--n", "5", "--list", "--counts"])
         out = capsys.readouterr()
         assert code == 1 and not out.err
@@ -492,12 +496,22 @@ class TestThresholdCommand:
             "threshold at n=5: FAILED, by degree classes 332, by partition descents 348\n"
         )
 
+    def test_bijtgsbps_reads_no_counting_formula(self, capsys, monkeypatch):
+        # the audit compares its walk with listing_cost's class size, so the
+        # counts' disagreement stays the threshold command's one FAILED line
+        self.wrong_type_a_row(monkeypatch)
+        code = cli.run(["bijection", "--check", "bijtgsbps", "--n", "4"])
+        out = capsys.readouterr()
+        assert code == 0 and not out.err
+        assert out.out == "bijtgsbps at n=4: 46 round trips verified\n"
+
     def test_budget_guards_listing(self, capsys):
+        # 3,320 edge slots at n = 5
         err = run_err(
             capsys,
-            ["threshold", "--n", "40", "--list", "--max-elements", "1000"],
+            ["threshold", "--n", "5", "--list", "--max-elements", "1000"],
         )
-        assert "budget" in err
+        assert "listing the threshold graphs on [5] costs 3320, over the budget" in err
 
 
 class TestRenderCommand:
@@ -799,7 +813,7 @@ class TestBudgetGate:
         ["threshold", "--n", "10000", "--list"],
         ["poset", "--kind", "B", "--n", "12", "--check", "lattice"],
         ["verify", "--identity", "alternating", "--max-n", str(10**9)],
-        # each walk costs more than 2^(n-1), so n! is never multiplied out
+        # the cap refuses each rank before n! is multiplied out
         *([*argv, "--n", str(10**8)] for argv in (
             *(["bijection", "--check", check]
               for check in ("psi", "theta", "chi", "tgdo", "bijtgsbps")),
@@ -812,7 +826,9 @@ class TestBudgetGate:
         start = time.perf_counter()
         err = run_err(capsys, argv)
         assert time.perf_counter() - start < 1.0
-        assert "budget" in err
+        # a walk above the enumeration cap is refused before it is priced
+        n = int(argv[argv.index("--n") + 1]) if "--n" in argv else 0
+        assert ("exceeds the enumeration cap 12" if n > 12 else "budget") in err
 
     @pytest.mark.parametrize("argv", [
         *(["bijection", "--check", check] for check in cli._AUDITS),
@@ -833,17 +849,24 @@ class TestBudgetGate:
         monkeypatch.setattr(posets, "tg_poset", forbidden)
         monkeypatch.setattr(threshold, "enumerate_threshold_graphs", forbidden)
         monkeypatch.setattr(threshold, "_walk", forbidden)
-        err = run_err(capsys, [*argv, "--n", "13", "--max-elements", str(10**40)])
-        assert err == "error: n = 13 exceeds the enumeration cap 12\n"
+        # the cap is asked first, so the default budget meets the same words
+        for budget in ([], ["--max-elements", str(10**40)]):
+            err = run_err(capsys, [*argv, "--n", "13", *budget])
+            assert err == "error: n = 13 exceeds the enumeration cap 12\n"
 
-    def test_exact_cost_up_to_the_limit_bits(self, capsys):
-        # |B_n| = 2^n n! round trips: exact while n - 1 is within 10's 4 bits
+    @pytest.mark.parametrize("kind", "AB")
+    def test_negative_poset_rank_meets_the_cap(self, capsys, kind):
+        err = run_err(capsys, ["poset", "--kind", kind, "--n", "-1", "--check", "lattice"])
+        assert err == "error: n must be nonnegative\n"
+
+    def test_exact_cost_is_named(self, capsys):
+        # |B_n| = 2^n n! round trips, exact at every rank up to the cap
         err = run_err(capsys, ["bijection", "--check", "psi", "--n", "5",
                                "--max-elements", "10"])
         assert "the psi audit costs 3840, over the budget of 10" in err
-        err = run_err(capsys, ["bijection", "--check", "psi", "--n", str(10**8),
-                               "--max-elements", "10"])
-        assert "the psi audit costs more than 2^99999999, over the budget of 10" in err
+        err = run_err(capsys, ["bijection", "--check", "psi", "--n", "12",
+                               "--max-elements", "1000"])
+        assert "the psi audit costs 1961990553600, over the budget of 1000" in err
 
 
 class TestParsing:
