@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 import operator
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from .pathrep import LatticePath
 from .sgnperm import (
@@ -76,33 +76,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SimplyBarredPermutation:
+class _Barred:
+    # both barred kinds, which differ only in the lowest position of a bar
+    _lowest_bar: ClassVar[int]
+    w: Permutation
+    bars: frozenset[int] = field(default_factory=frozenset)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "w", as_permutation(self.w))
+        object.__setattr__(self, "bars", frozenset(self.bars))
+        lo, n = self._lowest_bar, len(self.w)
+        if not all(lo <= b <= n for b in self.bars):
+            raise ValueError(f"bars must lie in {lo}..{n}: {sorted(self.bars)}")
+
+
+class SimplyBarredPermutation(_Barred):
     """A permutation with bars at positions from ``{1..n}``."""
 
-    w: Permutation
-    bars: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", as_permutation(self.w))
-        object.__setattr__(self, "bars", frozenset(self.bars))
-        n = len(self.w)
-        if not all(1 <= b <= n for b in self.bars):
-            raise ValueError(f"bars must lie in [{n}]: {sorted(self.bars)}")
+    _lowest_bar = 1
 
 
-@dataclass(frozen=True)
-class LooselyBarredPermutation:
+class LooselyBarredPermutation(_Barred):
     """A permutation with bars at positions from ``{0..n}``."""
 
-    w: Permutation
-    bars: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", as_permutation(self.w))
-        object.__setattr__(self, "bars", frozenset(self.bars))
-        n = len(self.w)
-        if not all(0 <= b <= n for b in self.bars):
-            raise ValueError(f"bars must lie in 0..{n}: {sorted(self.bars)}")
+    _lowest_bar = 0
 
 
 def _trusted(cls, **fields):
@@ -135,7 +132,7 @@ def upper_antidiagonal(bars: Iterable[int], n: int) -> LatticePath:
     """
     b = sorted(set(bars))
     if b and not (1 <= b[0] and b[-1] <= n):
-        raise ValueError(f"bars must lie in [{n}]: {b}")
+        raise ValueError(f"bars must lie in 1..{n}: {b}")
     m = len(b)
     lo = [0] + b  # b_0 = 0
     top = b[-1] if b else 0
@@ -464,10 +461,8 @@ def classify_sbp(sbp: SimplyBarredPermutation) -> SbpClassification:
     SbpClassification(normal=False, compatible=False)
     """
     bs = blocks(sbp)
-    normal = all(all(a < b for a, b in itertools.pairwise(blk)) for blk in bs)
-    return SbpClassification(
-        normal=normal, compatible=len(central_block(sbp)) >= 2
-    )
+    normal = all(a < b for blk in bs for a, b in itertools.pairwise(blk))
+    return SbpClassification(normal, len(bs[central_block_index(sbp) - 1]) >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +475,10 @@ def _subsets(ground: list[int]) -> Iterator[frozenset[int]]:
             yield frozenset(combo)
 
 
-def _enumerate_barred(n: int, cls: type, lowest_bar: int) -> Iterator:
-    # each w in lexicographic order, with every bar set inside lowest_bar..n
+def _enumerate_barred(n: int, cls: type[_Barred]) -> Iterator:
+    # each w in lexicographic order, with every bar set inside cls._lowest_bar..n
     check_enumeration_cap(n)
-    subsets = list(_subsets(list(range(lowest_bar, n + 1))))
+    subsets = list(_subsets(list(range(cls._lowest_bar, n + 1))))
     for w in itertools.permutations(range(1, n + 1)):
         for bars in subsets:
             yield _trusted(cls, w=w, bars=bars)
@@ -491,12 +486,12 @@ def _enumerate_barred(n: int, cls: type, lowest_bar: int) -> Iterator:
 
 def enumerate_sbp(n: int) -> Iterator[SimplyBarredPermutation]:
     """All ``2^n n!`` simply barred permutations of [n]."""
-    return _enumerate_barred(n, SimplyBarredPermutation, 1)
+    return _enumerate_barred(n, SimplyBarredPermutation)
 
 
 def enumerate_lbp(n: int) -> Iterator[LooselyBarredPermutation]:
     """All ``2^(n+1) n!`` loosely barred permutations of [n]."""
-    return _enumerate_barred(n, LooselyBarredPermutation, 0)
+    return _enumerate_barred(n, LooselyBarredPermutation)
 
 
 def parse_sbp(text: str) -> SimplyBarredPermutation:

@@ -135,14 +135,8 @@ def _brute_histogram(kind: str, n: int) -> tuple[int, ...]:
 
 
 def _top_descents(kind: str, n: int) -> int:
-    # The largest descent count in the kind-X group of rank n, after
-    # refusing an unknown kind and a rank the group does not have
-    if kind not in _FORMULAS:
-        raise ValueError(f"unknown group kind: {kind!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if kind == "D" and n < 2:
-        raise ValueError("type D Eulerian numbers need n >= 2")
+    # The largest descent count in the kind-X group of rank n, if it has one
+    kernels._check(kind, n)
     return n - 1 if kind == "A" and n > 0 else n
 
 

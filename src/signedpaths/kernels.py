@@ -102,12 +102,7 @@ def descent_histogram(kind: str, n: int) -> tuple[int, ...]:
     >>> descent_histogram("A", 3), descent_histogram("B", 2), descent_histogram("D", 2)
     ((1, 4, 1, 0), (1, 6, 1), (1, 2, 1))
     """
-    if kind not in ("A", "B", "D"):
-        raise ValueError(f"unknown group kind: {kind!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if kind == "D" and n < 2:
-        raise ValueError("type D histograms need n >= 2")
+    _check(kind, n)
     return _histogram(kind, n)
 
 
@@ -121,6 +116,15 @@ def positive_descent_histogram(n: int) -> tuple[int, ...]:
     >>> positive_descent_histogram(2)
     (4, 4, 0)
     """
+    _check("B", n)  # the positive histogram is over B_n
+    return _histogram("positive", n)
+
+
+def _check(kind: str, n: int) -> None:
+    # the kinds and ranks with a histogram, and so with Eulerian numbers
+    if kind not in ("A", "B", "D"):
+        raise ValueError(f"unknown group kind: {kind!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _histogram("positive", n)
+    if kind == "D" and n < 2:
+        raise ValueError("type D needs n >= 2")

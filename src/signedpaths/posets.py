@@ -39,7 +39,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Sequence
 
-from .sgnperm import _checked, _inversion_mask, _inversion_pairs, enumerate_group, group_order
+from .sgnperm import (
+    _checked, _inversion_mask, _inversion_pairs, enumerate_group, group_order, is_even_signed,
+)
 from .threshold import ThresholdPair, enumerate_tg
 
 __all__ = [
@@ -291,6 +293,7 @@ def poset_cost(kind: str, n: int) -> int:
 
 def weak_leq(a: tuple[int, ...], b: tuple[int, ...], kind: str = "A") -> bool:
     """Weak order comparison of two windows of one rank: inversion-set containment.
+    Type D compares the even-signed windows of D_n only.
 
     >>> weak_leq((2, 1, 3), (3, 1, 2))
     False
@@ -302,6 +305,8 @@ def weak_leq(a: tuple[int, ...], b: tuple[int, ...], kind: str = "A") -> bool:
     a, b = _checked(a, kind), _checked(b, kind)
     if len(a) != len(b):
         raise ValueError(f"weak order compares windows of one rank, got {a} and {b}")
+    if kind == "D" and not (is_even_signed(a) and is_even_signed(b)):
+        raise ValueError(f"type D weak order compares even-signed windows, got {a} and {b}")
     return not _inversion_mask(a, kind) & ~_inversion_mask(b, kind)
 
 

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator
 from . import barred, pathrep
 from .eulerian import MAX_BRUTE_ELEMENTS, check_budget
 from .sgnperm import (
+    _inversion_pairs,
     Permutation,
     SignedPermutation,
     as_permutation,
@@ -169,7 +170,7 @@ def is_degree_ordering(g: SimpleGraph, w: Permutation) -> bool:
     w = as_permutation(w)
     if len(w) != g.n:
         raise ValueError(f"ordering length {len(w)} does not match n = {g.n}")
-    deg = collections.Counter(itertools.chain.from_iterable(g.edges))  # one pass
+    deg = _degrees(g.edges)
     return all(deg[a] >= deg[b] for a, b in itertools.pairwise(w))
 
 
@@ -186,18 +187,18 @@ def canonical_degree_ordering(g: SimpleGraph) -> Permutation:
 
 def degree_orderings(g: SimpleGraph) -> Iterator[Permutation]:
     """All degree orderings of ``g``: permute freely within degree classes."""
-    return _orderings(_degree_classes(g))
+    return _orderings(_classes(_degrees(g.edges), g.n))
 
 
-def _degree_classes(g: SimpleGraph) -> list:
-    # from one pass over the edges
-    return _classes(collections.Counter(itertools.chain.from_iterable(g.edges)), g.n)
+def _degrees(edges: Iterable[Edge]) -> collections.Counter:
+    # the degree of each vertex, from one pass over the edges
+    return collections.Counter(itertools.chain.from_iterable(edges))
 
 
 def _threshold_classes(g: SimpleGraph) -> list:
     if not is_threshold(g):
         raise ValueError("canonical degree ordering is defined for threshold graphs")
-    return _degree_classes(g)
+    return _classes(_degrees(g.edges), g.n)
 
 
 def _classes(deg, n: int) -> list:
@@ -321,7 +322,7 @@ def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
     >>> signed_from_tg(ThresholdPair((1, 2, 3), frozenset()))
     (1, 2, 3)
     """
-    deg = collections.Counter(itertools.chain.from_iterable(pair.edges))
+    deg = _degrees(pair.edges)
     return barred._apply(_tg_plan([deg[v] for v in pair.w]), pair.w)
 
 
@@ -339,26 +340,26 @@ def _tg_plan(degrees: list[int]) -> operator.itemgetter:
 
 
 def audit_tgdo(n: int) -> tuple[int, str | None]:
-    """Round trips of :func:`signed_from_tg` over the pairs of
-    :func:`enumerate_tg` (n >= 1), which must strictly increase and be
-    |D_n| in number; as ``barred.audit_psi``.  Each image is even-signed and
-    ``tg_pair`` gives its pair back, so distinct pairs have distinct images
-    in D_n, and equal counts make ``signed_from_tg`` onto D_n with
-    ``tg_pair`` its inverse.  Vertices of one degree in a threshold graph
-    are twins, so all degree orderings of a graph share one plan, built
-    once per graph; every ordering is still round-tripped.  No image is
-    kept, and the count is the round trips, |D_n|."""
+    """Round trips of :func:`signed_from_tg` over the (graph, ordering)
+    sequence that :func:`enumerate_tg` yields (n >= 1), from the same walk,
+    degree classes and orderings, but with no pair built; the sequence must
+    strictly increase and be |D_n| long, as in ``barred.audit_psi``.  Each
+    image is even-signed and ``tg_pair`` gives its pair back, so distinct
+    pairs have distinct images in D_n, and equal counts make
+    ``signed_from_tg`` onto D_n with ``tg_pair`` its inverse.  Vertices of
+    one degree in a threshold graph are twins, so all degree orderings of a
+    graph share one plan, built once per graph; every ordering is still
+    round-tripped.  No image is kept, and the count is the round trips."""
     check_enumeration_cap(n)
     if n < 1:
         raise ValueError("tgdo needs --n at least 1")
     expected = group_order(n, "D")
     checked = 0
     last: tuple = (-1,)  # below every (mask, w)
-    pairs = _pairs(n)
     for mask, deg in _walk(n):
         classes = _classes(deg, n)
         plan = _tg_plan([d for d, vs in classes for _ in vs])
-        edges = _mask_edges(mask, pairs)
+        edges = _mask_edges(mask, n)
         for w in _orderings(classes):
             if (mask, w) <= last:
                 return checked, f"tgdo pairs not strictly increasing at {w} on {_text(edges, n)}"
@@ -396,9 +397,9 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
     """Decode :func:`sbp_from_threshold`: move the first block back to the
     central position and read the graph off the path of its ``psi``, which
     joins the letters of blocks i and j when i + j is below the bar count."""
-    bs, n = barred.blocks(sbp), len(sbp.w)
-    if not all(a < b for blk in bs for a, b in itertools.pairwise(blk)):
+    if not barred.classify_sbp(sbp).normal:
         raise ValueError(f"{sbp} is not normal (blocks must increase)")
+    bs, n = barred.blocks(sbp), len(sbp.w)
     if n >= 2 and len(bs[0]) < 2:
         raise ValueError(f"{sbp} must have a first block of at least two letters")
     return barred._trusted(SimpleGraph, n=n, edges=_decode(bs))
@@ -436,9 +437,8 @@ def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
     check_enumeration_cap(n)
     checked = 0
     last = -1
-    pairs = _pairs(n)
     for mask, deg in _walk(n):
-        edges = _mask_edges(mask, pairs)
+        edges = _mask_edges(mask, n)
         if mask <= last:
             return checked, f"graphs not strictly increasing at {_text(edges, n)}"
         last = mask
@@ -457,13 +457,11 @@ def audit_bijtgsbps(n: int) -> tuple[int, str | None]:
 _BIT = bytes.maketrans(b"01", b"\0\1")  # binary digits as the bytes 0 and 1
 
 
-def _pairs(n: int) -> list[Edge]:
-    # bit i of an edge mask of a graph on [n] stands for the i-th pair
-    return list(itertools.combinations(range(1, n + 1), 2))
-
-
-def _mask_edges(mask: int, pairs: list[Edge]) -> frozenset[Edge]:
-    return frozenset(itertools.compress(pairs, bin(mask)[:1:-1].encode().translate(_BIT)))
+def _mask_edges(mask: int, n: int) -> frozenset[Edge]:
+    # bit i of an edge mask of a graph on [n] stands for the i-th pair (a, b),
+    # a < b, in lexicographic order: the i-th candidate type A inversion
+    bits = bin(mask)[:1:-1].encode().translate(_BIT)
+    return frozenset(itertools.compress(_inversion_pairs(n, "A")[0], bits))
 
 
 def _walk(n: int) -> Iterator[tuple[int, list[int]]]:
@@ -497,9 +495,8 @@ def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     """All ``2^C(n,2)`` simple graphs on [n], by edge-subset order."""
     check_enumeration_cap(n)
     # the edge masks in turn: pairs sorted and in range, so no checks
-    pairs = _pairs(n)
-    for mask in range(2 ** len(pairs)):
-        yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, pairs))
+    for mask in range(2 ** comb(n, 2)):
+        yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, n))
 
 
 def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
@@ -517,9 +514,8 @@ def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
     dominating one in S (Chvatal and Hammer, 1977); peel it off and induct.
     """
     check_enumeration_cap(n)
-    pairs = _pairs(n)
     for mask, _ in _walk(n):
-        yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, pairs))
+        yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, n))
 
 
 def listing_cost(n: int) -> int:
@@ -558,11 +554,14 @@ def enumerate_tg(n: int) -> Iterator[ThresholdPair]:
 
     The pairs strictly increase: graphs come in the edge-subset order of
     :func:`enumerate_threshold_graphs`, and the orderings of one graph in
-    lexicographic order.  :func:`audit_tgdo` checks this order.
+    lexicographic order.  They come from the walk, degree classes and
+    orderings that :func:`audit_tgdo` round-trips and checks this order on.
     """
-    for g in enumerate_threshold_graphs(n):
-        for w in degree_orderings(g):
-            yield barred._trusted(ThresholdPair, w=w, edges=g.edges)
+    check_enumeration_cap(n)
+    for mask, deg in _walk(n):
+        edges = _mask_edges(mask, n)
+        for w in _orderings(_classes(deg, n)):
+            yield barred._trusted(ThresholdPair, w=w, edges=edges)
 
 
 def unlabeled_threshold_count(n: int) -> int:

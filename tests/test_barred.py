@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +77,24 @@ class TestConstruction:
             LooselyBarredPermutation((2, 1), frozenset({3}))
         # position 0 is legal only for the loose flavour
         assert 0 in LooselyBarredPermutation((2, 1), frozenset({0})).bars
+
+    def test_kinds_with_equal_fields_stay_apart(self):
+        # both kinds share one body; the class alone tells them apart
+        sbp = SimplyBarredPermutation((2, 1), frozenset({1}))
+        lbp = LooselyBarredPermutation((2, 1), frozenset({1}))
+        assert sbp != lbp and len({sbp, lbp}) == 2
+        assert repr(sbp) == "SimplyBarredPermutation(w=(2, 1), bars=frozenset({1}))"
+        assert repr(lbp) == "LooselyBarredPermutation(w=(2, 1), bars=frozenset({1}))"
+
+    @pytest.mark.parametrize("cls, bars, text", [
+        (SimplyBarredPermutation, {0}, "1..2: [0]"),
+        (SimplyBarredPermutation, {1, 3}, "1..2: [1, 3]"),
+        (LooselyBarredPermutation, {-1}, "0..2: [-1]"),
+        (LooselyBarredPermutation, {3}, "0..2: [3]"),
+    ])
+    def test_bar_range_message(self, cls, bars, text):
+        with pytest.raises(ValueError, match=rf"^bars must lie in {re.escape(text)}$"):
+            cls((2, 1), frozenset(bars))
 
     def test_window_is_validated_and_normalized(self):
         with pytest.raises(ValueError):
@@ -407,6 +426,19 @@ class TestClassification:
 
 
 class TestEnumerationAndText:
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("enumerate_barred, lowest", [(enumerate_sbp, 1), (enumerate_lbp, 0)])
+    def test_enumeration_order(self, n, enumerate_barred, lowest):
+        # each w in lexicographic order; its bar sets by size, then as sorted tuples
+        ground = range(lowest, n + 1)
+        expected = [
+            (w, frozenset(bars))
+            for w in itertools.permutations(range(1, n + 1))
+            for r in range(len(ground) + 1)
+            for bars in itertools.combinations(ground, r)
+        ]
+        assert [(x.w, x.bars) for x in enumerate_barred(n)] == expected
+
     @pytest.mark.parametrize("n", range(5))
     def test_counts(self, n):
         sbps = list(enumerate_sbp(n))

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from signedpaths.eulerian import eulerian_polynomial, verify_identity
+from signedpaths.eulerian import eulerian, eulerian_polynomial, verify_identity
 from signedpaths.kernels import (
     descent_histogram,
     histogram_cost,
@@ -73,6 +73,23 @@ class TestValidation:
             descent_histogram("D", 0)
         with pytest.raises(ValueError):
             positive_descent_histogram(-2)
+
+    def test_one_kind_and_rank_rule(self):
+        # the kernel and the Eulerian functions refuse with the same words
+        for call in (
+            lambda: descent_histogram("D", 1),
+            lambda: eulerian_polynomial(1, "D"),
+            lambda: eulerian(1, 0, "D"),
+            lambda: eulerian_polynomial(1, "D", "bruteforce"),
+        ):
+            with pytest.raises(ValueError, match=r"^type D needs n >= 2$"):
+                call()
+        for call in (lambda: descent_histogram("C", 3), lambda: eulerian(3, 0, "C")):
+            with pytest.raises(ValueError, match=r"^unknown group kind: 'C'$"):
+                call()
+        for call in (lambda: positive_descent_histogram(-1), lambda: eulerian(-1, 0)):
+            with pytest.raises(ValueError, match=r"^n must be nonnegative$"):
+                call()
 
     def test_rank_zero_group(self):
         assert descent_histogram("A", 0) == (1,)

@@ -184,6 +184,18 @@ class TestWeakOrder:
         with pytest.raises(ValueError, match="one rank"):
             weak_leq((2, 1), (1,), kind)
 
+    @pytest.mark.parametrize("a, b, below_in_b", [
+        ((-1, 2), (1, 2), False), ((1, 2), (-1, 2), True), ((-1, 2, 3), (-1, -2, -3), True),
+    ])
+    def test_type_d_weak_leq_refuses_odd_signed_windows(self, a, b, below_in_b):
+        # an odd-signed window is outside D_n: with no check, (-1, 2) and
+        # (1, 2) would each lie below the other
+        with pytest.raises(ValueError, match="even-signed"):
+            weak_leq(a, b, "D")
+        # the same windows still compare in B_n, and D_n's own elements in D_n
+        assert weak_leq(a, b, "B") == below_in_b
+        assert weak_leq((1, 2), (-1, -2), "D")
+
     def test_bottom_and_top(self):
         identity = (1, 2, 3)
         p = weak_poset(3, "A")

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import gc
 import itertools
 import json
 import math
@@ -489,6 +490,17 @@ class TestCountsAndText:
             degrees = collections.Counter(itertools.chain(*edges))
             assert deg == [degrees[v] for v in range(n + 1)]
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_tg_pairs_follow_the_graphs_and_their_orderings(self, n):
+        # the reference route: each threshold graph, then its degree
+        # orderings recounted from its edges
+        expected = [
+            ThresholdPair(w, g.edges)
+            for g in enumerate_threshold_graphs(n)
+            for w in degree_orderings(g)
+        ]
+        assert list(enumerate_tg(n)) == expected
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_tg_cardinality(self, n):
         # pairs (graph, degree ordering) match the even-signed group
@@ -674,14 +686,20 @@ class TestAudits:
     def test_audits_keep_no_images(self, audit, bound):
         # the first call fills the plan caches; the second allocates only
         # what one element needs (image sets peaked at 2.98 MB for tgdo and
-        # 0.27 MB for chi)
-        audit(5)
-        tracemalloc.start()
+        # 0.27 MB for chi).  The collector is off from the first call on: a
+        # collection just before the traced call empties the free lists, and
+        # the audit's tuples then come from fresh, traced allocations
+        gc.disable()
         try:
-            assert audit(5) == (1920, None)
-            peak = tracemalloc.get_traced_memory()[1]
+            audit(5)
+            tracemalloc.start()
+            try:
+                assert audit(5) == (1920, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         finally:
-            tracemalloc.stop()
+            gc.enable()
         assert peak < bound
 
     def test_bijtgsbps_negative_rank(self):
