@@ -416,6 +416,7 @@ def audit_theta(n: int) -> tuple[int, str | None]:
 
 def audit_theta_cost(n: int) -> int:
     """:func:`audit_theta`'s work: n letters per w, 2^(n+1) bars per Desc(w)."""
+    check_enumeration_cap(n)
     return n * math.factorial(n) + 4**n
 
 

@@ -31,6 +31,7 @@ from .sgnperm import (
     SignedPermutation,
     as_permutation,
     as_window,
+    check_enumeration_cap,
     full_notation,
     inversion_set,
 )
@@ -276,12 +277,9 @@ def symmetric_paths(n: int):
     A symmetric path is determined by its first ``n`` steps, which form an
     arbitrary word in E/S read up to the diagonal.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_enumeration_cap(n)
     for bits in range(2**n):
-        half = "".join(
-            EAST if bits >> (n - 1 - i) & 1 else SOUTH for i in range(n)
-        )
+        half = "".join(EAST if bits >> (n - 1 - i) & 1 else SOUTH for i in range(n))
         # after n steps the walk sits on the diagonal, so mirroring the
         # first half always completes a genuine symmetric path.
         yield half + reflect_path(half)

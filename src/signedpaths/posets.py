@@ -40,13 +40,15 @@ from itertools import combinations
 from typing import Callable, Hashable, Sequence
 
 from .sgnperm import (
-    _checked, _inversion_mask, _inversion_pairs, enumerate_group, group_order, is_even_signed,
+    _checked, _inversion_mask, _inversion_pairs, check_enumeration_cap, enumerate_group,
+    group_order, is_even_signed,
 )
 from .threshold import ThresholdPair, enumerate_tg
 
 __all__ = [
     "FinitePoset",
     "LatticeReport",
+    "MAX_POSET_BITS",
     "poset_cost",
     "weak_leq",
     "weak_poset",
@@ -54,6 +56,8 @@ __all__ = [
     "tg_order_leq",
     "order_isomorphism_check",
 ]
+
+MAX_POSET_BITS = 2**32  # the most a build stores: B_6 and A_8 fit, no rank-7 B, D or TG
 
 
 @dataclass(frozen=True)
@@ -278,7 +282,8 @@ def _containment_downs(masks: list[int], width: int) -> list[int]:
 
 
 def poset_cost(kind: str, n: int) -> int:
-    """Relation bits that building the rank-n poset of ``kind`` stores: N^2.
+    """Relation bits that building the rank-n poset of ``kind`` stores: N^2,
+    priced only for n in the enumeration cap 0..12.
 
     N is the group order for the weak orders "A", "B" and "D", and for
     "TG" it is |D_n| = 2^(n-1) n! (1 at n = 0): the pairs (w, E)
@@ -287,8 +292,15 @@ def poset_cost(kind: str, n: int) -> int:
     >>> poset_cost("B", 2), poset_cost("TG", 3)
     (64, 576)
     """
+    check_enumeration_cap(n)
     size = group_order(max(n, 1), "D") if kind == "TG" else group_order(n, kind)
     return size * size
+
+
+def _check_build(kind: str, n: int) -> None:
+    if (bits := poset_cost(kind, n)) > MAX_POSET_BITS:
+        raise ValueError(f"the {kind} poset at n={n} would store {bits} relation bits,"
+                         f" over MAX_POSET_BITS = {MAX_POSET_BITS}")
 
 
 def weak_leq(a: tuple[int, ...], b: tuple[int, ...], kind: str = "A") -> bool:
@@ -316,6 +328,7 @@ def weak_poset(n: int, kind: str = "A") -> FinitePoset:
     >>> len(weak_poset(3).covers())
     6
     """
+    _check_build(kind, n)
     elements = list(enumerate_group(n, kind))
     masks = [_inversion_mask(u, kind) for u in elements]
     return FinitePoset._from_masks(elements, masks, len(_inversion_pairs(n, kind)[0]))
@@ -336,6 +349,7 @@ def tg_poset(n: int) -> FinitePoset:
     >>> len(tg_poset(2))
     4
     """
+    _check_build("TG", n)
     elements = list(enumerate_tg(n))
     # an edge of K_n is a candidate type A inversion; its bit sits above theirs
     pairs = _inversion_pairs(n, "A")[0]

@@ -337,9 +337,9 @@ def audit_chi(n: int) -> tuple[int, str | None]:
     the letters of B_(n-1) and ``up[x]`` map none to 0, so that ``_unsplit``
     makes every u non-smooth with |u_1| = x.  Only an x that fails is walked
     element by element, to name a failure at the same (v, x) and count."""
-    if n < 2:
-        raise ValueError("chi needs --n at least 2")
     check_enumeration_cap(n)
+    if n < 2:
+        raise ValueError("chi needs n >= 2")
     # the renaming tables of chi and chi_inverse, built once per x; no window
     # built here is validated again, and v's descent shift is read once per v
     down = [_renaming(x, n, False).__getitem__ for x in range(n + 1)]

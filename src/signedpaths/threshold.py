@@ -28,7 +28,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator
 
 from . import barred, pathrep
@@ -352,7 +352,7 @@ def audit_tgdo(n: int) -> tuple[int, str | None]:
     round-tripped.  No image is kept, and the count is the round trips."""
     check_enumeration_cap(n)
     if n < 1:
-        raise ValueError("tgdo needs --n at least 1")
+        raise ValueError("tgdo needs n >= 1")
     expected = group_order(n, "D")
     checked = 0
     last: tuple = (-1,)  # below every (mask, w)
@@ -519,24 +519,19 @@ def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
 
 
 def listing_cost(n: int) -> int:
-    """Edge slots that listing the threshold graphs on [n] generates.
+    """Edge slots that listing the threshold graphs on [n] generates, for n
+    in the enumeration cap 0..12; any other n is refused with its message.
 
     Each graph that :func:`enumerate_threshold_graphs` yields holds up to
     C(n, 2) edges, and there are 2(F(n) - n F(n-1)) graphs for n >= 2,
-    with F the ordered Bell numbers, F(m) = sum_k C(m, k) F(m - k).  The
-    recurrence takes O(n^2) steps, so above n = 100, where the class has
-    more than 10^170 graphs, the bound 2 n! (3/2)^n stands in for the
-    class size: F(m) <= m! (3/2)^m by induction on the recurrence, as
-    e^(2/3) - 1 < 1.  A graph with no edge slot costs one unit.
+    with F the ordered Bell numbers, F(m) = sum_k C(m, k) F(m - k).  A
+    graph with no edge slot costs one unit.
 
     >>> [listing_cost(n) for n in range(1, 7)]
     [1, 2, 24, 276, 3320, 43110]
     """
-    if n < 2:
-        return 1
-    if n > 100:
-        return -(-2 * factorial(n) * 3**n // 2**n) * comb(n, 2)
-    return _graph_count(n) * comb(n, 2)
+    check_enumeration_cap(n)
+    return _graph_count(n) * max(comb(n, 2), 1)
 
 
 def _graph_count(n: int) -> int:
@@ -569,10 +564,9 @@ def unlabeled_threshold_count(n: int) -> int:
 
     Threshold graphs are isomorphic exactly when their degree sequences
     agree, so the count is over sorted degree sequences.  The walk is
-    charged :func:`listing_cost` against ``MAX_BRUTE_ELEMENTS``, after the
-    enumeration cap: n = 8 fits, n = 9 does not.
+    charged :func:`listing_cost`, which asks the enumeration cap first,
+    against ``MAX_BRUTE_ELEMENTS``: n = 8 fits, n = 9 does not.
     """
-    check_enumeration_cap(n)
     what = f"counting the unlabeled threshold graphs on [{n}]"
     check_budget(listing_cost(n), MAX_BRUTE_ELEMENTS, what)
     return len({tuple(sorted(deg)) for _, deg in _walk(n)})

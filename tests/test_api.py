@@ -127,11 +127,12 @@ def test_domain_errors_are_value_errors(call):
 # In a child process under a 200 MB address-space limit, each public
 # enumerator gives its first element at the cap, n = 12, and refuses n = 13
 # and n = 10^6 at once; so do tg_poset and unlabeled_threshold_count, which
-# walk a whole family.  The limit binds only the child.
+# walk a whole family, and the walk prices poset_cost and audit_theta_cost,
+# which would otherwise multiply out n!.  The limit binds only the child.
 HUGE_RANK_CHILD = """
 import json, resource, time
 resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
-from signedpaths import barred, posets, sgnperm, threshold
+from signedpaths import barred, pathrep, posets, sgnperm, threshold
 
 def first(walk):
     return lambda n: next(iter(walk(n)))
@@ -143,12 +144,15 @@ calls = {
     "enumerate_tg": first(threshold.enumerate_tg),
     "enumerate_sbp": first(barred.enumerate_sbp),
     "enumerate_lbp": first(barred.enumerate_lbp),
+    "symmetric_paths": first(pathrep.symmetric_paths),
     "tg_poset": posets.tg_poset,
     "unlabeled_threshold_count": threshold.unlabeled_threshold_count,
+    "poset_cost": lambda n: posets.poset_cost("B", n),
+    "audit_theta_cost": barred.audit_theta_cost,
 }
 results = []
 for name, call in calls.items():
-    for n in (12, 13, 10**6) if name.startswith("enumerate") else (13, 10**6):
+    for n in (12, 13, 10**6) if name.startswith(("enumerate", "symmetric")) else (13, 10**6):
         start = time.perf_counter()
         try:
             call(n)
@@ -172,8 +176,72 @@ def test_huge_ranks_are_refused_at_once():
     assert [(name, n, outcome) for name, n, outcome, _ in results] == [
         (name, n, expected[n]) for name, n, _, _ in results
     ]
-    assert len(results) == 6 * 3 + 2 * 2
+    assert len(results) == 7 * 3 + 4 * 2
     assert [(name, n) for name, n, _, seconds in results if seconds >= 1.0] == []
+
+
+# In a child process under a 1 GiB address-space limit, the poset builds
+# within the cap whose N x N down-set rows would exceed posets.MAX_POSET_BITS
+# are refused at their first step, by the library and through the CLI at a
+# budget that admits them; their rows would take 13 to 52 GB.
+POSET_BOUND_CHILD = """
+import contextlib, io, json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from signedpaths import cli, posets
+
+calls = [
+    ("weak_poset B", lambda: posets.weak_poset(7, "B")),
+    ("weak_poset D", lambda: posets.weak_poset(7, "D")),
+    ("tg_poset", lambda: posets.tg_poset(7)),
+    ("weak_poset A", lambda: posets.weak_poset(9, "A")),
+]
+results = []
+for name, call in calls:
+    start = time.perf_counter()
+    try:
+        call()
+        outcome = "built"
+    except Exception as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    results.append([name, outcome, time.perf_counter() - start])
+argv = ["poset", "--kind", "B", "--n", "7", "--check", "lattice", "--max-elements", str(10**12)]
+err = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stderr(err):
+    code = cli.run(argv)
+results.append(["cli", f"{code} {err.getvalue()}", time.perf_counter() - start])
+print(json.dumps(results))
+"""
+
+
+def test_poset_builds_over_the_bound_are_refused_at_once():
+    src = str(Path(signedpaths.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", POSET_BOUND_CHILD], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    results = json.loads(out.stdout)
+
+    def refusal(kind, n, bits):
+        return f"the {kind} poset at n={n} would store {bits} relation bits, over MAX_POSET_BITS = {2**32}"
+
+    b7, d7, a9 = 645_120**2, 322_560**2, 362_880**2
+    assert [outcome for _, outcome, _ in results] == [
+        "ValueError: " + refusal("B", 7, b7),
+        "ValueError: " + refusal("D", 7, d7),
+        "ValueError: " + refusal("TG", 7, d7),
+        "ValueError: " + refusal("A", 9, a9),
+        f"2 error: {refusal('B', 7, b7)}\n",
+    ]
+    assert [name for name, _, seconds in results if seconds >= 1.0] == []
+
+
+def test_poset_bound_admits_the_largest_builds_in_use():
+    # B_6 (2.1e9 bits) and A_8 (1.6e9) fit under 2^32; rank 7 of B, D or TG does not
+    assert posets.MAX_POSET_BITS == 2**32
+    for kind, n in [("B", 6), ("A", 8)]:
+        assert posets.poset_cost(kind, n) <= posets.MAX_POSET_BITS
+    for kind, n in [("B", 7), ("D", 7), ("TG", 7), ("A", 9)]:
+        assert posets.poset_cost(kind, n) > posets.MAX_POSET_BITS
 
 
 # As above for the five bijection audits: each refuses n = 13 and n = 10^6

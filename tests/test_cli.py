@@ -110,7 +110,10 @@ class TestEulerianCommand:
         assert "budget" in err
 
     def test_type_d_needs_two(self, capsys):
-        assert "at least 2" in run_err(capsys, ["eulerian", "--kind", "D", "--n", "1"])
+        # the counting layer's own refusal, for either method
+        for method in ("formula", "bruteforce"):
+            argv = ["eulerian", "--kind", "D", "--n", "1", "--method", method]
+            assert run_err(capsys, argv) == "error: type D needs n >= 2\n"
 
 
 class TestVerifyCommand:
@@ -213,12 +216,13 @@ class TestBijectionCommand:
         assert "nonnegative" in err
 
     def test_chi_needs_two(self, capsys):
-        assert "at least 2" in run_err(capsys, ["bijection", "--check", "chi", "--n", "1"])
+        err = run_err(capsys, ["bijection", "--check", "chi", "--n", "1"])
+        assert err == "error: chi needs n >= 2\n"
 
     def test_tgdo_needs_one(self, capsys):
         # D_0 has no group order: the audit's own refusal, not group_order's
         err = run_err(capsys, ["bijection", "--check", "tgdo", "--n", "0"])
-        assert err == "error: tgdo needs --n at least 1\n"
+        assert err == "error: tgdo needs n >= 1\n"
 
     def test_budget_violation(self, capsys):
         err = run_err(

@@ -205,20 +205,34 @@ CALLS = {
 }
 
 
-def test_library_calls_raise_only_value_error():
-    rng = random.Random(20211)
+def library_refusals(seed):
+    # (name, n, exception) for each of 3000 seeded calls that raised
+    rng = random.Random(seed)
     names = sorted(CALLS)
-    escapes = []
+    refusals = []
     for _ in range(3000):
         name = rng.choice(names)
         n = rank(rng)
         try:
             CALLS[name](rng, n)
-        except ValueError:
-            pass
-        except Exception as exc:  # anything else escapes the boundary
-            escapes.append((name, n, f"{type(exc).__name__}: {exc}"))
+        except Exception as exc:
+            refusals.append((name, n, exc))
+    return refusals
+
+
+def test_library_calls_raise_only_value_error():
+    escapes = [(name, n, f"{type(exc).__name__}: {exc}")
+               for name, n, exc in library_refusals(20211) if not isinstance(exc, ValueError)]
     assert escapes == []
+
+
+def test_library_refusals_name_no_command_line_flag():
+    # a library refusal speaks of the library's arguments (n, kind, ...), not
+    # of the CLI's flags; only the budget gate names --max-elements beside
+    # max_elements, and no call at these ranks exceeds a budget
+    refusals = library_refusals(20211)
+    assert len({name for name, _, _ in refusals}) > 40
+    assert [(name, n, str(exc)) for name, n, exc in refusals if "--" in str(exc)] == []
 
 
 def argv(rng, tmp):

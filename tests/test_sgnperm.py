@@ -447,7 +447,9 @@ class TestChiAudit:
 
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_needs_rank_two(self, n):
-        with pytest.raises(ValueError, match="chi needs --n at least 2"):
+        # the enumeration cap first, then the audit's own floor
+        message = "n must be nonnegative" if n < 0 else "chi needs n >= 2"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             audit_chi(n)
 
     @pytest.mark.parametrize("n", range(2, 6))

@@ -439,11 +439,16 @@ class TestCountsAndText:
         for n in range(8):
             graphs = sum(1 for _ in enumerate_threshold_graphs(n))
             assert listing_cost(n) == graphs * max(n * (n - 1) // 2, 1)
+        # the ordered-Bell class size against the Stirling route, past the cap too
         for n in (8, 20, 60, 100):
-            assert listing_cost(n) == threshold_counts(n).total * n * (n - 1) // 2
-        # past n = 100 an upper bound stands in, and stays cheap
-        assert listing_cost(101) >= threshold_counts(101).total * 5050
-        assert listing_cost(10_000) > 10**35_000
+            assert threshold._graph_count(n) == threshold_counts(n).total
+        # the exact price up to the cap; no rank outside 0..12 is priced
+        assert listing_cost(12) == threshold._graph_count(12) * 66
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            listing_cost(-1)
+        for n in (13, 10**8):
+            with pytest.raises(ValueError, match=f"^n = {n} exceeds the enumeration cap 12$"):
+                listing_cost(n)
 
     def test_default_budget_lists_n8_but_not_n9(self):
         # 334,982 graphs of 28 slots; 4,349,492 graphs of 36 slots at n = 9
@@ -576,7 +581,7 @@ class TestAudits:
 
     def test_tgdo_needs_rank_one(self):
         # D_0 has no group order; the message names the argument
-        with pytest.raises(ValueError, match="^tgdo needs --n at least 1$"):
+        with pytest.raises(ValueError, match="^tgdo needs n >= 1$"):
             audit_tgdo(0)
 
     def test_bijtgsbps_round_trips_cover_the_class(self):
