@@ -36,6 +36,7 @@ from typing import ClassVar, Iterable, Iterator
 from .pathrep import LatticePath
 from .sgnperm import (
     MAX_ENUMERATION_N,
+    _BINARY_DIGITS,
     Permutation,
     SignedPermutation,
     as_permutation,
@@ -275,8 +276,12 @@ def audit_psi(n: int) -> tuple[int, str | None]:
     2^(n-1)·2^n small ints (32,768 at n = 8).  The round trips are checked
     on the first w only: the plans are fixed position maps on (*w, *-w),
     whose 2n entries are distinct for every w, so they give w back for all w
-    when they do for one.  A later w is walked element by element only to
-    name a failure, after the same count as an element-wise walk."""
+    when they do for one.  A later w builds no image: descB(u) is
+    des(0, u_1, ..., u_n), so its comparisons are those of index pairs
+    into (0, *w, *-w), about n^2 + 2n distinct ones per rank; each is made
+    once per w, and a bar set's count is the popcount of the results at its
+    image's pairs.  A w whose counts differ from the formula row is walked
+    element by element, to name the failure after the same count."""
     check_enumeration_cap(n)
     # psi negates the positions its bars fix, so the images of a bar set
     # share the signs psi^-1's plan reads: it is derived once per bar set.
@@ -285,18 +290,32 @@ def audit_psi(n: int) -> tuple[int, str | None]:
     subsets = list(_subsets(list(range(1, n + 1))))
     forward = [_psi_plan(bars, n) for bars in subsets]
     backs = [_psi_inverse_plan(_apply(plan, (1,) * n)) for plan in forward]
+    # descB(u) = des(0, u_1, ..., u_n): each adjacent pair of an image is an
+    # index pair into (0, *w, *-w), and the k-th distinct pair of the rank
+    # is bit lane k (its flag is read as a binary digit, so lanes run last
+    # first); a bar set's mask selects its image's n pairs
+    lanes: dict[tuple[int, int], int] = {}
+    masks = []
+    for plan in forward:
+        picks = (0, *plan(range(1, 2 * n + 1)))
+        masks.append(sum(1 << lanes.setdefault(p, len(lanes)) for p in zip(picks, picks[1:])))
+    lefts = _getter([a for a, _ in reversed(lanes)])
+    rights = _getter([b for _, b in reversed(lanes)])
     formulas: dict[frozenset[int], list[int]] = {}
     checked = 0
     for w in itertools.permutations(range(1, n + 1)):
         d = descent_set(w, "A")
         if d not in formulas:
             formulas[d] = [_descB(d, bars, True) for bars in subsets]
-        table = (*w, *map(neg, w))
+        letters = (0, *w, *map(neg, w))
         # checked is 0 only at the first w
-        if checked and [count(plan(table), "B") for plan in forward] == formulas[d]:
-            checked += len(subsets)
-            continue
-        negated = table[n:] + w
+        if checked:
+            digits = bytes(map(operator.gt, lefts(letters), rights(letters)))
+            flags = int(digits.translate(_BINARY_DIGITS), 2)
+            if [*map(int.bit_count, map(flags.__and__, masks))] == formulas[d]:
+                checked += len(subsets)
+                continue
+        table, negated = letters[1:], letters[n + 1:] + w
         for bars, plan, (back, back_bars), formula in zip(subsets, forward, backs, formulas[d]):
             u = plan(table)
             if back_bars != bars or back(u + plan(negated)) != w:

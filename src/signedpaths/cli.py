@@ -194,8 +194,6 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
     # every format prints each graph as it is generated
     listing: Iterable[threshold.SimpleGraph] = ()
     if args.list:

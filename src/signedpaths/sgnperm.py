@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
-from operator import gt
+from operator import getitem, gt
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -335,8 +335,12 @@ def audit_chi(n: int) -> tuple[int, str | None]:
     one): chi^-1 is onto and chi its inverse.  As ``barred.audit_psi``.
     The round trip is checked once per x: ``down[x]`` must undo ``up[x]`` on
     the letters of B_(n-1) and ``up[x]`` map none to 0, so that ``_unsplit``
-    makes every u non-smooth with |u_1| = x.  Only an x that fails is walked
-    element by element, to name a failure at the same (v, x) and count."""
+    makes every u non-smooth with |u_1| = x.  Each of u's descents lies in
+    one adjacent letter pair of (0, *v), and whether it is one depends on x
+    and that pair alone, so it is read once per x and pair; each v then
+    costs one mask of its pairs and n popcounts.  A v whose counts differ,
+    or every v if an x fails, is walked element by element, to name a
+    failure at the same (v, x) and count."""
     check_enumeration_cap(n)
     if n < 2:
         raise ValueError("chi needs n >= 2")
@@ -344,8 +348,26 @@ def audit_chi(n: int) -> tuple[int, str | None]:
     # built here is validated again, and v's descent shift is read once per v
     down = [_renaming(x, n, False).__getitem__ for x in range(n + 1)]
     up = [_renaming(x, n, True).__getitem__ for x in range(n + 1)]
+    letters = (*range(1 - n, 0), *range(1, n))
     suspect = {x for x in range(1, n + 1) if not all(
-        up[x](t) and down[x](up[x](t)) == t for t in (*range(1 - n, 0), *range(1, n)))}
+        up[x](t) and down[x](up[x](t)) == t for t in letters)}
+    # u's descents lie in the adjacent letter pairs (a, b) of (0, *v), each
+    # with its own lanes, two for a = 0 (u's sentinel and (u_1, u_2)), at
+    # pairs[a][b] (a negative letter reads from the end, as in _renaming);
+    # lanes[x - 1] sets as many of a pair's lanes as u = _unsplit(x, up[x](v))
+    # has descents there, so a popcount over v's pairs counts them
+    pairs = [[0] * (2 * n - 1) for _ in range(2 * n - 1)]
+    lanes = [0] * n
+    width = 0
+    for a in (0, *letters):
+        for b in letters:
+            if abs(a) != abs(b):
+                span = 2 if a == 0 else 1
+                pairs[a][b] = ((1 << span) - 1) << width
+                for x in range(1, n + 1):
+                    word = (0, *_unsplit(x, (up[x](b),))) if a == 0 else (up[x](a), up[x](b))
+                    lanes[x - 1] |= ((1 << sum(map(gt, word, word[1:]))) - 1) << width
+                width += span
     checked = 0
     last = ()  # precedes every window
     for v in enumerate_group(n - 1, "B"):
@@ -353,6 +375,10 @@ def audit_chi(n: int) -> tuple[int, str | None]:
             return checked, f"windows not strictly increasing at {v}"
         last = v
         shifted = positive_descent_count(v) + 1
+        mask = sum(map(getitem, map(pairs.__getitem__, (0, *v)), v))
+        if not suspect and [*map(int.bit_count, map(mask.__and__, lanes))] == [shifted] * n:
+            checked += n
+            continue
         for x in range(1, n + 1):
             u = _unsplit(x, tuple(map(up[x], v)))
             if x in suspect and (is_smooth(u) or abs(u[0]) != x

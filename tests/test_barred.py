@@ -517,6 +517,21 @@ class TestAudits:
         monkeypatch.setattr(barred, "enumerate_group", forbidden, raising=False)
         assert barred.audit_psi(5) == (7680, None)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_psi_counts_only_the_first_w_element_wise(self, monkeypatch, n):
+        # every later w is counted by popcounts over the rank's pair lanes;
+        # lanes that disagree with descent_count would walk it as well
+        calls = []
+        count = barred.descent_count
+
+        def counted(u, kind="A"):
+            calls.append(u)
+            return count(u, kind)
+
+        monkeypatch.setattr(barred, "descent_count", counted)
+        assert barred.audit_psi(n) == (2 ** (n + 1) * math.factorial(n), None)
+        assert len(calls) == 2**n
+
     def test_psi_failure_names_the_first_element(self, monkeypatch):
         monkeypatch.setattr(barred, "_descB", lambda d, bars, ceil: -1)
         assert barred.audit_psi(2) == (0, "descent formula broke at 12")

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (exit codes and output)."""
 
 import ast
+import itertools
 import json
 import pkgutil
 import time
@@ -321,18 +322,32 @@ class TestAuditFailures:
         )
 
     def test_chi_descent_shift_fault(self, capsys, monkeypatch):
-        # (-2, 1, -4, -3) = chi^-1(2, v) for the 25th window v of B_3, so
-        # its pair is the 98th walked
+        # x = 2 renames the letters 1 and 2 of B_3 to 1 and 3; swapping both
+        # the images and their preimages keeps every round trip but not the
+        # order, so the descent shift breaks where a walk of (v, x) through
+        # the public maps first sees it
         from signedpaths import sgnperm
 
-        target = (-2, 1, -4, -3)
-        count = sgnperm.descent_count
-        monkeypatch.setattr(
-            sgnperm, "descent_count", lambda u, kind="A": count(u, kind) + (u == target)
+        renaming = sgnperm._renaming
+
+        def swapped(x, n, up):
+            table = list(renaming(x, n, up))
+            if x == 2:
+                i, j = (1, 2) if up else (1, 3)
+                table[i], table[j] = table[j], table[i]
+            return tuple(table)
+
+        monkeypatch.setattr(sgnperm, "_renaming", swapped)
+        domain = itertools.product(sgnperm.enumerate_group(3, "B"), range(1, 5))
+        count, u = next(
+            (count, u)
+            for count, (v, x) in enumerate(domain)
+            for u in [sgnperm.chi_inverse(x, v)]
+            if sgnperm.descent_count(u, "B") != sgnperm.positive_descent_count(v) + 1
         )
         assert audit_failure(capsys, "chi", 4) == (
-            "chi at n=4: FAILED after 97 round trips\n"
-            "  descent shift broke at (-2, 1, -4, -3)\n"
+            f"chi at n=4: FAILED after {count} round trips\n"
+            f"  descent shift broke at {u}\n"
         )
 
     def test_chi_count_fault(self, capsys, monkeypatch):
@@ -475,7 +490,19 @@ class TestThresholdCommand:
         ]
 
     def test_rejects_nonpositive(self, capsys):
-        run_err(capsys, ["threshold", "--n", "0"])
+        # the counts' own floor; a listing alone has the empty graph at n = 0
+        for flags in [], ["--list", "--counts"], ["--format", "json"]:
+            err = run_err(capsys, ["threshold", "--n", "0", *flags])
+            assert err == "error: threshold counts need n >= 1\n", flags
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("table", "0;\n"),
+        ("csv", "series,index,value\ngraph,,0;\n"),
+        ("json", '{\n  "n": 0,\n  "graphs": [\n    {\n      "n": 0,\n'
+                 '      "edges": []\n    }\n  ]\n}\n'),
+    ])
+    def test_lists_the_empty_graph_at_rank_zero(self, capsys, fmt, expected):
+        assert run_ok(capsys, ["threshold", "--n", "0", "--list", "--format", fmt]) == expected
 
     @staticmethod
     def wrong_type_a_row(monkeypatch):

@@ -466,6 +466,16 @@ class TestChiAudit:
         assert audit_chi(n) == (2 ** (n - 1) * factorial(n), None)
         assert calls == [(n - 1, "B")]
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_counts_no_image_element_wise(self, monkeypatch, n):
+        # every (x, v) is counted by popcounts over v's pair lanes; lanes
+        # that disagree with descent_count would walk v element by element
+        def forbidden(*args):
+            raise AssertionError("descent_count called")
+
+        monkeypatch.setattr(sgnperm, "descent_count", forbidden)
+        assert audit_chi(n) == (2 ** (n - 1) * factorial(n), None)
+
     def test_catches_a_repeat_in_place_of_a_window(self, monkeypatch):
         # window 200 of B_4 is dropped and window 199 walked twice, so
         # every round trip holds and the count matches, and only the order
