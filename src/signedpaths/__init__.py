@@ -12,15 +12,17 @@ The package is organized around one pipeline of exact structures:
 * :mod:`signedpaths.threshold` — threshold graphs, degree orderings,
   and the bijections tying them to even-signed permutations and barred
   permutations;
-* :mod:`signedpaths.eulerian` — Eulerian numbers of all three types,
-  identity verification, and threshold-graph counting formulas;
 * :mod:`signedpaths.posets` — weak orders and the threshold-pair poset;
 * :mod:`signedpaths.kernels` — descent histograms of whole groups by a
   dynamic program over window prefixes;
+* :mod:`signedpaths.eulerian` — Eulerian numbers of all three types,
+  identity verification, and threshold-graph counting formulas;
 * :mod:`signedpaths.cli` — the ``signedpaths`` command-line tool.
 
 Each name is imported from its module (``from signedpaths.barred import
-psi``); ``import signedpaths`` alone loads none of them.
+psi``); ``import signedpaths`` alone loads none of them.  The first five
+(object) modules and the next two (counting) share no import, so each
+side checks the other with its own code; only ``cli`` loads both.
 
 Every number the package produces is exact; floating point is never
 involved.  All exhaustive routines run over deterministic enumeration

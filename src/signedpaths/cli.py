@@ -288,8 +288,6 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     if args.check == "iso" and args.dot:
         raise ValueError("--dot draws one poset, and --check iso builds two")
     built = ("D", "TG") if args.check == "iso" else (kind,)
-    if "D" in built and n < 2:
-        raise ValueError("type D posets need --n at least 2")
     check_budget(
         sum(posets.poset_cost(k, n) for k in built), args.max_elements,
         f"the {' and '.join(built)} poset at n={n}",

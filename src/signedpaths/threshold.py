@@ -32,7 +32,6 @@ from math import comb
 from typing import Iterable, Iterator
 
 from . import barred, pathrep
-from .eulerian import MAX_BRUTE_ELEMENTS, check_budget
 from .sgnperm import (
     _inversion_pairs,
     Permutation,
@@ -65,7 +64,6 @@ __all__ = [
     "enumerate_threshold_graphs",
     "enumerate_tg",
     "listing_cost",
-    "unlabeled_threshold_count",
     "sbp_from_threshold",
     "threshold_from_sbp",
     "parse_graph",
@@ -557,19 +555,6 @@ def enumerate_tg(n: int) -> Iterator[ThresholdPair]:
         edges = _mask_edges(mask, n)
         for w in _orderings(_classes(deg, n)):
             yield barred._trusted(ThresholdPair, w=w, edges=edges)
-
-
-def unlabeled_threshold_count(n: int) -> int:
-    """Number of threshold graphs on [n] up to isomorphism (``2^(n-1)``).
-
-    Threshold graphs are isomorphic exactly when their degree sequences
-    agree, so the count is over sorted degree sequences.  The walk is
-    charged :func:`listing_cost`, which asks the enumeration cap first,
-    against ``MAX_BRUTE_ELEMENTS``: n = 8 fits, n = 9 does not.
-    """
-    what = f"counting the unlabeled threshold graphs on [{n}]"
-    check_budget(listing_cost(n), MAX_BRUTE_ELEMENTS, what)
-    return len({tuple(sorted(deg)) for _, deg in _walk(n)})
 
 
 def parse_graph(text: str) -> SimpleGraph:

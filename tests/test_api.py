@@ -100,6 +100,26 @@ def test_importing_one_module_loads_only_its_imports():
     assert out.stdout == "['signedpaths', 'signedpaths.kernels']\n"
 
 
+OBJECT_MODULES = ["barred", "pathrep", "posets", "sgnperm", "threshold"]
+COUNTING_MODULES = ["eulerian", "kernels"]
+
+
+@pytest.mark.parametrize(
+    "imported, loaded",
+    [(OBJECT_MODULES, OBJECT_MODULES), (["eulerian"], COUNTING_MODULES)],
+    ids=["objects", "counting"],
+)
+def test_object_and_counting_modules_share_no_import(imported, loaded):
+    # the walks and the formulas confirm each other only while neither side
+    # runs the other's code; cli alone imports both
+    src = str(Path(signedpaths.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (f"import sys; from signedpaths import {', '.join(imported)}; "
+            "print(sorted(m for m in sys.modules if m.startswith('signedpaths.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == f"{[f'signedpaths.{m}' for m in loaded]}\n"
+
+
 DIVISORS = posets.FinitePoset([1, 2, 4], lambda a, b: b % a == 0)
 
 # public calls on arguments outside their domain: each must refuse with
@@ -126,9 +146,9 @@ def test_domain_errors_are_value_errors(call):
 
 # In a child process under a 200 MB address-space limit, each public
 # enumerator gives its first element at the cap, n = 12, and refuses n = 13
-# and n = 10^6 at once; so do tg_poset and unlabeled_threshold_count, which
-# walk a whole family, and the walk prices poset_cost and audit_theta_cost,
-# which would otherwise multiply out n!.  The limit binds only the child.
+# and n = 10^6 at once; so do tg_poset, which walks a whole family, and the
+# walk prices poset_cost and audit_theta_cost, which would otherwise
+# multiply out n!.  The limit binds only the child.
 HUGE_RANK_CHILD = """
 import json, resource, time
 resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
@@ -146,7 +166,6 @@ calls = {
     "enumerate_lbp": first(barred.enumerate_lbp),
     "symmetric_paths": first(pathrep.symmetric_paths),
     "tg_poset": posets.tg_poset,
-    "unlabeled_threshold_count": threshold.unlabeled_threshold_count,
     "poset_cost": lambda n: posets.poset_cost("B", n),
     "audit_theta_cost": barred.audit_theta_cost,
 }
@@ -176,7 +195,7 @@ def test_huge_ranks_are_refused_at_once():
     assert [(name, n, outcome) for name, n, outcome, _ in results] == [
         (name, n, expected[n]) for name, n, _, _ in results
     ]
-    assert len(results) == 7 * 3 + 4 * 2
+    assert len(results) == 7 * 3 + 3 * 2
     assert [(name, n) for name, n, _, seconds in results if seconds >= 1.0] == []
 
 

@@ -641,13 +641,33 @@ class TestPosetCommand:
         assert target.read_text().startswith("digraph hasse {")
 
     def test_type_d_needs_two(self, capsys):
-        run_err(capsys, ["poset", "--kind", "D", "--n", "1", "--check", "lattice"])
+        # weak D_1 is built like any weak order; only covers, which checks
+        # type D descents, needs n >= 2, and D_0 has no group order: both
+        # refusals are the library's
+        out = run_ok(capsys, ["poset", "--kind", "D", "--n", "1", "--check", "lattice"])
+        assert out == "D poset at n=1: lattice (1 elements)\n"
+        for kind in ("D", "TG"):
+            out = run_ok(capsys, ["poset", "--kind", kind, "--n", "1", "--check", "joinirr"])
+            assert out == f"{kind} poset at n=1: 0 join-irreducible elements\n"
+        assert cli.run(["poset", "--kind", "D", "--n", "1", "--check", "covers"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: type D descents need n >= 2 (sentinel is -u_2)\n"
+        )
+        for check in ("lattice", "covers", "joinirr"):
+            err = run_err(capsys, ["poset", "--kind", "D", "--n", "0", "--check", check])
+            assert err == "error: group order undefined for kind D, n = 0\n"
 
     @pytest.mark.parametrize("kind, n", [("D", 1), ("TG", 1), ("TG", 0)])
     def test_iso_builds_type_d_from_two(self, capsys, kind, n):
-        # the iso check builds weak D_n whichever kind is named
-        err = run_err(capsys, ["poset", "--kind", kind, "--n", str(n), "--check", "iso"])
-        assert err == "error: type D posets need --n at least 2\n"
+        # the iso check builds weak D_n whichever kind is named: from n = 1
+        # on, since D_0 has no group order
+        argv = ["poset", "--kind", kind, "--n", str(n), "--check", "iso"]
+        if n:
+            out = run_ok(capsys, argv)
+            assert out == "tg_pair on weak D_1 -> TG_1: order isomorphism\n"
+        else:
+            err = run_err(capsys, argv)
+            assert err == "error: group order undefined for kind D, n = 0\n"
 
     def test_budget(self, capsys):
         err = run_err(

@@ -183,7 +183,6 @@ CALLS = {
     "enumerate_graphs": lambda r, n: list(threshold.enumerate_graphs(small(r))),
     "enumerate_threshold_graphs": lambda r, n: list(threshold.enumerate_threshold_graphs(n)),
     "enumerate_tg": lambda r, n: list(threshold.enumerate_tg(small(r))),
-    "unlabeled_threshold_count": lambda r, n: threshold.unlabeled_threshold_count(n),
     "sbp_from_threshold": lambda r, n: threshold.sbp_from_threshold(graph(r, n)),
     "threshold_from_sbp": lambda r, n: threshold.threshold_from_sbp(sbp(r, n)),
     "parse_graph": lambda r, n: threshold.parse_graph(graph_text(r, n)),

@@ -6,7 +6,6 @@ import gc
 import itertools
 import json
 import math
-import time
 import tracemalloc
 
 import pytest
@@ -67,7 +66,6 @@ from signedpaths.threshold import (
     signed_from_tg,
     tg_pair,
     threshold_from_sbp,
-    unlabeled_threshold_count,
     vicinal_compare,
 )
 
@@ -426,7 +424,7 @@ class TestCountsAndText:
     @pytest.mark.parametrize(
         "make",
         [enumerate_graphs, enumerate_threshold_graphs, enumerate_tg, enumerate_sbp,
-         enumerate_lbp, symmetric_paths, tg_poset, unlabeled_threshold_count],
+         enumerate_lbp, symmetric_paths, tg_poset],
         ids=lambda f: f.__name__,
     )
     def test_negative_rank_is_refused(self, make):
@@ -454,17 +452,6 @@ class TestCountsAndText:
         # 334,982 graphs of 28 slots; 4,349,492 graphs of 36 slots at n = 9
         assert listing_cost(8) == 9_379_496 <= MAX_BRUTE_ELEMENTS
         assert listing_cost(9) == 156_581_712 > MAX_BRUTE_ELEMENTS
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_unlabeled_counts(self, n):
-        assert unlabeled_threshold_count(n) == 2 ** (n - 1)
-
-    def test_unlabeled_count_is_charged_its_walk(self):
-        # 4,349,492 graphs at n = 9, over the default budget; refused at once
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="budget"):
-            unlabeled_threshold_count(9)
-        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("n", range(8))
     def test_walk_masks_are_the_threshold_graphs(self, n):
