@@ -36,9 +36,9 @@ from typing import ClassVar, Iterable, Iterator
 from .pathrep import LatticePath
 from .sgnperm import (
     MAX_ENUMERATION_N,
-    _BINARY_DIGITS,
     Permutation,
     SignedPermutation,
+    _integers,
     as_permutation,
     as_window,
     check_enumeration_cap,
@@ -266,65 +266,51 @@ def positive_descB_formula(sbp: SimplyBarredPermutation) -> int:
     return _descB(descent_set(sbp.w, "A"), sbp.bars, False)
 
 
+def _reads_desc(plan: itemgetter, n: int) -> bool:
+    # whether plan's images have descents fixed by Desc(w): 0 and letters of
+    # opposite signs compare by sign, so picks of one sign must be neighbours
+    picks = plan(range(2 * n))
+    return all(abs(p - q) == 1 for p, q in zip(picks, picks[1:]) if (p < n) == (q < n))
+
+
 def audit_psi(n: int) -> tuple[int, str | None]:
     """Round trips of psi and ``descB_formula`` over :func:`enumerate_sbp`:
     ``(count, None)``, or the count and a message at the first failure.
     The round trips make psi injective and its 2^n n! images fill B_n, so
-    psi^-1's round trips on B_n hold too: the count credits those |B_n|, as
-    :func:`audit_theta` credits the descent sets that have passed.  The
-    formula is read once per ``(Desc(w), B)`` into a table of at most
-    2^(n-1)·2^n small ints (32,768 at n = 8).  The round trips are checked
-    on the first w only: the plans are fixed position maps on (*w, *-w),
-    whose 2n entries are distinct for every w, so they give w back for all w
-    when they do for one.  A later w builds no image: descB(u) is
-    des(0, u_1, ..., u_n), so its comparisons are those of index pairs
-    into (0, *w, *-w), about n^2 + 2n distinct ones per rank; each is made
-    once per w, and a bar set's count is the popcount of the results at its
-    image's pairs.  A w whose counts differ from the formula row is walked
-    element by element, to name the failure after the same count."""
+    psi^-1's round trips on B_n hold too: the count credits those |B_n|.
+    The plans are fixed position maps on (*w, *-w), whose 2n entries are
+    distinct, so they give every w back when they give one.  If no plan sets two letters of one sign side
+    by side unless they are neighbours in w, an image's descents depend on
+    w only through Desc(w), and, as in :func:`audit_theta`, a w whose
+    Desc(w) has passed is credited.  Any other w is walked element by
+    element, so a failure is named after the same count."""
     check_enumeration_cap(n)
     # psi negates the positions its bars fix, so the images of a bar set
     # share the signs psi^-1's plan reads: it is derived once per bar set.
     # -u is the plan read from (*-w, *w); no window built here is validated.
-    neg, count = operator.neg, descent_count
     subsets = list(_subsets(list(range(1, n + 1))))
     forward = [_psi_plan(bars, n) for bars in subsets]
     backs = [_psi_inverse_plan(_apply(plan, (1,) * n)) for plan in forward]
-    # descB(u) = des(0, u_1, ..., u_n): each adjacent pair of an image is an
-    # index pair into (0, *w, *-w), and the k-th distinct pair of the rank
-    # is bit lane k (its flag is read as a binary digit, so lanes run last
-    # first); a bar set's mask selects its image's n pairs
-    lanes: dict[tuple[int, int], int] = {}
-    masks = []
-    for plan in forward:
-        picks = (0, *plan(range(1, 2 * n + 1)))
-        masks.append(sum(1 << lanes.setdefault(p, len(lanes)) for p in zip(picks, picks[1:])))
-    lefts = _getter([a for a, _ in reversed(lanes)])
-    rights = _getter([b for _, b in reversed(lanes)])
-    formulas: dict[frozenset[int], list[int]] = {}
+    credit = all(_reads_desc(plan, n) for plan in forward)
+    passed: set[frozenset[int]] = set()
     checked = 0
     for w in itertools.permutations(range(1, n + 1)):
         d = descent_set(w, "A")
-        if d not in formulas:
-            formulas[d] = [_descB(d, bars, True) for bars in subsets]
-        letters = (0, *w, *map(neg, w))
-        # checked is 0 only at the first w
-        if checked:
-            digits = bytes(map(operator.gt, lefts(letters), rights(letters)))
-            flags = int(digits.translate(_BINARY_DIGITS), 2)
-            if [*map(int.bit_count, map(flags.__and__, masks))] == formulas[d]:
-                checked += len(subsets)
-                continue
-        table, negated = letters[1:], letters[n + 1:] + w
-        for bars, plan, (back, back_bars), formula in zip(subsets, forward, backs, formulas[d]):
+        if d in passed:
+            checked += len(subsets)
+            continue
+        table = (*w, *map(operator.neg, w))
+        for bars, plan, (back, back_bars) in zip(subsets, forward, backs):
             u = plan(table)
-            if back_bars != bars or back(u + plan(negated)) != w:
+            if back_bars != bars or back(u + plan(table[n:] + w)) != w:
                 sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
                 return checked, f"psi round trip broke at {format_sbp(sbp)}"
-            if count(u, "B") != formula:
+            if descent_count(u, "B") != _descB(d, bars, True):
                 sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
                 return checked, f"descent formula broke at {format_sbp(sbp)}"
             checked += 1
+        if credit:
+            passed.add(d)
     return checked + group_order(n, "B"), None
 
 
@@ -532,11 +518,12 @@ def parse_sbp(text: str) -> SimplyBarredPermutation:
     compact = sum(ch.isdigit() for ch in text) <= 9
     letters: list[int] = []
     bars: set[int] = set()
+    what = f"a letter of {text!r}"
     for seg in segments:
         if "," in seg or not compact:
-            letters.extend(int(p) for p in seg.split(","))
+            letters += _integers(seg.split(","), what)
         else:
-            letters.extend(int(ch) for ch in seg if not ch.isspace())
+            letters += _integers((ch for ch in seg if not ch.isspace()), what)
         bars.add(len(letters))
     n = len(letters)
     if not trailing_empty:

@@ -40,8 +40,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
-from operator import getitem, gt
-from typing import Iterator, Sequence
+from operator import gt
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "MAX_ENUMERATION_N",
@@ -332,59 +332,39 @@ def audit_chi(n: int) -> tuple[int, str | None]:
     give v back, so chi^-1 is injective; the v must strictly increase and
     number |B_(n-1)|, so its images are n·|B_(n-1)| = |B_n| / 2 non-smooth
     windows, all of them (mates pair each smooth window with a non-smooth
-    one): chi^-1 is onto and chi its inverse.  As ``barred.audit_psi``.
-    The round trip is checked once per x: ``down[x]`` must undo ``up[x]`` on
-    the letters of B_(n-1) and ``up[x]`` map none to 0, so that ``_unsplit``
-    makes every u non-smooth with |u_1| = x.  Each of u's descents lies in
-    one adjacent letter pair of (0, *v), and whether it is one depends on x
-    and that pair alone, so it is read once per x and pair; each v then
-    costs one mask of its pairs and n popcounts.  A v whose counts differ,
-    or every v if an x fails, is walked element by element, to name a
-    failure at the same (v, x) and count."""
+    one): chi^-1 is onto and chi its inverse.  As in ``barred.audit_psi``,
+    the tables are checked once per x and the pairs they cover credited:
+    ``up[x]`` must send B_(n-1)'s letters in order onto B_n's other than
+    -x and x, and ``down[x]`` undo it, so u_2 ... u_n has v's descents and
+    chi gives v back; ``_unsplit`` must sign x opposite to u_2, so u is
+    non-smooth and (0, u_1, u_2) has one descent.  If an x fails, every v
+    is walked element by element, to name a failure after the same count."""
     check_enumeration_cap(n)
     if n < 2:
         raise ValueError("chi needs n >= 2")
-    # the renaming tables of chi and chi_inverse, built once per x; no window
-    # built here is validated again, and v's descent shift is read once per v
+    # the renaming tables of chi and chi_inverse, once per x; no window is revalidated
     down = [_renaming(x, n, False).__getitem__ for x in range(n + 1)]
     up = [_renaming(x, n, True).__getitem__ for x in range(n + 1)]
-    letters = (*range(1 - n, 0), *range(1, n))
-    suspect = {x for x in range(1, n + 1) if not all(
-        up[x](t) and down[x](up[x](t)) == t for t in letters)}
-    # u's descents lie in the adjacent letter pairs (a, b) of (0, *v), each
-    # with its own lanes, two for a = 0 (u's sentinel and (u_1, u_2)), at
-    # pairs[a][b] (a negative letter reads from the end, as in _renaming);
-    # lanes[x - 1] sets as many of a pair's lanes as u = _unsplit(x, up[x](v))
-    # has descents there, so a popcount over v's pairs counts them
-    pairs = [[0] * (2 * n - 1) for _ in range(2 * n - 1)]
-    lanes = [0] * n
-    width = 0
-    for a in (0, *letters):
-        for b in letters:
-            if abs(a) != abs(b):
-                span = 2 if a == 0 else 1
-                pairs[a][b] = ((1 << span) - 1) << width
-                for x in range(1, n + 1):
-                    word = (0, *_unsplit(x, (up[x](b),))) if a == 0 else (up[x](a), up[x](b))
-                    lanes[x - 1] |= ((1 << sum(map(gt, word, word[1:]))) - 1) << width
-                width += span
+    letters = [*range(1 - n, 0), *range(1, n)]
+    credit = all(
+        (image := list(map(up[x], letters))) == [t for t in range(-n, n + 1) if t and abs(t) != x]
+        and list(map(down[x], image)) == letters
+        and all(_unsplit(x, (t,)) == (x if t < 0 else -x, t) for t in image)
+        for x in range(1, n + 1))
     checked = 0
     last = ()  # precedes every window
     for v in enumerate_group(n - 1, "B"):
         if v <= last:
             return checked, f"windows not strictly increasing at {v}"
         last = v
-        shifted = positive_descent_count(v) + 1
-        mask = sum(map(getitem, map(pairs.__getitem__, (0, *v)), v))
-        if not suspect and [*map(int.bit_count, map(mask.__and__, lanes))] == [shifted] * n:
+        if credit:
             checked += n
             continue
         for x in range(1, n + 1):
             u = _unsplit(x, tuple(map(up[x], v)))
-            if x in suspect and (is_smooth(u) or abs(u[0]) != x
-                                 or tuple(map(down[x], u[1:])) != v):
+            if is_smooth(u) or abs(u[0]) != x or tuple(map(down[x], u[1:])) != v:
                 return checked, f"chi round trip broke at {u}"
-            if descent_count(u, "B") != shifted:
+            if descent_count(u, "B") != positive_descent_count(v) + 1:
                 return checked, f"descent shift broke at {u}"
             checked += 1
     expected = n * group_order(n - 1, "B")
@@ -482,6 +462,17 @@ def enumerate_group(n: int, kind: str = "A") -> Iterator[tuple[int, ...]]:
 # Text forms
 
 
+def _integers(parts: Iterable[str], what: str) -> list[int]:
+    # the parts as integers; the first that is not one is named, with what it is
+    out = []
+    for part in parts:
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise ValueError(f"{what} is not an integer: {part!r}") from None
+    return out
+
+
 def parse_signed(text: str) -> SignedPermutation:
     """Parse a window from the comma form or the compact digit form.
 
@@ -497,7 +488,7 @@ def parse_signed(text: str) -> SignedPermutation:
     if not text:
         raise ValueError("empty signed-permutation text")
     if "," in text:
-        return as_window(tuple(int(p) for p in text.split(",")))
+        return as_window(_integers(text.split(","), f"a letter of {text!r}"))
     letters = []
     sign = 1
     for ch in text:

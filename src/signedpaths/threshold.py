@@ -36,6 +36,7 @@ from .sgnperm import (
     _inversion_pairs,
     Permutation,
     SignedPermutation,
+    _integers,
     as_permutation,
     as_window,
     check_enumeration_cap,
@@ -564,14 +565,14 @@ def parse_graph(text: str) -> SimpleGraph:
     SimpleGraph(n=3, edges=frozenset({(1, 2), (1, 3)}))
     """
     head, _, rest = text.partition(";")
-    n = int(head.strip())
+    [n] = _integers([head], "a graph's vertex count")
     edges = set()
     for chunk in rest.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         a, _, b = chunk.partition("-")
-        edges.add((int(a), int(b)))
+        edges.add(tuple(_integers([a, b], "an edge end")))
     return graph(n, edges)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import signedpaths
-from signedpaths import pathrep, posets, sgnperm
+from signedpaths import barred, pathrep, posets, sgnperm, threshold
 
 SOURCES = sorted(Path(signedpaths.__file__).parent.glob("*.py"))
 
@@ -142,6 +142,32 @@ BAD_CALLS = {
 def test_domain_errors_are_value_errors(call):
     with pytest.raises(ValueError):
         call()
+
+
+# text with a part that is not an integer: the message names the argument
+# and the part, not int()'s complaint about the part alone
+BAD_TEXTS = {
+    "window with an empty letter": (
+        sgnperm.parse_signed, "1,,2", "a letter of '1,,2' is not an integer: ''"),
+    "window with a word letter": (
+        sgnperm.parse_signed, "1,two", "a letter of '1,two' is not an integer: 'two'"),
+    "barred comma letter": (
+        barred.parse_sbp, "1,x|2", "a letter of '1,x|2' is not an integer: 'x'"),
+    "barred compact letter": (
+        barred.parse_sbp, "1x|2", "a letter of '1x|2' is not an integer: 'x'"),
+    "graph edge end": (threshold.parse_graph, "3; 1-x", "an edge end is not an integer: 'x'"),
+    "graph edge without a dash": (
+        threshold.parse_graph, "3; 1", "an edge end is not an integer: ''"),
+    "graph vertex count": (
+        threshold.parse_graph, "x; 1-2", "a graph's vertex count is not an integer: 'x'"),
+}
+
+
+@pytest.mark.parametrize("parse, text, message", BAD_TEXTS.values(), ids=BAD_TEXTS)
+def test_parsers_name_the_part_that_is_no_integer(parse, text, message):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 # In a child process under a 200 MB address-space limit, each public

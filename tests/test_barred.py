@@ -519,8 +519,9 @@ class TestAudits:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_psi_counts_only_the_first_w_element_wise(self, monkeypatch, n):
-        # every later w is counted by popcounts over the rank's pair lanes;
-        # lanes that disagree with descent_count would walk it as well
+        # every plan keeps the descents of its images read off Desc(w), so
+        # only the first w of each of the 2^(n-1) descent sets is counted,
+        # once per bar set; every later w is credited
         calls = []
         count = barred.descent_count
 
@@ -530,7 +531,45 @@ class TestAudits:
 
         monkeypatch.setattr(barred, "descent_count", counted)
         assert barred.audit_psi(n) == (2 ** (n + 1) * math.factorial(n), None)
-        assert len(calls) == 2**n
+        assert len(calls) == 2**n * 2 ** (n - 1)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_psi_descents_depend_on_desc_and_bars_alone(self, n):
+        # the premise of audit_psi's credit, checked on the images themselves
+        seen = {}
+        for sbp in enumerate_sbp(n):
+            image = descent_set(psi(sbp), "B")
+            assert seen.setdefault((descent_set(sbp.w, "A"), sbp.bars), image) == image
+        assert len(seen) == 2 ** max(n - 1, 0) * 2**n
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_psi_plan_reads_only_desc(self, n):
+        for bars in barred._subsets(list(range(1, n + 1))):
+            assert barred._reads_desc(barred._psi_plan(bars, n), n), bars
+
+    @pytest.mark.parametrize("picks", [[0, 2, 1], [5, 3, 1]], ids=["w1 w3 w2", "-w3 -w1 w2"])
+    def test_a_plan_that_parts_neighbours_reads_more_than_desc(self, picks):
+        # w_1 beside w_3, or -w_3 beside -w_1: Desc(w) leaves their order open
+        assert not barred._reads_desc(barred._getter(picks), 3)
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_psi_walks_every_w_if_a_plan_is_refused(self, monkeypatch, n):
+        # one plan refused: no class is credited, every element is counted
+        # (_psi_plan is cached, so the audit meets the very plan refused here)
+        reads, refused = barred._reads_desc, barred._psi_plan(frozenset({1}), n)
+        monkeypatch.setattr(
+            barred, "_reads_desc", lambda plan, m: plan is not refused and reads(plan, m)
+        )
+        calls = []
+        count = barred.descent_count
+
+        def counted(u, kind="A"):
+            calls.append(u)
+            return count(u, kind)
+
+        monkeypatch.setattr(barred, "descent_count", counted)
+        assert barred.audit_psi(n) == (2 ** (n + 1) * math.factorial(n), None)
+        assert len(calls) == 2**n * math.factorial(n)
 
     def test_psi_failure_names_the_first_element(self, monkeypatch):
         monkeypatch.setattr(barred, "_descB", lambda d, bars, ceil: -1)

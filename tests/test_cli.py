@@ -582,6 +582,10 @@ class TestRenderCommand:
         err = run_err(capsys, ["render", *argv])
         assert err == "error: dangling sign in '--'\n"
 
+    def test_window_of_non_integers_is_one_error_line(self, capsys):
+        err = run_err(capsys, ["render", "--perm", "1,,2"])
+        assert err == "error: a letter of '1,,2' is not an integer: ''\n"
+
 
 class TestPosetCommand:
     def test_iso_holds(self, capsys):

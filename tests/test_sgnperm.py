@@ -468,8 +468,8 @@ class TestChiAudit:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_counts_no_image_element_wise(self, monkeypatch, n):
-        # every (x, v) is counted by popcounts over v's pair lanes; lanes
-        # that disagree with descent_count would walk v element by element
+        # every (x, v) is credited once the tables pass their checks; tables
+        # that fail them would walk every v element by element
         def forbidden(*args):
             raise AssertionError("descent_count called")
 
@@ -546,6 +546,31 @@ class TestChiTables:
             return checked, None
 
         assert audit_chi(n) == walk() == (57, "chi round trip broke at (3, -5, -2, -1, 4)")
+
+    def test_unsplit_fault_is_named_where_a_walk_meets_it(self, monkeypatch):
+        # x is signed positive before a renamed first letter 1, so that u is
+        # smooth: the first-letter check refuses every x > 1, and the audit
+        # names the pair an element-wise walk of the public maps meets first
+        n = 4
+        unsplit = sgnperm._unsplit
+        monkeypatch.setattr(
+            sgnperm, "_unsplit",
+            lambda x, renamed: (x, *renamed) if renamed[0] == 1 else unsplit(x, renamed),
+        )
+
+        def walk():
+            checked = 0
+            for v in enumerate_group(n - 1, "B"):
+                for x in range(1, n + 1):
+                    u = chi_inverse(x, v)
+                    if is_smooth(u) or chi(u) != (x, v):
+                        return checked, f"chi round trip broke at {u}"
+                    if descent_count(u, "B") != positive_descent_count(v) + 1:
+                        return checked, f"descent shift broke at {u}"
+                    checked += 1
+            return checked, None
+
+        assert audit_chi(n) == walk() == (97, "chi round trip broke at (2, 1, -4, -3)")
 
     def test_walks_validate_no_window_they_built(self, monkeypatch):
         def forbidden(values):
