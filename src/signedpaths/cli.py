@@ -29,9 +29,10 @@ reads no histogram), a machine word of a formula row entry
 (``eulerian.row_cost``) for ``eulerian``, the ``threshold`` counts and,
 charged on its own, the formula side of ``verify``, a relation bit of each
 N x N ``poset``, an edge slot (C(n, 2) per graph) for ``threshold --list``
-and the bijtgsbps audit, a round trip for theta, a round trip verified for
-psi and tgdo (|B_n| and |D_n|; neither walks the other side), a window of
-B_n for chi (twice its round trips), and a grid cell for ``render``.  A walk over a rank-n
+and the bijtgsbps and tgdo audits, a letter read for Desc(w) or a class
+check for theta (``barred.audit_theta_cost``), a round trip verified for
+psi (|B_n|), a window of B_n for chi (twice its round trips), and a grid
+cell for ``render``.  A walk over a rank-n
 family is first refused above ``sgnperm.MAX_ENUMERATION_N`` (12) or below
 0, whatever the budget, and only then priced at its exact cost.
 """
@@ -164,15 +165,14 @@ def _verify_json(name: str, ok: bool, reports: list[IdentityReport]) -> str:
 # bijection
 
 
-# audit -> (the library audit, its cost: the round trips each audit verifies,
-# |B_n| for psi and |B_n| / 2 = |D_n| for tgdo, which refuses n = 0 itself,
-# the windows of B_n, twice chi's round trips, or the edge slots of the graphs
-# bijtgsbps lists)
+# audit -> (the library audit, its cost: psi's round trips, theta's letters
+# and class checks, the windows of B_n for chi, or the edge slots of the
+# threshold graphs that tgdo, which refuses n = 0 itself, and bijtgsbps walk)
 _AUDITS = {
     "psi": (barred.audit_psi, lambda n: sgnperm.group_order(n, "B")),
     "theta": (barred.audit_theta, barred.audit_theta_cost),
     "chi": (sgnperm.audit_chi, lambda n: sgnperm.group_order(n, "B")),
-    "tgdo": (threshold.audit_tgdo, lambda n: sgnperm.group_order(n, "B") // 2),
+    "tgdo": (threshold.audit_tgdo, threshold.listing_cost),
     "bijtgsbps": (threshold.audit_bijtgsbps, threshold.listing_cost),
 }
 

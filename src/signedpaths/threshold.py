@@ -28,7 +28,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from . import barred, pathrep
@@ -322,10 +322,10 @@ def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
     (1, 2, 3)
     """
     deg = _degrees(pair.edges)
-    return barred._apply(_tg_plan([deg[v] for v in pair.w]), pair.w)
+    return barred._apply(_tg_plan(tuple(deg[v] for v in pair.w)), pair.w)
 
 
-def _tg_plan(degrees: list[int]) -> operator.itemgetter:
+def _tg_plan(degrees: tuple[int, ...]) -> operator.itemgetter:
     # signed_from_tg as a plan on (*w, *-w), for each degree ordering w with
     # these degrees along it.  N(w_x) is {w_1, ..., w_f(x)} less w_x, so f(x)
     # is d_x + 1 when w_x is among the first d_x + 1 letters and d_x if not
@@ -339,34 +339,49 @@ def _tg_plan(degrees: list[int]) -> operator.itemgetter:
 
 
 def audit_tgdo(n: int) -> tuple[int, str | None]:
-    """Round trips of :func:`signed_from_tg` over the (graph, ordering)
-    sequence that :func:`enumerate_tg` yields (n >= 1), from the same walk,
-    degree classes and orderings, but with no pair built; the sequence must
-    strictly increase and be |D_n| long, as in ``barred.audit_psi``.  Each
-    image is even-signed and ``tg_pair`` gives its pair back, so distinct
-    pairs have distinct images in D_n, and equal counts make
-    ``signed_from_tg`` onto D_n with ``tg_pair`` its inverse.  Vertices of
-    one degree in a threshold graph are twins, so all degree orderings of a
-    graph share one plan, built once per graph; every ordering is still
-    round-tripped.  No image is kept, and the count is the round trips."""
+    """Round trips of :func:`signed_from_tg` over the pairs of
+    :func:`enumerate_tg` (n >= 1), from the same walk, one graph at a time
+    and with no pair built; the edge masks must strictly increase and the
+    pairs be |D_n| in number.  Each image is even-signed and ``tg_pair``
+    gives its pair back, so distinct pairs have distinct images in D_n, and
+    equal counts make ``signed_from_tg`` onto D_n with ``tg_pair`` its
+    inverse.  Its plan on (*w, *-w) is fixed by the degrees along w and is
+    built once per degree sequence, so the image of w o sigma, sigma
+    permuting positions within degree classes, is that of w with each w_i
+    renamed (w o sigma)_i, which ``tg_pair`` reads as (w o sigma, sigma(E)).
+    sigma(E) = E when consecutive x, y of each class have N(x) - {y} =
+    N(y) - {x}, as vertices of one degree in a threshold graph do (Chvatal
+    and Hammer, 1977).  So each graph's canonical w is round-tripped, its
+    classes checked for twins and their factorials' product credited; a
+    failure comes after the earlier graphs' credits, as in a pair walk."""
     check_enumeration_cap(n)
     if n < 1:
         raise ValueError("tgdo needs n >= 1")
     expected = group_order(n, "D")
     checked = 0
-    last: tuple = (-1,)  # below every (mask, w)
+    last = -1
+    plans: dict = {}  # degrees along w -> the plan, for this call only
     for mask, deg in _walk(n):
-        classes = _classes(deg, n)
-        plan = _tg_plan([d for d, vs in classes for _ in vs])
         edges = _mask_edges(mask, n)
-        for w in _orderings(classes):
-            if (mask, w) <= last:
-                return checked, f"tgdo pairs not strictly increasing at {w} on {_text(edges, n)}"
-            last = (mask, w)
-            u = barred._apply(plan, w)
-            if not is_even_signed(u) or _labels_and_edges(u) != (w, edges):
-                return checked, f"tgdo round trip broke at {w} on {_text(edges, n)}"
-            checked += 1
+        if mask <= last:
+            return checked, f"tgdo graphs not strictly increasing at {_text(edges, n)}"
+        last = mask
+        classes = _classes(deg, n)
+        w = tuple(v for _, vs in classes for v in vs)
+        if (degrees := tuple(deg[v] for v in w)) not in plans:
+            plans[degrees] = _tg_plan(degrees)
+        u = barred._apply(plans[degrees], w)
+        if not is_even_signed(u) or _labels_and_edges(u) != (w, edges):
+            return checked, f"tgdo round trip broke at {w} on {_text(edges, n)}"
+        nbrs = [0] * (n + 1)  # bit v of nbrs[x] for each edge x-v
+        for a, b in edges:
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+        for _, vs in classes:
+            for x, y in itertools.pairwise(vs):
+                if nbrs[x] & ~(1 << y) != nbrs[y] & ~(1 << x):
+                    return checked, f"tgdo vertices {x}, {y} of one class are not twins on {_text(edges, n)}"
+        checked += prod(factorial(len(vs)) for _, vs in classes)
     if checked != expected:
         return checked, f"tgdo image has {checked} pairs, expected {expected}"
     return checked, None
@@ -548,8 +563,8 @@ def enumerate_tg(n: int) -> Iterator[ThresholdPair]:
 
     The pairs strictly increase: graphs come in the edge-subset order of
     :func:`enumerate_threshold_graphs`, and the orderings of one graph in
-    lexicographic order.  They come from the walk, degree classes and
-    orderings that :func:`audit_tgdo` round-trips and checks this order on.
+    lexicographic order.  They come from the walk and degree classes that
+    :func:`audit_tgdo` checks this order on and round-trips once per graph.
     """
     check_enumeration_cap(n)
     for mask, deg in _walk(n):

@@ -850,6 +850,7 @@ class TestBudgetGate:
     @pytest.mark.parametrize("n", ["9", "10"])
     @pytest.mark.parametrize("argv", [
         ["threshold", "--list"], ["bijection", "--check", "bijtgsbps"],
+        ["bijection", "--check", "tgdo"],
     ])
     def test_large_threshold_listings_are_refused(self, capsys, monkeypatch, argv, n):
         # 156,581,712 edge slots at n = 9 are over the default budget of 10^8
@@ -859,6 +860,14 @@ class TestBudgetGate:
         monkeypatch.setattr(threshold, "enumerate_threshold_graphs", forbidden)
         monkeypatch.setattr(threshold, "_walk", forbidden)
         assert "budget" in run_err(capsys, argv + ["--n", n])
+
+    def test_tgdo_nine_is_refused_at_once(self, capsys):
+        # tgdo walks the threshold graphs and is charged their edge slots,
+        # as bijtgsbps is: 4,349,504 graphs of 36 at n = 9
+        start = time.perf_counter()
+        err = run_err(capsys, ["bijection", "--check", "tgdo", "--n", "9"])
+        assert time.perf_counter() - start < 1.0
+        assert err.startswith("error: the tgdo audit costs 156581712, over the budget")
 
     def test_long_render_is_refused(self, capsys):
         window = ",".join(str(v) for v in range(1, 20_001))
@@ -1035,24 +1044,26 @@ class TestStreamedOutput:
 
 class TestTgdoAuditFailure:
     def test_tgdo_fault_in_the_middle(self, capsys, monkeypatch):
-        # the audit walks the pairs of enumerate_tg, one plan per graph: the
-        # mate of the image of the 256th pair is not even-signed
+        # the plan of the degrees (2, 1, 1, 0, 0) gives the mate, which is
+        # not even-signed: the first graph with those degrees along its
+        # canonical ordering, 5; 1-2, 1-3, fails there, after the 144 pairs
+        # of enumerate_tg before it
         from signedpaths.sgnperm import mate
 
-        target = threshold.tg_pair((-3, 1, -2, 5, 4))
         make = threshold._tg_plan
 
         def faulty(degrees):
-            # the plan of the target's graph: its degrees along w and w fix it
             plan = make(degrees)
-            if degrees != [2, 1, 1, 0, 0]:
+            if degrees != (2, 1, 1, 0, 0):
                 return plan
-            return lambda table: mate(plan(table)) if table[:5] == target.w else plan(table)
+            return lambda table: mate(plan(table))
 
         monkeypatch.setattr(threshold, "_tg_plan", faulty)
+        target = threshold.parse_graph("5; 1-2, 1-3")
+        assert [p.edges for p in threshold.enumerate_tg(5)].index(target.edges) == 144
         assert audit_failure(capsys, "tgdo", 5) == (
-            "tgdo at n=5: FAILED after 255 round trips\n"
-            "  tgdo round trip broke at (2, 3, 1, 5, 4) on 5; 1-2, 2-3\n"
+            "tgdo at n=5: FAILED after 144 round trips\n"
+            "  tgdo round trip broke at (1, 2, 3, 4, 5) on 5; 1-2, 1-3\n"
         )
 
 

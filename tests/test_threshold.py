@@ -13,6 +13,7 @@ import pytest
 from signedpaths import threshold
 from signedpaths.barred import (
     SimplyBarredPermutation,
+    _apply as apply_plan,
     blocks,
     central_block_index,
     classify_sbp,
@@ -546,21 +547,6 @@ def repeat_in_place(stream, k):
     return walk
 
 
-def edit_pairs(monkeypatch, edit):
-    # the (graph, ordering) pairs audit_tgdo walks, numbered from 0 over the
-    # whole walk: each graph's orderings pass through
-    # edit(first, classes, orderings), first the number of its first pair
-    orderings = threshold._orderings
-    walked = [0]
-
-    def edited(classes):
-        ws = list(orderings(classes))
-        first, walked[0] = walked[0], walked[0] + len(ws)
-        return iter(edit(first, classes, ws))
-
-    monkeypatch.setattr(threshold, "_orderings", edited)
-
-
 class TestAudits:
     def test_tgdo_round_trips_cover_d_n(self):
         for n in range(1, 5):
@@ -613,64 +599,78 @@ class TestAudits:
         )
 
     def test_tgdo_catches_a_repeat_in_place_of_a_pair(self, monkeypatch):
-        # pair 100 is an ordering of the empty graph, as is pair 99
-        def repeat(first, classes, ws):
-            if first <= 100 < first + len(ws):
-                ws[100 - first] = ws[99 - first]
-            return ws
-
-        edit_pairs(monkeypatch, repeat)
+        # graph 100 is dropped and graph 99 walked twice, so graph 99's pairs
+        # stand in place of graph 100's: its round trip and twin check hold,
+        # and both graphs have four orderings, so only the mask order sees
+        # it, after the orderings of graphs 0..99
+        monkeypatch.setattr(threshold, "_walk", repeat_in_place(threshold._walk, 100))
+        graphs = list(enumerate_threshold_graphs(5))
+        credited = sum(len(list(degree_orderings(g))) for g in graphs[:100])
         assert audit_tgdo(5) == (
-            100,
-            "tgdo pairs not strictly increasing at (5, 1, 3, 4, 2) on 5;",
+            credited,
+            "tgdo graphs not strictly increasing at 5; 1-3, 3-5",
         )
+        assert credited == 656
 
     def test_tgdo_catches_a_dropped_pair(self, monkeypatch):
-        edit_pairs(
-            monkeypatch,
-            lambda first, classes, ws: [w for i, w in enumerate(ws, start=first) if i != 100],
+        # graph 100, 5; 1-5, 3-5, dropped from the walk: every graph left
+        # passes, and only the count sees its four pairs go missing
+        walk = threshold._walk
+        monkeypatch.setattr(
+            threshold,
+            "_walk",
+            lambda n: (g for i, g in enumerate(walk(n)) if i != 100),
         )
-        assert audit_tgdo(5) == (1919, "tgdo image has 1919 pairs, expected 1920")
+        assert audit_tgdo(5) == (1916, "tgdo image has 1916 pairs, expected 1920")
 
     def test_tgdo_catches_a_pair_that_is_no_degree_ordering(self, monkeypatch):
-        # the last pair of the graph with the one edge 1-2 gets the largest
-        # word, which keeps the stream increasing; only the round trip sees
-        # that 5 4 3 2 1 is no degree ordering of that graph
-        def last_reversed(first, classes, ws):
-            if classes == [(1, (1, 2)), (0, (3, 4, 5))]:
-                ws[-1] = (5, 4, 3, 2, 1)
-            return ws
+        # the degree classes {1, 2} and {3, 4, 5} of the graph below merged
+        # into one: the canonical ordering, and so the plan and round trip,
+        # stay right, but the credit would count orderings such as
+        # (3, 1, 2, 4, 5), which are no degree orderings.  The first pair
+        # of the class, 1 and 2, are twins; 2 and 3 are not
+        target = graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
+        classes = threshold._classes
 
-        edit_pairs(monkeypatch, last_reversed)
+        def merged(deg, n):
+            cs = classes(deg, n)
+            if cs != [(4, (1, 2)), (2, (3, 4, 5))]:
+                return cs
+            return [(4, cs[0][1] + cs[1][1])]
+
+        monkeypatch.setattr(threshold, "_classes", merged)
+        first = next(i for i, p in enumerate(enumerate_tg(5)) if p.edges == target.edges)
         assert audit_tgdo(5) == (
-            131,
-            "tgdo round trip broke at (5, 4, 3, 2, 1) on 5; 1-2",
+            first,
+            f"tgdo vertices 2, 3 of one class are not twins on {format_graph(target)}",
         )
+        assert first == 468
 
-    def test_tgdo_fault_in_one_later_ordering_names_its_pair(self, monkeypatch):
-        # the plan of the graph 2-4, 3-4, 4-5 is right for its first
-        # ordering and wrong for its third, (4, 3, 2, 5, 1): the shared plan
-        # is applied to every ordering, and each image is checked
-        from signedpaths.sgnperm import mate
-
-        target = (4, 3, 2, 5, 1)
-        pairs = list(enumerate_tg(5))
-        index = pairs.index(ThresholdPair(target, [(2, 4), (3, 4), (4, 5)]))
-        assert pairs[index - 2].edges == pairs[index].edges != pairs[index - 3].edges
+    def test_tgdo_plan_fault_is_named_at_the_first_ordering(self, monkeypatch):
+        # the plan of the degrees (3, 1, 1, 1, 0) gives the odd-signed mate:
+        # the first graph with those degrees along its canonical ordering
+        # fails at that ordering, after the pairs a walk over every pair of
+        # enumerate_tg meets before it
         make = threshold._tg_plan
 
         def faulty(degrees):
-            # the degrees along an ordering and the ordering fix the graph
             plan = make(degrees)
-            if degrees != [3, 1, 1, 1, 0]:
+            if degrees != (3, 1, 1, 1, 0):
                 return plan
-            return lambda table: mate(plan(table)) if table[:5] == target else plan(table)
+            return lambda table: mate(plan(table))
 
         monkeypatch.setattr(threshold, "_tg_plan", faulty)
-        assert audit_tgdo(5) == (
-            index,
-            "tgdo round trip broke at (4, 3, 2, 5, 1) on 5; 2-4, 3-4, 4-5",
+        pairs = list(enumerate_tg(5))
+        first = next(
+            i for i, p in enumerate(pairs)
+            if [degree(SimpleGraph(5, p.edges), v) for v in p.w] == [3, 1, 1, 1, 0]
         )
+        assert pairs[first].w == canonical_degree_ordering(SimpleGraph(5, pairs[first].edges))
+        assert audit_tgdo(5) == (
+            first,
+            "tgdo round trip broke at (1, 2, 3, 4, 5) on 5; 1-2, 1-3, 1-4",
+        )
+        assert first == 168
 
     @pytest.mark.parametrize(
         "audit, bound", [(audit_tgdo, 500_000), (audit_chi, 100_000)]
@@ -702,9 +702,10 @@ class TestAudits:
         for g in enumerate_threshold_graphs(4):
             assert graph_from_json(json.dumps(graph_dict(g))) == g
 
-    def test_tgdo_walks_each_pair_once(self, monkeypatch):
-        # one walk over the pairs of enumerate_tg: a second walk over D_n
-        # would repeat every inverse on the same window
+    def test_tgdo_round_trips_each_graph_once(self, monkeypatch):
+        # one walk over the graphs of enumerate_tg, each round-tripped once,
+        # at its canonical ordering, and one plan per degree sequence: 2^4
+        # at n = 5, against 332 graphs and 1920 pairs
         calls = {}
 
         def count(name):
@@ -720,8 +721,7 @@ class TestAudits:
         count("_labels_and_edges")
         count("_tg_plan")
         assert audit_tgdo(5) == (1920, None)
-        # one plan per graph, one inverse per pair
-        assert calls == {"_labels_and_edges": 1920, "_tg_plan": 332}
+        assert calls == {"_labels_and_edges": 332, "_tg_plan": 16}
 
     def test_tgdo_validates_no_window_it_built(self, monkeypatch):
         def forbidden(values):
@@ -729,6 +729,34 @@ class TestAudits:
 
         monkeypatch.setattr(threshold, "as_window", forbidden)
         assert audit_tgdo(4) == (group_order(4, "D"), None)
+
+
+class TestTgdoCredit:
+    # audit_tgdo round-trips each graph at its canonical ordering and
+    # credits the graph's other degree orderings; these walk every pair
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_degree_ordering_round_trips_under_the_graphs_one_plan(self, n):
+        for mask, deg in threshold._walk(n):
+            edges = threshold._mask_edges(mask, n)
+            ws = list(threshold._orderings(threshold._classes(deg, n)))
+            plan = threshold._tg_plan(tuple(deg[v] for v in ws[0]))
+            for w in ws:
+                u = apply_plan(plan, w)
+                pair = tg_pair(u)
+                assert is_even_signed(u) and (pair.w, pair.edges) == (w, edges), (w, edges)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_renaming_within_classes_gives_each_orderings_image(self, n):
+        # the image of w o sigma is the canonical image u with each letter
+        # w_i renamed (w o sigma)_i, signs kept
+        for g in enumerate_threshold_graphs(n):
+            w = canonical_degree_ordering(g)
+            u = signed_from_tg(ThresholdPair(w, g.edges))
+            for v in degree_orderings(g):
+                rename = dict(zip(w, v))
+                renamed = tuple(rename[x] if x > 0 else -rename[-x] for x in u)
+                assert renamed == signed_from_tg(ThresholdPair(v, g.edges)), (g, v)
 
 
 class TestVicinalRecognizer:
