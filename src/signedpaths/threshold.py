@@ -23,7 +23,6 @@ pair of converters.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import json
 import operator
@@ -106,13 +105,27 @@ def graph(n: int, edges: Iterable[Iterable[int]] = ()) -> SimpleGraph:
 
 
 def neighbors(g: SimpleGraph, v: int) -> frozenset[int]:
-    return frozenset(
-        b if a == v else a for a, b in g.edges if v in (a, b)
-    )
+    row = _nbrs(g.edges, g.n)[_vertex(g, v)]
+    return frozenset(u for u in range(1, g.n + 1) if row >> u & 1)
 
 
 def degree(g: SimpleGraph, v: int) -> int:
-    return sum(1 for e in g.edges if v in e)
+    return _nbrs(g.edges, g.n)[_vertex(g, v)].bit_count()
+
+
+def _vertex(g: SimpleGraph, v: int) -> int:
+    if not 1 <= v <= g.n:
+        raise ValueError(f"vertex {v} is not in the vertex set [{g.n}]")
+    return v
+
+
+def _nbrs(edges: Iterable[Edge], n: int) -> list[int]:
+    # the one adjacency table: bit v of entry x for each edge x-v, entry 0 unused
+    nbrs = [0] * (n + 1)
+    for a, b in edges:
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    return nbrs
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +134,11 @@ def degree(g: SimpleGraph, v: int) -> int:
 
 def vicinal_compare(g: SimpleGraph, v: int, u: int) -> bool:
     """``v <= u`` in the vicinal preorder: ``N(v)`` inside ``N(u) + {u}``."""
-    return neighbors(g, v) <= (neighbors(g, u) | {u})
+    return _below(_nbrs(g.edges, g.n), _vertex(g, v), _vertex(g, u))
+
+
+def _below(nbrs: list[int], v: int, u: int) -> bool:
+    return not nbrs[v] & ~(nbrs[u] | 1 << u)
 
 
 def is_threshold(g: SimpleGraph, method: str = "vicinal") -> bool:
@@ -133,17 +150,9 @@ def is_threshold(g: SimpleGraph, method: str = "vicinal") -> bool:
     True
     """
     if method == "vicinal":
-        # vicinal_compare on every pair, with the open and closed
-        # neighborhoods built in one pass over the edges
-        nbrs = {v: set() for v in range(1, g.n + 1)}
-        for a, b in g.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        closed = {v: nbrs[v] | {v} for v in nbrs}
-        return all(
-            nbrs[v] <= closed[u] or nbrs[u] <= closed[v]
-            for v, u in itertools.combinations(nbrs, 2)
-        )
+        nbrs = _nbrs(g.edges, g.n)  # adjacency from the one per-vertex bit-mask table
+        pairs = itertools.combinations(range(1, g.n + 1), 2)
+        return all(_below(nbrs, v, u) or _below(nbrs, u, v) for v, u in pairs)
     if method == "forbidden":
         # On four vertices the induced edge count plus degree multiset pins
         # down each of the three forbidden graphs: a two-edge matching, the
@@ -169,7 +178,7 @@ def is_degree_ordering(g: SimpleGraph, w: Permutation) -> bool:
     w = as_permutation(w)
     if len(w) != g.n:
         raise ValueError(f"ordering length {len(w)} does not match n = {g.n}")
-    deg = _degrees(g.edges)
+    deg = _degrees(g.edges, g.n)
     return all(deg[a] >= deg[b] for a, b in itertools.pairwise(w))
 
 
@@ -186,18 +195,18 @@ def canonical_degree_ordering(g: SimpleGraph) -> Permutation:
 
 def degree_orderings(g: SimpleGraph) -> Iterator[Permutation]:
     """All degree orderings of ``g``: permute freely within degree classes."""
-    return _orderings(_classes(_degrees(g.edges), g.n))
+    return _orderings(_classes(_degrees(g.edges, g.n), g.n))
 
 
-def _degrees(edges: Iterable[Edge]) -> collections.Counter:
-    # the degree of each vertex, from one pass over the edges
-    return collections.Counter(itertools.chain.from_iterable(edges))
+def _degrees(edges: Iterable[Edge], n: int) -> list[int]:
+    # the degree of each vertex (index 0 unused): its row's popcount
+    return [row.bit_count() for row in _nbrs(edges, n)]
 
 
 def _threshold_classes(g: SimpleGraph) -> list:
     if not is_threshold(g):
         raise ValueError("canonical degree ordering is defined for threshold graphs")
-    return _classes(_degrees(g.edges), g.n)
+    return _classes(_degrees(g.edges, g.n), g.n)
 
 
 def _classes(deg, n: int) -> list:
@@ -248,11 +257,9 @@ def height_from_edges(edges: Iterable[Edge], n: int) -> pathrep.HeightFunction:
     >>> height_from_edges([(1, 2), (1, 3)], 3)
     (3, 3, 1, 1)
     """
-    pair = ThresholdPair(tuple(range(1, n + 1)), edges)
-    f = [n] + [0] * n  # f(0) = n, and 0 for an isolated vertex
-    for a, b in pair.edges:
-        f[a], f[b] = max(f[a], b), max(f[b], a)
-    return pathrep.as_height(f)
+    pair = ThresholdPair(tuple(range(1, n + 1)), SimpleGraph(n, edges).edges)  # n < 0 refused
+    # f(0) = n; bit 0 is never a neighbour, so f(x) = 0 for an isolated x
+    return pathrep.as_height([n] + [(r | 1).bit_length() - 1 for r in _nbrs(pair.edges, n)[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +328,7 @@ def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
     >>> signed_from_tg(ThresholdPair((1, 2, 3), frozenset()))
     (1, 2, 3)
     """
-    deg = _degrees(pair.edges)
+    deg = _degrees(pair.edges, len(pair.w))
     return barred._apply(_tg_plan(tuple(deg[v] for v in pair.w)), pair.w)
 
 
@@ -373,10 +380,7 @@ def audit_tgdo(n: int) -> tuple[int, str | None]:
         u = barred._apply(plans[degrees], w)
         if not is_even_signed(u) or _labels_and_edges(u) != (w, edges):
             return checked, f"tgdo round trip broke at {w} on {_text(edges, n)}"
-        nbrs = [0] * (n + 1)  # bit v of nbrs[x] for each edge x-v
-        for a, b in edges:
-            nbrs[a] |= 1 << b
-            nbrs[b] |= 1 << a
+        nbrs = _nbrs(edges, n)
         for _, vs in classes:
             for x, y in itertools.pairwise(vs):
                 if nbrs[x] & ~(1 << y) != nbrs[y] & ~(1 << x):

@@ -123,6 +123,21 @@ class TestGraphBasics:
         assert neighbors(g, 4) == frozenset()
         assert [degree(g, v) for v in range(1, 5)] == [2, 1, 1, 0]
 
+    def test_vertices_outside_the_set_are_refused(self):
+        # a vertex outside [n] is named with n, not answered for as isolated
+        g = graph(3, [(1, 2)])
+        for call in (
+            lambda: neighbors(g, 7),
+            lambda: degree(g, 0),
+            lambda: vicinal_compare(g, 9, 1),
+            lambda: vicinal_compare(g, 1, 4),
+        ):
+            with pytest.raises(ValueError, match=r"^vertex \d is not in the vertex set \[3\]$"):
+                call()
+        with pytest.raises(ValueError, match=r"^vertex 1 is not in the vertex set \[0\]$"):
+            degree(graph(0), 1)
+        assert (neighbors(g, 3), degree(g, 1), vicinal_compare(g, 3, 1)) == (frozenset(), 1, True)
+
 
 class TestRecognition:
     def test_forbidden_quadruples(self):
@@ -247,6 +262,11 @@ class TestHeightsAndEdges:
             height_from_edges([(1, 2), (3, 4)], 4)  # not threshold
         with pytest.raises(ValueError):
             height_from_edges([(2, 3)], 3)  # identity not a degree ordering
+
+    def test_height_refuses_a_negative_vertex_count(self):
+        # as a graph does, not as a height function the caller never gave
+        with pytest.raises(ValueError, match="^a graph needs a nonnegative vertex count, not -1$"):
+            height_from_edges([], -1)
 
     @pytest.mark.parametrize("n", range(6))
     def test_self_adjoint_fibers_pair_up(self, n):
@@ -514,6 +534,29 @@ class TestCountsAndText:
             assert type(g) is SimpleGraph
             assert g == rebuilt and hash(g) == hash(rebuilt)
 
+    def test_edge_masks_past_64_bits(self):
+        # C(12, 2) = 66 slots, pair (11, 12) at bit 65.  The first 2,000
+        # graphs at n = 12 hold only low bits; their complements, threshold
+        # too, hold (11, 12), and are the walk's last 2,000 in reverse.  The
+        # forbidden recognizer runs on every 40th pair: it takes 1.3 ms per
+        # sparse graph and 5 ms per dense one at this rank
+        n, full = 12, (1 << 66) - 1
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        bit = {p: 1 << i for i, p in enumerate(pairs)}
+        masks = []
+        for i, g in enumerate(itertools.islice(enumerate_threshold_graphs(n), 2000)):
+            masks.append(sum(bit[e] for e in g.edges))
+            h = graph(n, set(pairs) - g.edges)
+            assert full ^ masks[-1] >= 1 << 65
+            assert threshold._mask_edges(full ^ masks[-1], n) == h.edges
+            for k in (g, h):
+                assert is_threshold(k)
+                assert graph_from_json(json.dumps(graph_dict(k))) == k
+                assert threshold_from_sbp(sbp_from_threshold(k)) == k
+            if i % 40 == 0:
+                assert is_threshold(g, "forbidden") and is_threshold(h, "forbidden")
+        assert all(a < b for a, b in itertools.pairwise(masks))
+
     def test_enumerate_graphs_counts(self):
         for n in range(5):
             pairs = n * (n - 1) // 2
@@ -760,7 +803,7 @@ class TestTgdoCredit:
 
 
 class TestVicinalRecognizer:
-    # is_threshold builds the neighborhoods once instead of calling
+    # is_threshold builds the bit-mask table once instead of calling
     # vicinal_compare per pair; both must decide the same graphs
     @pytest.mark.parametrize("n", range(6))
     def test_vicinal_recognizer_is_the_pairwise_preorder(self, n):
