@@ -274,16 +274,19 @@ def _reads_desc(plan: itemgetter, n: int) -> bool:
 
 
 def audit_psi(n: int) -> tuple[int, str | None]:
-    """Round trips of psi and ``descB_formula`` over :func:`enumerate_sbp`:
+    """Round trips of psi and ``descB_formula`` over the simply barred side:
     ``(count, None)``, or the count and a message at the first failure.
-    The round trips make psi injective and its 2^n n! images fill B_n, so
-    psi^-1's round trips on B_n hold too: the count credits those |B_n|.
     The plans are fixed position maps on (*w, *-w), whose 2n entries are
-    distinct, so they give every w back when they give one.  If no plan sets two letters of one sign side
-    by side unless they are neighbours in w, an image's descents depend on
-    w only through Desc(w), and, as in :func:`audit_theta`, a w whose
-    Desc(w) has passed is credited.  Any other w is walked element by
-    element, so a failure is named after the same count."""
+    distinct, so they give every w back when they give one.  Once no plan
+    sets two letters of one sign side by side unless they are neighbours in
+    w, an image's descents depend on w only through Desc(w).  So each
+    descent class is checked at its first w, once per bar set, and its
+    other members are credited.  A failure is named after
+    ``rank * 2^n + index of the bar set``, the count of a walk over
+    :func:`enumerate_sbp` that checks every element.  A plan that fails its
+    check is a failure naming its bar set, after the identity's class.
+    The round trips make psi injective and its 2^n n! images fill B_n, so
+    psi^-1's |B_n| round trips are credited too."""
     check_enumeration_cap(n)
     # psi negates the positions its bars fix, so the images of a bar set
     # share the signs psi^-1's plan reads: it is derived once per bar set.
@@ -291,14 +294,13 @@ def audit_psi(n: int) -> tuple[int, str | None]:
     subsets = list(_subsets(list(range(1, n + 1))))
     forward = [_psi_plan(bars, n) for bars in subsets]
     backs = [_psi_inverse_plan(_apply(plan, (1,) * n)) for plan in forward]
-    credit = all(_reads_desc(plan, n) for plan in forward)
-    passed: set[frozenset[int]] = set()
-    checked = 0
-    for w in itertools.permutations(range(1, n + 1)):
-        d = descent_set(w, "A")
-        if d in passed:
-            checked += len(subsets)
-            continue
+    for i, (rank, w, d) in enumerate(_descent_classes(n)):
+        if i == 1:  # after the identity's class, its only member, before any credit
+            for bars, plan in zip(subsets, forward):
+                if not _reads_desc(plan, n):
+                    return len(subsets), (
+                        f"psi plan reads more than Desc(w) at bars {sorted(bars)}")
+        checked = rank * len(subsets)
         table = (*w, *map(operator.neg, w))
         for bars, plan, (back, back_bars) in zip(subsets, forward, backs):
             u = plan(table)
@@ -309,9 +311,7 @@ def audit_psi(n: int) -> tuple[int, str | None]:
                 sbp = _trusted(SimplyBarredPermutation, w=w, bars=bars)
                 return checked, f"descent formula broke at {format_sbp(sbp)}"
             checked += 1
-        if credit:
-            passed.add(d)
-    return checked + group_order(n, "B"), None
+    return 2 * group_order(n, "B"), None
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +390,16 @@ def theta_inverse(
 
 
 def audit_theta(n: int) -> tuple[int, str | None]:
-    """Round trips of theta and ``theta_inverse`` over :func:`enumerate_lbp`,
-    each image in the class its descent sum names; as :func:`audit_psi`."""
+    """Round trips of theta and ``theta_inverse`` over the loosely barred
+    side, each image in the class its descent sum names; as
+    :func:`audit_psi`.  theta, the descent sum, the class formulas and
+    theta's inverse see w only through Desc(w), so each descent class is
+    checked at its first w with all 2^(n+1) bar sets, and its other members
+    are credited."""
     check_enumeration_cap(n)
-    # The cores see w only through d = Desc(w): the bar sets of a w whose d
-    # has passed are counted, not rechecked, and a failure is met at the
-    # first w with its d, after the same count as an element-wise walk.
-    checked = 0
     subsets = list(_subsets(list(range(n + 1))))
-    passed: set[frozenset[int]] = set()
-    for w in itertools.permutations(range(1, n + 1)):
-        d = descent_set(w, "A")
-        if d in passed:
-            checked += len(subsets)
-            continue
+    for rank, w, d in _descent_classes(n):
+        checked = rank * len(subsets)
         for bars in subsets:
             c = _xi(d, bars)
             s = len(d) + len(bars)
@@ -415,14 +411,15 @@ def audit_theta(n: int) -> tuple[int, str | None]:
                 lbp = _trusted(LooselyBarredPermutation, w=w, bars=bars)
                 return checked, f"theta round trip broke at {lbp}"
             checked += 1
-        passed.add(d)
-    return checked, None
+    return len(subsets) * math.factorial(n), None
 
 
 def audit_theta_cost(n: int) -> int:
-    """:func:`audit_theta`'s work: n letters per w, 2^(n+1) bars per Desc(w)."""
+    """:func:`audit_theta`'s checks: 2^(n+1) bar sets for each of the
+    2^(n-1) descent classes (one at n = 0), 4^n from n = 1 on.
+    :func:`audit_psi` checks half as many bar sets."""
     check_enumeration_cap(n)
-    return n * math.factorial(n) + 4**n
+    return 2 ** (max(n - 1, 0) + n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +476,24 @@ def _subsets(ground: list[int]) -> Iterator[frozenset[int]]:
     for r in range(len(ground) + 1):
         for combo in itertools.combinations(ground, r):
             yield frozenset(combo)
+
+
+def _descent_classes(n: int) -> list[tuple[int, Permutation, frozenset[int]]]:
+    # (rank, w, D) for each D within [n - 1], in rank order: w is the first
+    # permutation of itertools.permutations' order with Desc(w) = D, the
+    # identity with each maximal run of consecutive descents reversed, and
+    # rank its index in that order, read off its Lehmer code
+    classes = []
+    for d in _subsets(list(range(1, n))):
+        w: list[int] = []
+        for i in range(1, n + 1):
+            if i not in d:  # a run ends at position i
+                w += range(i, len(w), -1)
+        rank = sum(
+            sum(y < x for y in w[k + 1:]) * math.factorial(n - 1 - k) for k, x in enumerate(w)
+        )
+        classes.append((rank, tuple(w), d))
+    return sorted(classes)
 
 
 def _enumerate_barred(n: int, cls: type[_Barred]) -> Iterator:

@@ -29,10 +29,9 @@ reads no histogram), a machine word of a formula row entry
 (``eulerian.row_cost``) for ``eulerian``, the ``threshold`` counts and,
 charged on its own, the formula side of ``verify``, a relation bit of each
 N x N ``poset``, an edge slot (C(n, 2) per graph) for ``threshold --list``
-and the bijtgsbps and tgdo audits, a letter read for Desc(w) or a class
-check for theta (``barred.audit_theta_cost``), a round trip verified for
-psi (|B_n|), a window of B_n for chi (twice its round trips), and a grid
-cell for ``render``.  A walk over a rank-n
+and the bijtgsbps and tgdo audits, a check of one descent class with one
+bar set for psi and theta (``barred.audit_theta_cost``), an entry of
+chi's renaming tables, and a grid cell for ``render``.  A walk over a rank-n
 family is first refused above ``sgnperm.MAX_ENUMERATION_N`` (12) or below
 0, whatever the budget, and only then priced at its exact cost.
 """
@@ -165,13 +164,15 @@ def _verify_json(name: str, ok: bool, reports: list[IdentityReport]) -> str:
 # bijection
 
 
-# audit -> (the library audit, its cost: psi's round trips, theta's letters
-# and class checks, the windows of B_n for chi, or the edge slots of the
-# threshold graphs that tgdo, which refuses n = 0 itself, and bijtgsbps walk)
+# audit -> (the library audit, its price, which asks the enumeration cap
+# first: the checks of psi and theta, one per descent class and bar set,
+# the renaming table entries of chi, 2(n - 1) for each first letter, or the
+# edge slots of the threshold graphs that tgdo, which refuses n = 0 itself,
+# and bijtgsbps walk)
 _AUDITS = {
-    "psi": (barred.audit_psi, lambda n: sgnperm.group_order(n, "B")),
+    "psi": (barred.audit_psi, lambda n: barred.audit_theta_cost(n) // 2),
     "theta": (barred.audit_theta, barred.audit_theta_cost),
-    "chi": (sgnperm.audit_chi, lambda n: sgnperm.group_order(n, "B")),
+    "chi": (sgnperm.audit_chi, lambda n: sgnperm.check_enumeration_cap(n) or 2 * n * (n - 1)),
     "tgdo": (threshold.audit_tgdo, threshold.listing_cost),
     "bijtgsbps": (threshold.audit_bijtgsbps, threshold.listing_cost),
 }
@@ -179,7 +180,6 @@ _AUDITS = {
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
     audit, cost = _AUDITS[args.check]
-    sgnperm.check_enumeration_cap(args.n)  # the group-order prices do not ask it
     check_budget(cost(args.n), args.max_elements, f"the {args.check} audit")
     checked, failure = audit(args.n)
     if failure is None:
@@ -363,7 +363,7 @@ def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
         "--max-elements",
         type=int,
         default=MAX_BRUTE_ELEMENTS,
-        help="work budget: DP steps, relation bits, edge slots, round trips or "
+        help="work budget: DP steps, relation bits, edge slots, class checks or "
         f"grid cells, as the command counts them (default: {MAX_BRUTE_ELEMENTS})",
     )
 

@@ -87,11 +87,12 @@ class SimpleGraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"a graph needs a nonnegative vertex count, not {self.n}")
-        object.__setattr__(
-            self,
-            "edges",
-            frozenset((min(a, b), max(a, b)) for a, b in self.edges),
-        )
+        edges = set()
+        for a, b in self.edges:
+            if not (isinstance(a, int) and isinstance(b, int)):
+                raise ValueError(f"edge ends must be integers: ({a!r}, {b!r})")
+            edges.add((min(a, b), max(a, b)))
+        object.__setattr__(self, "edges", frozenset(edges))
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
@@ -154,20 +155,13 @@ def is_threshold(g: SimpleGraph, method: str = "vicinal") -> bool:
         pairs = itertools.combinations(range(1, g.n + 1), 2)
         return all(_below(nbrs, v, u) or _below(nbrs, u, v) for v, u in pairs)
     if method == "forbidden":
-        # On four vertices the induced edge count plus degree multiset pins
-        # down each of the three forbidden graphs: a two-edge matching, the
-        # three-edge path, and the four-cycle.
+        # On four vertices the degree multiset pins down each of the three
+        # forbidden graphs: a two-edge matching, the three-edge path, and the
+        # four-cycle.  Each quadruple reads only its own six pairs.
+        forbidden = ([1, 1, 1, 1], [1, 1, 2, 2], [2, 2, 2, 2])
         for quad in itertools.combinations(range(1, g.n + 1), 4):
-            induced = [e for e in g.edges if e[0] in quad and e[1] in quad]
-            degs = sorted(
-                sum(1 for e in induced if v in e) for v in quad
-            )
-            e = len(induced)
-            if (
-                (e == 2 and degs == [1, 1, 1, 1])
-                or (e == 3 and degs == [1, 1, 2, 2])
-                or (e == 4 and degs == [2, 2, 2, 2])
-            ):
+            ab, ac, ad, bc, bd, cd = (p in g.edges for p in itertools.combinations(quad, 2))
+            if sorted([ab + ac + ad, ab + bc + bd, ac + bc + cd, ad + bd + cd]) in forbidden:
                 return False
         return True
     raise ValueError(f"method must be 'vicinal' or 'forbidden': {method!r}")

@@ -553,8 +553,9 @@ class TestAudits:
         assert not barred._reads_desc(barred._getter(picks), 3)
 
     @pytest.mark.parametrize("n", range(3, 6))
-    def test_psi_walks_every_w_if_a_plan_is_refused(self, monkeypatch, n):
-        # one plan refused: no class is credited, every element is counted
+    def test_psi_refused_plan_is_a_failure_naming_its_bars(self, monkeypatch, n):
+        # one plan refused: no class is credited, and the audit stops after
+        # the identity's class, whose only member it is
         # (_psi_plan is cached, so the audit meets the very plan refused here)
         reads, refused = barred._reads_desc, barred._psi_plan(frozenset({1}), n)
         monkeypatch.setattr(
@@ -568,8 +569,8 @@ class TestAudits:
             return count(u, kind)
 
         monkeypatch.setattr(barred, "descent_count", counted)
-        assert barred.audit_psi(n) == (2 ** (n + 1) * math.factorial(n), None)
-        assert len(calls) == 2**n * math.factorial(n)
+        assert barred.audit_psi(n) == (2**n, "psi plan reads more than Desc(w) at bars [1]")
+        assert len(calls) == 2**n
 
     def test_psi_failure_names_the_first_element(self, monkeypatch):
         monkeypatch.setattr(barred, "_descB", lambda d, bars, ceil: -1)
@@ -634,7 +635,8 @@ class TestAudits:
         count("descent_set")
         count("_theta_inverse")
         assert barred.audit_theta(5) == (2**6 * math.factorial(5), None)
-        assert calls == {"descent_set": 120, "_theta_inverse": 2**4 * 2**6}
+        # the descent sets come with the classes: no permutation is read
+        assert calls == {"descent_set": 0, "_theta_inverse": 2**4 * 2**6}
 
     def test_psi_reads_its_formula_once_per_descent_set_and_bars(self, monkeypatch):
         # each of the 2^4 descent sets of S_5 with each of the 2^5 bar sets
@@ -648,6 +650,98 @@ class TestAudits:
         monkeypatch.setattr(barred, "_descB", counted)
         assert barred.audit_psi(5) == (2**6 * math.factorial(5), None)
         assert len(calls) == len(set(calls)) == 2**4 * 2**5
+
+
+def psi_walk(n):
+    # the element-by-element reference for audit_psi: every (w, B) of
+    # enumerate_sbp through the public maps, then B_n's |B_n| credited
+    count = -1
+    for count, sbp in enumerate(enumerate_sbp(n)):
+        u = psi(sbp)
+        if psi_inverse(u) != sbp:
+            return count, f"psi round trip broke at {format_sbp(sbp)}"
+        if descent_count(u, "B") != descB_formula(sbp):
+            return count, f"descent formula broke at {format_sbp(sbp)}"
+    return 2 * (count + 1), None
+
+
+def theta_walk(n):
+    # the element-by-element reference for audit_theta: every (w, B) of
+    # enumerate_lbp through the public maps
+    count = -1
+    for count, lbp in enumerate(enumerate_lbp(n)):
+        s = descent_sum(lbp)
+        parity = "odd" if s % 2 else "even"
+        formula = positive_descB_formula if s % 2 else descB_formula
+        sbp = theta(lbp)
+        if formula(sbp) != s // 2:
+            return count, f"theta image off the target set at {lbp}"
+        if theta_inverse(sbp, s // 2, parity) != lbp:
+            return count, f"theta round trip broke at {lbp}"
+    return count + 1, None
+
+
+def fault_keys(n, ground):
+    # every (Desc(w), bars) key up to n = 4, eight seeded ones at n = 5
+    keys = list(itertools.product(subsets(range(1, n)), subsets(ground)))
+    return keys if n <= 4 else random.Random(n).sample(keys, 8)
+
+
+class TestDescentClasses:
+    @pytest.mark.parametrize("n", range(8))
+    def test_each_class_is_its_first_permutation_at_its_rank(self, n):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        first = {}
+        for i, w in enumerate(perms):
+            first.setdefault(descent_set(w, "A"), i)
+        classes = barred._descent_classes(n)
+        assert len(classes) == len(first) == 2 ** max(n - 1, 0)
+        for rank, w, d in classes:
+            assert (descent_set(w, "A"), perms[rank], first[d]) == (d, w, rank)
+        assert [rank for rank, _, _ in classes] == sorted(first.values())
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_audits_agree_with_the_element_walks(self, n):
+        assert barred.audit_psi(n) == psi_walk(n)
+        assert barred.audit_theta(n) == theta_walk(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_theta_faults_are_named_as_the_element_walk_names_them(self, monkeypatch, n):
+        # theta's image at one key gains or loses the bar n
+        xi = barred._xi
+        outcomes = set()
+        for key in fault_keys(n, range(n + 1)):
+            monkeypatch.setattr(
+                barred, "_xi", lambda d, bars: xi(d, bars) ^ ({n} if (d, bars) == key else set())
+            )
+            found = barred.audit_theta(n)
+            assert found == theta_walk(n), key
+            outcomes.add(found[1].split(" at ")[0])
+        assert outcomes == {"theta image off the target set", "theta round trip broke"}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_psi_faults_are_named_as_the_element_walk_names_them(self, monkeypatch, n):
+        # the formula off by one at one key, then the first and last picks
+        # of one bar set's plan swapped
+        formula = barred._descB
+        for key in fault_keys(n, range(1, n + 1)):
+            monkeypatch.setattr(
+                barred, "_descB", lambda d, bars, ceil: formula(d, bars, ceil) + ((d, bars) == key)
+            )
+            found = barred.audit_psi(n)
+            assert found == psi_walk(n), key
+            assert found[1].startswith("descent formula broke at ")
+        monkeypatch.setattr(barred, "_descB", formula)
+        plan = barred._psi_plan
+        for broken in subsets(range(1, n + 1)):
+            def swapped(bars, m):
+                picks = list(plan(bars, m)(range(2 * m)))
+                if bars == broken:
+                    picks[0], picks[-1] = picks[-1], picks[0]
+                return barred._getter(picks)
+
+            monkeypatch.setattr(barred, "_psi_plan", swapped)
+            assert barred.audit_psi(n) == psi_walk(n), broken
 
 
 class TestDescentMemo:

@@ -233,17 +233,23 @@ class TestBijectionCommand:
         assert "budget" in err
 
     def test_theta_budget_charges_the_walk(self, capsys, monkeypatch):
+        # psi and theta are charged one check per descent class and bar set,
+        # chi one per renaming table entry, so each is admitted at the cap
         from signedpaths import barred
 
         cost = barred.audit_theta_cost
-        assert cost(10) <= 10**8 < cost(11)
-
-        def forbidden(*args):
-            raise AssertionError("the audit started")
-
-        monkeypatch.setattr(barred, "descent_set", forbidden)
-        err = run_err(capsys, ["bijection", "--check", "theta", "--n", "11"])
-        assert "budget" in err
+        assert [cost(n) for n in range(4)] == [2, 4, 16, 64] and cost(12) == 4**12
+        assert [cli._AUDITS[check][1](12) for check in ("psi", "theta", "chi")] == [
+            2**23, 2**24, 264
+        ]
+        ran = []
+        for check, (_, price) in list(cli._AUDITS.items()):
+            monkeypatch.setitem(
+                cli._AUDITS, check, (lambda n, check=check: ran.append(check) or (0, None), price)
+            )
+        for check in ("psi", "theta", "chi"):
+            run_ok(capsys, ["bijection", "--check", check, "--n", "12"])
+        assert ran == ["psi", "theta", "chi"]
 
     def test_broken_bijection_exits_one(self, capsys, monkeypatch):
         from signedpaths import barred
@@ -266,8 +272,8 @@ class TestAuditFailures:
     # The psi and theta lines are those of the audits that walked
     # enumerate_sbp and enumerate_lbp element by element, with the same
     # fault injected: a failure names the same first element after the same
-    # count.  chi walks its domain, the pairs (x, v) of [n] x B_(n-1) in
-    # the order (v, x), so its lines count those pairs.
+    # count.  chi checks its renaming tables once per first letter x before
+    # it credits any pair (x, v), so its faults are named by x after 0.
 
     def test_psi_fault_in_the_middle(self, capsys, monkeypatch):
         # a wrong formula for the first w with Desc(w) = {2} and bars {1, 2, 4}
@@ -325,7 +331,7 @@ class TestAuditFailures:
         # x = 2 renames the letters 1 and 2 of B_3 to 1 and 3; swapping both
         # the images and their preimages keeps every round trip but not the
         # order, so the descent shift breaks where a walk of (v, x) through
-        # the public maps first sees it
+        # the public maps first sees it, at a pair with x = 2
         from signedpaths import sgnperm
 
         renaming = sgnperm._renaming
@@ -339,31 +345,35 @@ class TestAuditFailures:
 
         monkeypatch.setattr(sgnperm, "_renaming", swapped)
         domain = itertools.product(sgnperm.enumerate_group(3, "B"), range(1, 5))
-        count, u = next(
-            (count, u)
-            for count, (v, x) in enumerate(domain)
+        u = next(
+            u
+            for v, x in domain
             for u in [sgnperm.chi_inverse(x, v)]
             if sgnperm.descent_count(u, "B") != sgnperm.positive_descent_count(v) + 1
         )
+        assert abs(u[0]) == 2
         assert audit_failure(capsys, "chi", 4) == (
-            f"chi at n=4: FAILED after {count} round trips\n"
-            f"  descent shift broke at {u}\n"
+            "chi at n=4: FAILED after 0 round trips\n"
+            "  chi renaming tables broke at x = 2\n"
         )
 
     def test_chi_count_fault(self, capsys, monkeypatch):
-        # one window of B_3 dropped, so its n = 4 pairs: every round trip
-        # holds
+        # x = 4 renames the letters 2 and 3 of B_3 both to 2, so chi^-1
+        # would send two windows of B_3 to one image and its images would
+        # number fewer than |B_4| / 2: the tables' check that they are onto
+        # the letters of B_4 other than -4 and 4 sees it
         from signedpaths import sgnperm
 
-        enumerate_all = sgnperm.enumerate_group
-        monkeypatch.setattr(
-            sgnperm,
-            "enumerate_group",
-            lambda n, kind: (u for u in enumerate_all(n, kind) if u != (1, -3, -2)),
-        )
+        renaming = sgnperm._renaming
+
+        def merged(x, n, up):
+            table = renaming(x, n, up)
+            return (*table[:3], 2, *table[4:]) if up and x == 4 else table
+
+        monkeypatch.setattr(sgnperm, "_renaming", merged)
         assert audit_failure(capsys, "chi", 4) == (
-            "chi at n=4: FAILED after 188 round trips\n"
-            "  chi image has 188 pairs, expected 192\n"
+            "chi at n=4: FAILED after 0 round trips\n"
+            "  chi renaming tables broke at x = 4\n"
         )
 
     def test_bijtgsbps_round_trip_fault(self, capsys, monkeypatch):
@@ -924,13 +934,14 @@ class TestBudgetGate:
         assert err == "error: n must be nonnegative\n"
 
     def test_exact_cost_is_named(self, capsys):
-        # |B_n| = 2^n n! round trips, exact at every rank up to the cap
+        # 2^(n-1) descent classes times 2^n bar sets, exact at every rank up
+        # to the cap
         err = run_err(capsys, ["bijection", "--check", "psi", "--n", "5",
                                "--max-elements", "10"])
-        assert "the psi audit costs 3840, over the budget of 10" in err
+        assert "the psi audit costs 512, over the budget of 10" in err
         err = run_err(capsys, ["bijection", "--check", "psi", "--n", "12",
                                "--max-elements", "1000"])
-        assert "the psi audit costs 1961990553600, over the budget of 1000" in err
+        assert "the psi audit costs 8388608, over the budget of 1000" in err
 
 
 class TestParsing:

@@ -439,6 +439,24 @@ class TestTextForms:
         assert parse_signed(format_signed(u)) == u
 
 
+def chi_walk(n):
+    # the element-by-element reference for audit_chi: each v of B_(n-1), in
+    # increasing order, with each x, through the public maps
+    checked, last = 0, ()
+    for v in sgnperm.enumerate_group(n - 1, "B"):
+        if v <= last:
+            return checked, f"windows not strictly increasing at {v}"
+        last = v
+        for x in range(1, n + 1):
+            u = chi_inverse(x, v)
+            if is_smooth(u) or chi(u) != (x, v):
+                return checked, f"chi round trip broke at {u}"
+            if descent_count(u, "B") != positive_descent_count(v) + 1:
+                return checked, f"descent shift broke at {u}"
+            checked += 1
+    return checked, None
+
+
 class TestChiAudit:
     def test_every_round_trip_holds(self):
         # the non-smooth half of B_n
@@ -454,7 +472,9 @@ class TestChiAudit:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_walks_the_domain_not_b_n(self, monkeypatch, n):
-        # the pairs (x, v) of [n] x B_(n-1): one walk of B_(n-1), none of B_n
+        # the audit credits the pairs (x, v) of [n] x B_(n-1) once its tables
+        # pass and walks no group; its element-wise reference walks the
+        # domain, B_(n-1) once and never B_n, to the same count
         calls = []
         enumerate_all = sgnperm.enumerate_group
 
@@ -464,34 +484,18 @@ class TestChiAudit:
 
         monkeypatch.setattr(sgnperm, "enumerate_group", recorded)
         assert audit_chi(n) == (2 ** (n - 1) * factorial(n), None)
+        assert calls == []
+        assert chi_walk(n) == audit_chi(n)
         assert calls == [(n - 1, "B")]
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_counts_no_image_element_wise(self, monkeypatch, n):
-        # every (x, v) is credited once the tables pass their checks; tables
-        # that fail them would walk every v element by element
+        # every (x, v) is credited once the tables pass their checks
         def forbidden(*args):
             raise AssertionError("descent_count called")
 
         monkeypatch.setattr(sgnperm, "descent_count", forbidden)
         assert audit_chi(n) == (2 ** (n - 1) * factorial(n), None)
-
-    def test_catches_a_repeat_in_place_of_a_window(self, monkeypatch):
-        # window 200 of B_4 is dropped and window 199 walked twice, so
-        # every round trip holds and the count matches, and only the order
-        # guard sees it
-        enumerate_all = sgnperm.enumerate_group
-
-        def repeating(n, kind):
-            windows = list(enumerate_all(n, kind))
-            windows[200] = windows[199]
-            return iter(windows)
-
-        monkeypatch.setattr(sgnperm, "enumerate_group", repeating)
-        assert audit_chi(5) == (
-            1000,
-            "windows not strictly increasing at (1, -4, 3, 2)",
-        )
 
 
 class TestChiTables:
@@ -518,12 +522,12 @@ class TestChiTables:
             return table if up or x != 2 else tuple(t + (t == 1) for t in table)
 
         monkeypatch.setattr(sgnperm, "_renaming", off_by_one)
-        assert audit_chi(4)[1] == "chi round trip broke at (2, -4, -3, 1)"
+        assert audit_chi(4) == (0, "chi renaming tables broke at x = 2")
 
     def test_table_fault_is_named_where_a_walk_meets_it(self, monkeypatch):
         # chi with x = 3 renames the positive letter 4 to 4, not 3: the
-        # tables check finds it, and the audit names the pair an element-wise
-        # walk of the public maps over [n] x B_(n-1) meets first, at the 12th v
+        # tables check names x = 3, the first letter of the pair an
+        # element-wise walk of the public maps over [n] x B_(n-1) meets first
         n = 5
         renaming = sgnperm._renaming
 
@@ -532,45 +536,22 @@ class TestChiTables:
             return table if up or x != 3 else (*table[:4], 4, *table[5:])
 
         monkeypatch.setattr(sgnperm, "_renaming", faulty)
-
-        def walk():
-            checked = 0
-            for v in enumerate_group(n - 1, "B"):
-                for x in range(1, n + 1):
-                    u = chi_inverse(x, v)
-                    if is_smooth(u) or chi(u) != (x, v):
-                        return checked, f"chi round trip broke at {u}"
-                    if descent_count(u, "B") != positive_descent_count(v) + 1:
-                        return checked, f"descent shift broke at {u}"
-                    checked += 1
-            return checked, None
-
-        assert audit_chi(n) == walk() == (57, "chi round trip broke at (3, -5, -2, -1, 4)")
+        assert chi_walk(n) == (57, "chi round trip broke at (3, -5, -2, -1, 4)")
+        assert audit_chi(n) == (0, "chi renaming tables broke at x = 3")
 
     def test_unsplit_fault_is_named_where_a_walk_meets_it(self, monkeypatch):
         # x is signed positive before a renamed first letter 1, so that u is
         # smooth: the first-letter check refuses every x > 1, and the audit
-        # names the pair an element-wise walk of the public maps meets first
+        # names x = 2, the first letter of the pair an element-wise walk of
+        # the public maps meets first
         n = 4
         unsplit = sgnperm._unsplit
         monkeypatch.setattr(
             sgnperm, "_unsplit",
             lambda x, renamed: (x, *renamed) if renamed[0] == 1 else unsplit(x, renamed),
         )
-
-        def walk():
-            checked = 0
-            for v in enumerate_group(n - 1, "B"):
-                for x in range(1, n + 1):
-                    u = chi_inverse(x, v)
-                    if is_smooth(u) or chi(u) != (x, v):
-                        return checked, f"chi round trip broke at {u}"
-                    if descent_count(u, "B") != positive_descent_count(v) + 1:
-                        return checked, f"descent shift broke at {u}"
-                    checked += 1
-            return checked, None
-
-        assert audit_chi(n) == walk() == (97, "chi round trip broke at (2, 1, -4, -3)")
+        assert chi_walk(n) == (97, "chi round trip broke at (2, 1, -4, -3)")
+        assert audit_chi(n) == (0, "chi renaming tables broke at x = 2")
 
     def test_walks_validate_no_window_they_built(self, monkeypatch):
         def forbidden(values):
