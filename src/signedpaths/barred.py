@@ -38,6 +38,7 @@ from .sgnperm import (
     MAX_ENUMERATION_N,
     Permutation,
     SignedPermutation,
+    _getter,
     _integers,
     as_permutation,
     as_window,
@@ -149,14 +150,6 @@ def upper_antidiagonal(bars: Iterable[int], n: int) -> LatticePath:
 # ``seq[i]`` and index ``n + i`` picks ``-seq[i]``.  psi and its inverse are
 # fixed signed position maps, derived once from the bars or from the sign
 # pattern of the window and then applied to any letters.
-
-
-def _getter(picks: list[int]) -> itemgetter:
-    # itemgetter returns the bare item, not a 1-tuple, for a single index
-    # and needs at least one; a slice covers n = 0 and n = 1
-    if len(picks) > 1:
-        return itemgetter(*picks)
-    return itemgetter(slice(picks[0], picks[0] + 1) if picks else slice(0))
 
 
 def _apply(plan: itemgetter, seq: tuple[int, ...]) -> tuple[int, ...]:

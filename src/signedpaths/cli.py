@@ -277,9 +277,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 # poset
 
 
-def _pair_label(pair: threshold.ThresholdPair) -> str:
-    edges = ",".join(f"{a}-{b}" for a, b in sorted(pair.edges))
-    return f"{sgnperm.format_signed(pair.w)}:{edges or 'empty'}"
+def _edges_text(edges: frozenset[tuple[int, int]]) -> str:
+    return ",".join(f"{a}-{b}" for a, b in sorted(edges)) or "empty"
 
 
 def _cmd_poset(args: argparse.Namespace) -> int:
@@ -296,15 +295,15 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     if args.check == "iso":
         p, q = posets.weak_poset(n, "D"), posets.tg_poset(n)
         ok = posets.order_isomorphism_check(p, q, threshold.tg_pair)
-        print(
-            f"tg_pair on weak D_{n} -> TG_{n}: "
-            + ("order isomorphism" if ok else "NOT an order isomorphism")
-        )
+        verdict = "order isomorphism" if ok else "NOT an order isomorphism"
+        print(f"tg_pair on weak D_{n} -> TG_{n}: {verdict}")
         return 0 if ok else 1
 
     p = posets.tg_poset(n) if kind == "TG" else posets.weak_poset(n, kind)
-    # each element is labelled once, however many cover pairs it is in
-    label = functools.cache(_pair_label if kind == "TG" else sgnperm.format_signed)
+    label = sgnperm.format_signed  # called once per element for the covers and the DOT file
+    if kind == "TG":  # with one text made per w and one per edge set
+        words, graphs = functools.cache(sgnperm.format_signed), functools.cache(_edges_text)
+        label = lambda pair: f"{words(pair.w)}:{graphs(pair.edges)}"
     exit_code = 0
     if args.check == "lattice":
         report = p.lattice_check()
@@ -312,23 +311,19 @@ def _cmd_poset(args: argparse.Namespace) -> int:
             print(f"{kind} poset at n={n}: lattice ({len(p)} elements)")
         else:
             a, b = report.witness  # type: ignore[misc]
-            print(
-                f"{kind} poset at n={n}: NOT a lattice; "
-                f"{report.missing} missing for {label(a)} and {label(b)}"
-            )
+            print(f"{kind} poset at n={n}: NOT a lattice; {report.missing} missing for "
+                  f"{label(a)} and {label(b)}")
             exit_code = 1
     elif args.check == "covers":
-        pairs = p.covers()
+        pairs = p.covers(list(map(label, p.elements)))
         if kind != "TG":
             # in a weak order the lower covers of u are marked by descents
-            counts = p.lower_cover_counts()
-            for u, c in counts.items():
+            for u, c in p.lower_cover_counts().items():
                 if c != sgnperm.descent_count(u, kind):
                     print(f"cover/descent mismatch at {label(u)}")
                     return 1
-        print(f"{kind} poset at n={n}: {len(pairs)} cover pairs")
-        for a, b in pairs:
-            print(f"  {label(a)} < {label(b)}")
+        head = f"{kind} poset at n={n}: {len(pairs)} cover pairs"
+        print("\n".join([head, *(f"  {a} < {b}" for a, b in pairs)]))
     else:  # joinirr
         count = p.join_irreducible_count()
         print(f"{kind} poset at n={n}: {count} join-irreducible elements")

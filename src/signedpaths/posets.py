@@ -29,21 +29,23 @@ Join-irreducibility counts lower covers.
 The weak order on a group of kind A/B/D is containment of inversion sets;
 its cover relations step one inversion at a time, and the number of lower
 covers of an element equals its descent count.  The threshold-pair poset
-orders pairs (w, E) componentwise: weak order of type A on w, edge-set
-inclusion on E.
+orders pairs (w, E) componentwise, weak order of type A on w and inclusion
+on E: a mask is the threshold walk's edge mask of E shifted above inv(w).
+Cover lists and DOT files label each element once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Callable, Hashable, Sequence
 
 from .sgnperm import (
-    _checked, _inversion_mask, _inversion_pairs, check_enumeration_cap, enumerate_group,
+    _checked, _inversion_masks, _inversion_pairs, check_enumeration_cap, enumerate_group,
     group_order, is_even_signed,
 )
-from .threshold import ThresholdPair, enumerate_tg
+from .threshold import ThresholdPair, _tg_walk
 
 __all__ = [
     "FinitePoset",
@@ -99,7 +101,7 @@ class FinitePoset:
         )
 
     @classmethod
-    def _from_masks(cls, elements: list, masks: list[int], width: int) -> FinitePoset:
+    def _from_masks(cls, elements: Sequence, masks: list[int], width: int) -> FinitePoset:
         """The containment order: a <= b iff mask a lies inside mask b.
         ``masks`` runs parallel to ``elements`` and holds ints below 2**width."""
         # list the elements in the linear extension that _build requires
@@ -114,12 +116,12 @@ class FinitePoset:
         # downs[b] has bit a set iff items[a] <= items[b]; the items come in
         # a linear extension, or the antisymmetry check below fails
         n = len(items)
-        if len(set(items)) != n:
+        self._index = {e: i for i, e in enumerate(items)}
+        if len(self._index) != n:
             raise ValueError("poset elements must be distinct")
-        for i in range(n):
-            if not (downs[i] >> i) & 1:
-                raise ValueError("the order relation is not reflexive")
         for i, mask in enumerate(downs):
+            if not (mask >> i) & 1:
+                raise ValueError("the order relation is not reflexive")
             if mask >> (i + 1):
                 raise ValueError("the order relation is not antisymmetric/transitive"
                                  " with respect to itself")
@@ -146,7 +148,6 @@ class FinitePoset:
             for a in lower[b]:
                 ups[a] |= ups[b]
         self._elements = items
-        self._index = {e: i for i, e in enumerate(items)}
         self._down = downs
         self._up = ups
         self._lower = lower
@@ -165,10 +166,11 @@ class FinitePoset:
             raise ValueError(f"{a!r} and {b!r} must both be elements of the poset")
         return bool((self._down[self._index[b]] >> self._index[a]) & 1)
 
-    def covers(self) -> list[tuple[Hashable, Hashable]]:
-        """All cover pairs (a, b): a < b with nothing strictly between."""
-        els = self._elements
-        return [(els[a], els[b]) for b, lower in enumerate(self._lower) for a in lower]
+    def covers(self, names: Sequence | None = None) -> list[tuple]:
+        """All cover pairs (a, b): a < b with nothing strictly between; with
+        ``names``, one per element in the order of ``elements``, their names."""
+        names = self._elements if names is None else names
+        return [(names[a], names[b]) for b, lower in enumerate(self._lower) for a in lower]
 
     def lower_cover_counts(self) -> dict[Hashable, int]:
         """Map each element to its number of lower covers."""
@@ -242,11 +244,9 @@ class FinitePoset:
 
     def to_dot(self, label: Callable[[Hashable], str] = str) -> str:
         """Hasse diagram in DOT format (edges point from lower to upper)."""
-        lines = ["digraph hasse {", "  rankdir=BT;"]
-        for e in self._elements:
-            lines.append(f'  "{label(e)}";')
-        for a, b in self.covers():
-            lines.append(f'  "{label(a)}" -> "{label(b)}";')
+        names = list(map(label, self._elements))
+        lines = ["digraph hasse {", "  rankdir=BT;", *(f'  "{x}";' for x in names)]
+        lines += (f'  "{a}" -> "{b}";' for a, b in self.covers(names))
         lines.append("}")
         return "\n".join(lines)
 
@@ -319,7 +319,8 @@ def weak_leq(a: tuple[int, ...], b: tuple[int, ...], kind: str = "A") -> bool:
         raise ValueError(f"weak order compares windows of one rank, got {a} and {b}")
     if kind == "D" and not (is_even_signed(a) and is_even_signed(b)):
         raise ValueError(f"type D weak order compares even-signed windows, got {a} and {b}")
-    return not _inversion_mask(a, kind) & ~_inversion_mask(b, kind)
+    below, above = _inversion_masks((a, b), len(a), kind)
+    return not below & ~above
 
 
 def weak_poset(n: int, kind: str = "A") -> FinitePoset:
@@ -330,7 +331,7 @@ def weak_poset(n: int, kind: str = "A") -> FinitePoset:
     """
     _check_build(kind, n)
     elements = list(enumerate_group(n, kind))
-    masks = [_inversion_mask(u, kind) for u in elements]
+    masks = list(_inversion_masks(elements, n, kind))
     return FinitePoset._from_masks(elements, masks, len(_inversion_pairs(n, kind)[0]))
 
 
@@ -350,13 +351,13 @@ def tg_poset(n: int) -> FinitePoset:
     4
     """
     _check_build("TG", n)
-    elements = list(enumerate_tg(n))
-    # an edge of K_n is a candidate type A inversion; its bit sits above theirs
-    pairs = _inversion_pairs(n, "A")[0]
-    edge_bits = {e: 1 << k for k, e in enumerate(pairs, start=len(pairs))}
-    inversions = {w: _inversion_mask(w, "A") for w in {pair.w for pair in elements}}
-    masks = [inversions[p.w] | sum(map(edge_bits.__getitem__, p.edges)) for p in elements]
-    return FinitePoset._from_masks(elements, masks, 2 * len(pairs))
+    # an edge of K_n is a candidate type A inversion, and the walk's edge mask
+    # numbers the edges in the pairs' order: it sits above inv(w), C(n, 2) up
+    elements, graphs = zip(*_tg_walk(n))
+    words = {pair.w for pair in elements}
+    inversions = dict(zip(words, _inversion_masks(words, n, "A")))
+    masks = [inversions[p.w] | g << comb(n, 2) for p, g in zip(elements, graphs)]
+    return FinitePoset._from_masks(elements, masks, 2 * comb(n, 2))
 
 
 def order_isomorphism_check(

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
-from operator import gt
+from operator import gt, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -184,34 +184,39 @@ def positive_descent_count(u: SignedPermutation) -> int:
 # Inversions
 
 
+def _getter(picks: list[int]) -> itemgetter:
+    # itemgetter returns the bare item, not a 1-tuple, for a single index
+    # and needs at least one; a slice covers none or one nonnegative pick
+    if len(picks) > 1:
+        return itemgetter(*picks)
+    return itemgetter(slice(picks[0], picks[0] + 1) if picks else slice(0))
+
+
 @lru_cache(maxsize=16)
-def _inversion_pairs(n: int, kind: str) -> tuple[tuple, tuple, tuple]:
-    # the candidate inversions of a rank-n window of the given kind:
-    # (pairs, their left values, their right values)
+def _inversion_pairs(n: int, kind: str) -> tuple[tuple, itemgetter, itemgetter]:
+    # the candidate inversions of a rank-n window of the given kind, and
+    # getters of their two values from a list indexed by value (-x at 2n + 1 - x)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if kind != "A":
         lo = 0 if kind == "B" else 1  # type D drops the pairs (-i, i)
         pairs += [(-a, j) for a in range(1, n + 1) for j in range(a + lo, n + 1)]
-    lefts, rights = zip(*pairs) if pairs else ((), ())
-    return tuple(pairs), lefts, rights
+    lefts, rights = ([pair[side] % (2 * n + 1) for pair in pairs] for side in (0, 1))
+    return tuple(pairs), _getter(lefts), _getter(rights)
 
 
-def _inversion_flags(u: Sequence[int], kind: str) -> Iterator[bool]:
-    # for each candidate pair (i, j) in table order, whether i occurs after j
-    # in u as a permutation of {-n..-1, 1..n}: pos maps a value to its index
-    # (window at 1..n, prefix at -n..-1; a negative value reads from the end)
-    pos = [0] * (2 * len(u) + 1)
-    for k, x in enumerate(u, start=1):
-        pos[x] = k
-        pos[-x] = -k
-    _, lefts, rights = _inversion_pairs(len(u), kind)
-    return map(gt, map(pos.__getitem__, lefts), map(pos.__getitem__, rights))
-
-
-def _inversion_mask(u: Sequence[int], kind: str) -> int:
-    # the inversion flags of a valid window read as the digits of a binary
-    # numeral, one bit per candidate pair (the first pair is the highest)
-    return int(b"0" + bytes(_inversion_flags(u, kind)).translate(_BINARY_DIGITS), 2)
+def _inversion_masks(us: Iterable[Sequence[int]], n: int, kind: str) -> Iterator[int]:
+    # Each valid rank-n window's inversion flags as the digits of a binary
+    # numeral, the first candidate pair highest: (i, j) is flagged when i
+    # occurs after j in u as a permutation of {-n..-1, 1..n}; pos maps a value
+    # to its index (window at 1..n, prefix at -n..-1; -x reads from the end)
+    _, left, right = _inversion_pairs(n, kind)
+    for u in us:
+        pos = [0] * (2 * n + 1)
+        for k, x in enumerate(u, start=1):
+            pos[x] = k
+            pos[-x] = -k
+        flags = bytes(map(gt, left(pos), right(pos)))
+        yield int(b"0" + flags.translate(_BINARY_DIGITS), 2)
 
 
 def _checked(u: Sequence[int], kind: str) -> tuple[int, ...]:
@@ -232,12 +237,13 @@ def inversion_set(u: Sequence[int], kind: str = "A") -> frozenset[tuple[int, int
     """
     u = _checked(u, kind)
     pairs = _inversion_pairs(len(u), kind)[0]
-    return frozenset(itertools.compress(pairs, _inversion_flags(u, kind)))
+    [mask] = _inversion_masks([u], len(u), kind)
+    return frozenset(itertools.compress(pairs, map(int, f"{mask:0{len(pairs)}b}")))
 
 
 def inversion_count(u: Sequence[int], kind: str = "A") -> int:
     """Number of inversions of ``u`` in the given type."""
-    return sum(_inversion_flags(_checked(u, kind), kind))
+    return len(inversion_set(u, kind))
 
 
 # ---------------------------------------------------------------------------

@@ -565,10 +565,15 @@ def enumerate_tg(n: int) -> Iterator[ThresholdPair]:
     :func:`audit_tgdo` checks this order on and round-trips once per graph.
     """
     check_enumeration_cap(n)
+    yield from (pair for pair, _ in _tg_walk(n))
+
+
+def _tg_walk(n: int) -> Iterator[tuple[ThresholdPair, int]]:
+    # each pair of enumerate_tg with its graph's edge mask; the caller checks the cap
     for mask, deg in _walk(n):
         edges = _mask_edges(mask, n)
         for w in _orderings(_classes(deg, n)):
-            yield barred._trusted(ThresholdPair, w=w, edges=edges)
+            yield barred._trusted(ThresholdPair, w=w, edges=edges), mask
 
 
 def parse_graph(text: str) -> SimpleGraph:

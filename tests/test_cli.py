@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (exit codes and output)."""
 
 import ast
+import hashlib
 import itertools
 import json
 import pkgutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import signedpaths
-from signedpaths import cli, posets, threshold
+from signedpaths import cli, posets, sgnperm, threshold
 from signedpaths.eulerian import IdentityReport, IdentityRow, threshold_counts
 
 
@@ -1044,13 +1045,38 @@ class TestStreamedOutput:
         ]
         assert out == json.dumps(payload, indent=2) + "\n"
 
-    def test_covers_label_each_element_once(self, capsys, monkeypatch):
-        calls = []
-        label = cli._pair_label
-        monkeypatch.setattr(cli, "_pair_label", lambda p: calls.append(p) or label(p))
+    def test_tg_labels_format_each_w_and_graph_once(self, capsys, monkeypatch):
+        words, graphs = [], []
+        format_signed, edges_text = sgnperm.format_signed, cli._edges_text
+        monkeypatch.setattr(sgnperm, "format_signed", lambda w: words.append(w) or format_signed(w))
+        monkeypatch.setattr(cli, "_edges_text", lambda e: graphs.append(e) or edges_text(e))
         out = run_ok(capsys, ["poset", "--kind", "TG", "--n", "4", "--check", "covers"])
-        assert len(calls) == len(set(calls)) == len(posets.tg_poset(4))
+        pairs = list(threshold.enumerate_tg(4))
+        assert len(words) == len(set(words)) == len({p.w for p in pairs}) == 24
+        assert len(graphs) == len(set(graphs)) == len({p.edges for p in pairs}) == 46
         assert out.splitlines()[0] == "TG poset at n=4: 384 cover pairs"
+        assert len(out.splitlines()) == 385
+
+
+class TestPosetBytes:
+    # sha256 digests of the TG_4 cover listing and of three Hasse diagrams,
+    # recorded when each label was still made per cover pair
+    def test_tg_cover_listing(self, capsys):
+        out = run_ok(capsys, ["poset", "--kind", "TG", "--n", "4", "--check", "covers"])
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9dfe8dd6c23958324009f59fbd79f18d4a587a6c82cec0eb34837bb9147fd682"
+        )
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("TG", "eaa4c86514dfa23576e80cddf2633a19b7c582ac4ee2905341018c1b7e0cb258"),
+        ("D", "8ddd5d7adf1455c0edb9b87127ed8921086edefcb6790c6fff24a0f9233ef9e4"),
+        ("B", "2e3af1e084aaa8f132a6a70715e060a350786db4a7b79dc1c092974854cfc6f5"),
+    ])
+    def test_dot_file(self, capsys, tmp_path, kind, digest):
+        target = tmp_path / "hasse.dot"
+        argv = ["poset", "--kind", kind, "--n", "3", "--check", "covers", "--dot", str(target)]
+        assert run_ok(capsys, argv).endswith(f"wrote {target}\n")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 class TestTgdoAuditFailure:

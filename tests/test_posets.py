@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,9 @@ from signedpaths.posets import (
     weak_leq,
     weak_poset,
 )
-from signedpaths.sgnperm import descent_count, descent_set, enumerate_group
+from signedpaths.sgnperm import (
+    descent_count, descent_set, enumerate_group, format_signed, inversion_set,
+)
 from signedpaths.threshold import ThresholdPair, enumerate_tg, tg_pair
 
 DIVISORS = [1, 2, 3, 4, 6, 12]
@@ -111,6 +114,27 @@ class TestFinitePoset:
         assert '"0" -> "1";' in dot
         assert p.elements == (0, 1, 2)
         assert p.covers() == [(0, 1), (1, 2)]
+
+    def test_dot_labels_each_element_once(self):
+        p = weak_poset(3, "B")
+        calls = []
+
+        def label(u):
+            calls.append(u)
+            return format_signed(u)
+
+        dot = p.to_dot(label)
+        assert len(calls) == len(p) and set(calls) == set(p.elements)
+        names = {u: format_signed(u) for u in p.elements}
+        assert dot == "\n".join([
+            "digraph hasse {", "  rankdir=BT;",
+            *(f'  "{names[u]}";' for u in p.elements),
+            *(f'  "{names[a]}" -> "{names[b]}";' for a, b in p.covers()),
+            "}",
+        ])
+        assert p.covers([names[u] for u in p.elements]) == [
+            (names[a], names[b]) for a, b in p.covers()
+        ]
 
 
 def dag_poset(k, arcs, bottom, top, elements=None):
@@ -267,6 +291,32 @@ class TestMaskBuild:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_tg_poset(self, n):
         self.assert_same(tg_poset(n), FinitePoset(list(enumerate_tg(n)), tg_order_leq))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_tg_masks_follow_the_pair_route(self, n, monkeypatch):
+        # the masks tg_poset builds from: inv(w) over the C(n, 2) pairs of
+        # [n] in lexicographic order, the first at the highest bit, and above
+        # it the edges, the i-th pair at bit C(n, 2) + i
+        fed = []
+        build = FinitePoset._from_masks.__func__
+
+        def from_masks(cls, elements, masks, width):
+            fed.append((elements, masks, width))
+            return build(cls, elements, masks, width)
+
+        monkeypatch.setattr(FinitePoset, "_from_masks", classmethod(from_masks))
+        poset = tg_poset(n)
+        [(elements, masks, width)] = fed
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        m = len(pairs)
+        assert width == 2 * m
+        expected = Counter(enumerate_tg(n))
+        assert Counter(elements) == expected == Counter(poset.elements)
+        for pair, mask in zip(elements, masks, strict=True):
+            inversions = inversion_set(pair.w)
+            route = sum(1 << (m - 1 - k) for k, p in enumerate(pairs) if p in inversions)
+            route += sum(1 << (m + k) for k, e in enumerate(pairs) if e in pair.edges)
+            assert mask == route, pair
 
     @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 25])
     def test_containment_downs_follow_the_subset_rule(self, width):

@@ -277,6 +277,35 @@ class TestInversions:
             seen[key] = u
 
 
+class TestInversionMasks:
+    """The batched masks, one bit per candidate pair, against inversion_set."""
+
+    @pytest.mark.parametrize(
+        "kind, n", [(kind, n) for kind in "ABD" for n in range(6) if (kind, n) != ("D", 0)]
+    )
+    def test_masks_match_inversion_set_bit_for_bit(self, kind, n):
+        # the candidate pairs in table order, the first at the highest bit;
+        # A_0, A_1, B_0 and D_1 have none, A_2 and B_1 one
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        if kind != "A":
+            pairs += [(-a, j) for a in range(1, n + 1) for j in range(a + (kind == "D"), n + 1)]
+        elements = list(enumerate_group(n, kind))
+        masks = list(sgnperm._inversion_masks(elements, n, kind))
+        assert len(masks) == len(elements)
+        for u, mask in zip(elements, masks):
+            inversions = inversion_set(u, kind)
+            where = {x: p for p, x in enumerate(full_notation(u))}  # i after j: an inversion
+            assert inversions == {(i, j) for i, j in pairs if where[i] > where[j]}, u
+            bits = [1 << k for k, pair in enumerate(reversed(pairs)) if pair in inversions]
+            assert mask == sum(bits), u
+            assert len(bits) == len(inversions) == inversion_count(u, kind)
+
+    def test_masks_of_one_candidate_pair(self):
+        assert list(sgnperm._inversion_masks([(1, 2), (2, 1)], 2, "A")) == [0, 1]
+        assert list(sgnperm._inversion_masks([(-1,), (1,)], 1, "B")) == [1, 0]
+        assert list(sgnperm._inversion_masks([(1,)], 1, "D")) == [0]
+
+
 # ---------------------------------------------------------------------------
 # mates, smoothness, chi
 
