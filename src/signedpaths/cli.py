@@ -14,6 +14,10 @@ dispatches to the library and formats the result.  The work, the
 bijection audits included (``barred.audit_psi``, ``barred.audit_theta``,
 ``sgnperm.audit_chi``, ``threshold.audit_tgdo`` and
 ``threshold.audit_bijtgsbps``), lives in the modules that own the maps.
+A command line that names a command is parsed by a parser holding that
+command alone, since building all six costs more than most requests; any
+other (empty, ``-h``, an unknown word) gets the full parser, whose help
+and errors list them all.
 
 Exit codes: 0 on success, 1 when a verification or audit fails, 2 on
 usage or domain errors and on output files that cannot be written.
@@ -363,65 +367,63 @@ def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
     )
 
 
+# command -> (its help line, its handler, whether it takes --format, and its
+# own arguments as (flag, add_argument keywords), added before the common ones)
+_COMMANDS = {
+    "eulerian": ("print one Eulerian triangle row", _cmd_eulerian, True, (
+        ("--kind", {"choices": ("A", "B", "D"), "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--method", {"choices": ("formula", "bruteforce"), "default": "formula"}),
+    )),
+    "verify": ("check a named identity exactly", _cmd_verify, True, (
+        ("--identity", {"choices": IDENTITY_NAMES, "required": True}),
+        ("--max-n", {"type": int, "required": True}),
+    )),
+    "bijection": ("audit a bijection by round trips", _cmd_bijection, False, (
+        ("--check", {"choices": _AUDITS, "required": True}),
+        ("--n", {"type": int, "required": True}),
+    )),
+    "threshold": ("threshold-graph counting data", _cmd_threshold, True, (
+        ("--n", {"type": int, "required": True}),
+        ("--counts", {"action": "store_true", "help": "print the counts"}),
+        ("--list", {"action": "store_true", "help": "list the graphs"}),
+    )),
+    "render": ("draw a path representation", _cmd_render, False, (
+        ("--perm", {"required": True, "help": 'window, e.g. "-2,3,1"'}),
+        ("--svg", {"help": "write an SVG file instead of ASCII"}),
+    )),
+    "poset": ("weak-order and threshold-pair posets", _cmd_poset, False, (
+        ("--kind", {"choices": ("A", "B", "D", "TG"), "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--check", {"choices": ("lattice", "iso", "covers", "joinirr"), "required": True}),
+        ("--dot", {"help": "also write the Hasse diagram as DOT (not with --check iso)"}),
+    )),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parsing leaves no state on the parser, and
-    # building it costs more than a small render request.
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    # Built once per process and command: parsing leaves no state on the
+    # parser, and building it costs more than a small render request.  The
+    # parser holds the command ``only`` names, a sixth of the build; None,
+    # for argv naming no command, holds all six for help and errors to list.
     parser = argparse.ArgumentParser(
         prog="signedpaths",
         description="Exact combinatorics of signed permutations, lattice "
         "paths and threshold graphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eulerian", help="print one Eulerian triangle row")
-    p.add_argument("--kind", choices=("A", "B", "D"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--method", choices=("formula", "bruteforce"), default="formula"
-    )
-    _add_common(p, formats=True)
-    p.set_defaults(func=_cmd_eulerian)
-
-    p = sub.add_parser("verify", help="check a named identity exactly")
-    p.add_argument("--identity", choices=IDENTITY_NAMES, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    _add_common(p, formats=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bijection", help="audit a bijection by round trips")
-    p.add_argument("--check", choices=_AUDITS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bijection)
-
-    p = sub.add_parser("threshold", help="threshold-graph counting data")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--counts", action="store_true", help="print the counts")
-    p.add_argument("--list", action="store_true", help="list the graphs")
-    _add_common(p, formats=True)
-    p.set_defaults(func=_cmd_threshold)
-
-    p = sub.add_parser("render", help="draw a path representation")
-    p.add_argument("--perm", required=True, help='window, e.g. "-2,3,1"')
-    p.add_argument("--svg", help="write an SVG file instead of ASCII")
-    _add_common(p)
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("poset", help="weak-order and threshold-pair posets")
-    p.add_argument("--kind", choices=("A", "B", "D", "TG"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--check",
-        choices=("lattice", "iso", "covers", "joinirr"),
-        required=True,
-    )
-    p.add_argument(
-        "--dot", help="also write the Hasse diagram as DOT (not with --check iso)"
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_poset)
-
+    # the full list as metavar keeps the usage line of an "unrecognized
+    # arguments" error; the full parser sets none, so its missing- and
+    # invalid-command errors still name the argument "command"
+    metavar = only and "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in (only,) if only else _COMMANDS:
+        help_line, func, formats, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        _add_common(p, formats)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -444,9 +446,9 @@ def _glue_window_values(argv: Sequence[str]) -> list[str]:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` and execute the chosen subcommand; returns the exit code."""
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(_glue_window_values(argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors already

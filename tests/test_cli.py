@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface (exit codes and output)."""
 
+import argparse
 import ast
 import hashlib
 import itertools
 import json
 import pkgutil
+import random
 import time
 from pathlib import Path
 
@@ -13,6 +15,8 @@ import pytest
 import signedpaths
 from signedpaths import cli, posets, sgnperm, threshold
 from signedpaths.eulerian import IdentityReport, IdentityRow, threshold_counts
+
+import test_fuzz
 
 
 def run_ok(capsys, argv):
@@ -959,6 +963,70 @@ class TestParsing:
         capsys.readouterr()
 
 
+COMMANDS = ("eulerian", "verify", "bijection", "threshold", "render", "poset")
+
+
+def subcommands(parser):
+    # the subparsers action of a top-level parser
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action
+
+
+def action_fields(parser):
+    # each action's settings, without the group object that holds it
+    return [{k: v for k, v in vars(a).items() if k != "container"} for a in parser._actions]
+
+
+class TestCommandParsers:
+    # a request that names a command is parsed by a parser holding that
+    # command alone, and must read exactly as it does on the full parser
+    CORPUS = [
+        [], ["-h"], ["bogus"], ["--"], ["--max-elements", "5"],
+        *([command, "-h"] for command in COMMANDS),
+        ["eulerian", "--kind", "A"],  # a missing required flag
+        ["poset", "--kind", "Z", "--n", "3", "--check", "lattice"],  # a bad choice
+        ["render", "--perm", "1,2", "extra"],  # left over for the top level
+        ["verify", "--identity", "main", "--max-n", "3", "--bogus", "1"],
+        ["eulerian", "--kind", "B", "--n", "4", "--format", "json"],
+        ["verify", "--identity", "stembridge", "--max-n", "4", "--format", "csv"],
+        ["bijection", "--check", "psi", "--n", "3"],
+        ["threshold", "--n", "4", "--list"],
+        ["render", "--perm", "-2,3,1"],
+        ["poset", "--kind", "D", "--n", "3", "--check", "covers"],
+    ]
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_one_contract_two_parsers(self, capsys, monkeypatch, tmp_path, columns):
+        monkeypatch.setenv("COLUMNS", columns)  # argparse wraps help and usage to it
+        rng = random.Random(3838)
+        corpus = self.CORPUS + [test_fuzz.argv(rng, tmp_path) for _ in range(60)]
+
+        def results():
+            return [(cli.run(argv), *capsys.readouterr()) for argv in corpus]
+
+        own = results()
+        full = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda only=None: full)
+        assert results() == own
+        # the full parser's own errors name the argument "command"
+        assert own[0][2].endswith("error: the following arguments are required: command\n")
+        assert "error: argument command: invalid choice: 'bogus'" in own[2][2]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parser_holds_its_command_alone(self, command):
+        one, full = subcommands(cli._build_parser(command)), subcommands(cli._build_parser())
+        assert list(full.choices) == list(COMMANDS)
+        assert list(one.choices) == [command]
+        mine, theirs = one.choices[command], full.choices[command]
+        assert mine.format_help() == theirs.format_help()
+        assert mine.format_usage() == theirs.format_usage()
+        assert action_fields(mine) == action_fields(theirs)
+        assert mine._defaults == theirs._defaults
+
+    def test_command_parsers_hold_every_flag(self):
+        assert set().union(*map(test_fuzz.cli_flags, COMMANDS)) == test_fuzz.cli_flags()
+
+
 class TestParserReuse:
     def test_one_parser_serves_a_request_stream(self, capsys, tmp_path):
         svg = tmp_path / "path.svg"
@@ -983,6 +1051,26 @@ class TestParserReuse:
             cli._build_parser.cache_clear()  # a fresh parser per call
             assert (cli.run(argv), capsys.readouterr()) == result
         assert svg.read_text() == reused_svg
+
+    def test_a_mixed_stream_builds_one_parser_per_command(self, capsys):
+        stream = [
+            ["render", "--perm", "3,-1,2"],
+            ["verify", "--identity", "stembridge", "--max-n", "3"],
+            ["render"],  # usage error
+            ["-h"],
+            ["verify", "--identity", "main", "--max-n", "3", "--format", "json"],
+            ["render", "--perm", "1,2", "extra"],  # usage error at the top level
+            ["-h"],
+            ["render", "--perm", "-2,3,1"],
+        ]
+        cli._build_parser.cache_clear()
+        got = [(cli.run(argv), capsys.readouterr()) for argv in stream]
+        # render's parser, verify's, and the full one that -h prints
+        assert cli._build_parser.cache_info().misses == 3
+        assert [code for code, _ in got] == [0, 0, 2, 0, 0, 2, 0, 0]
+        for argv, result in zip(stream, got):
+            cli._build_parser.cache_clear()  # a fresh parser per call
+            assert (cli.run(argv), capsys.readouterr()) == result
 
 
 class TestThinCli:

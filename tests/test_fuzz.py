@@ -227,9 +227,10 @@ def test_library_calls_raise_only_value_error():
     assert escapes == []
 
 
-def cli_flags():
+def cli_flags(only=None):
     # every option string of the CLI's parser and of each subcommand's
-    parsers, flags = [cli._build_parser()], set()
+    # (or, with only, of the parser that holds that command alone)
+    parsers, flags = [cli._build_parser(only)], set()
     while parsers:
         for action in parsers.pop()._actions:
             flags.update(action.option_strings)
