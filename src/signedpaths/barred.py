@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 import operator
 from operator import itemgetter
 from typing import ClassVar, Iterable, Iterator
@@ -48,6 +47,7 @@ from .sgnperm import (
     group_order,
 )
 from . import pathrep
+from .pathrep import _Record
 
 __all__ = [
     "SimplyBarredPermutation",
@@ -77,19 +77,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _Barred:
+class _Barred(_Record):
     # both barred kinds, which differ only in the lowest position of a bar
     _lowest_bar: ClassVar[int]
-    w: Permutation
-    bars: frozenset[int] = field(default_factory=frozenset)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", as_permutation(self.w))
-        object.__setattr__(self, "bars", frozenset(self.bars))
-        lo, n = self._lowest_bar, len(self.w)
-        if not all(lo <= b <= n for b in self.bars):
-            raise ValueError(f"bars must lie in {lo}..{n}: {sorted(self.bars)}")
+    def __init__(self, w: Permutation, bars: Iterable[int] = frozenset()) -> None:
+        w, bars = as_permutation(w), frozenset(bars)
+        lo, n = self._lowest_bar, len(w)
+        if not all(lo <= b <= n for b in bars):
+            raise ValueError(f"bars must lie in {lo}..{n}: {sorted(bars)}")
+        vars(self).update(w=w, bars=bars)
+
+    def __hash__(self):
+        return hash((self.w, self.bars))
 
 
 class SimplyBarredPermutation(_Barred):
@@ -105,9 +105,9 @@ class LooselyBarredPermutation(_Barred):
 
 
 def _trusted(cls, **fields):
-    # An instance of a frozen dataclass from fields that are valid by
-    # construction: skips the checks of __post_init__, which the public
-    # constructors keep.  Fields must already have their normal form
+    # A frozen record (pathrep._Record) from fields that are valid by
+    # construction: skips the checks of the class's __init__, which the
+    # public constructors keep.  Fields must already have their normal form
     # (tuples, frozensets, sorted edge pairs) so equality and hashing agree.
     obj = object.__new__(cls)
     vars(obj).update(fields)
@@ -442,10 +442,9 @@ def central_block(sbp: SimplyBarredPermutation) -> tuple[int, ...]:
     return blocks(sbp)[central_block_index(sbp) - 1]
 
 
-@dataclass(frozen=True)
-class SbpClassification:
-    normal: bool
-    compatible: bool
+class SbpClassification(_Record):
+    def __init__(self, normal: bool, compatible: bool) -> None:
+        vars(self).update(normal=normal, compatible=compatible)
 
 
 def classify_sbp(sbp: SimplyBarredPermutation) -> SbpClassification:

@@ -43,9 +43,7 @@ family is first refused above ``sgnperm.MAX_ENUMERATION_N`` (12) or below
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import sys
 from typing import Iterable, Sequence
 
@@ -77,6 +75,8 @@ def _cmd_eulerian(args: argparse.Namespace) -> int:
         args.n, args.kind, args.method, max_elements=args.max_elements
     )
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "kind": args.kind,
             "n": args.n,
@@ -144,8 +144,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _verify_json(name: str, ok: bool, reports: list[IdentityReport]) -> str:
     # the bytes of json.dumps({"identity": name, "holds": ok, "reports":
     # [report_dict(r) for r in reports]}, indent=2), one f-string per row;
-    # every report has rows, so no list prints as []
-    quoted, word, pad = json.dumps(name), ("false", "true"), "\n" + " " * 10
+    # every report has rows, so no list prints as [], and name is one of
+    # IDENTITY_NAMES, which need no escape
+    quoted, word, pad = f'"{name}"', ("false", "true"), "\n" + " " * 10
 
     def row_text(row: IdentityRow) -> str:
         brute = "" if row.brute is None else f'{pad}"brute": {row.brute},'
@@ -214,7 +215,10 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         print(f"threshold at n={args.n}: FAILED, {exc}")
         return 1
     if args.format == "json":
-        head = json.dumps({"n": args.n} if data is None else dataclasses.asdict(data), indent=2)
+        import json
+
+        # the fields in order, as the record's __init__ stores them
+        head = json.dumps({"n": args.n} if data is None else vars(data), indent=2)
         if args.list:
             # the document json.dumps would give with the graphs in it,
             # streamed one graph at a time

@@ -19,7 +19,6 @@ other row by row; a formula is never checked against itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
 from types import MappingProxyType
@@ -44,6 +43,31 @@ __all__ = [
     "threshold_counts",
     "report_dict",
 ]
+
+
+class _Record:
+    # A frozen record, as pathrep._Record is on the object side, which
+    # shares no module with this one: __init__ stores the fields in
+    # vars(self) in their order; records compare and hash as the tuple of
+    # their field values, within one class only.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
 
 #: Default work budget of every gated operation, the brute-force route
 #: and every CLI command alike.
@@ -203,8 +227,7 @@ def eulerian_polynomial(
     raise ValueError(f"unknown method: {method!r}")
 
 
-@dataclass(frozen=True)
-class IdentityRow:
+class IdentityRow(_Record):
     """One exact comparison inside an identity check.
 
     ``index`` names the row (a descent count or a power of t), ``lhs`` and
@@ -212,23 +235,19 @@ class IdentityRow:
     third, enumeration-based value when the identity has one.
     """
 
-    index: int
-    lhs: int
-    rhs: int
-    brute: int | None = None
+    def __init__(self, index: int, lhs: int, rhs: int, brute: int | None = None) -> None:
+        vars(self).update(index=index, lhs=lhs, rhs=rhs, brute=brute)
 
     @property
     def holds(self) -> bool:
         return self.lhs == self.rhs and (self.brute is None or self.brute == self.lhs)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """Outcome of checking one identity at one rank n."""
 
-    name: str
-    n: int
-    rows: tuple[IdentityRow, ...]
+    def __init__(self, name: str, n: int, rows: tuple[IdentityRow, ...]) -> None:
+        vars(self).update(name=name, n=n, rows=rows)
 
     @property
     def holds(self) -> bool:
@@ -352,8 +371,7 @@ def verify_identity(name: str, n: int) -> IdentityReport:
     return next(verify_range(name, n, n))
 
 
-@dataclass(frozen=True)
-class ThresholdCounts:
+class ThresholdCounts(_Record):
     """Counting data for threshold graphs on n labeled vertices.
 
     ``total`` is the number of labeled threshold graphs; ``by_degree_classes``
@@ -364,11 +382,10 @@ class ThresholdCounts:
     exactly k descents; ``unlabeled`` counts isomorphism classes.
     """
 
-    n: int
-    total: int
-    by_degree_classes: tuple[int, ...]
-    by_partition_descents: tuple[int, ...]
-    unlabeled: int
+    def __init__(self, n: int, total: int, by_degree_classes: tuple[int, ...],
+                 by_partition_descents: tuple[int, ...], unlabeled: int) -> None:
+        vars(self).update(n=n, total=total, by_degree_classes=by_degree_classes,
+                          by_partition_descents=by_partition_descents, unlabeled=unlabeled)
 
 
 def threshold_counts(n: int, max_elements: int = MAX_BRUTE_ELEMENTS) -> ThresholdCounts:

@@ -24,8 +24,6 @@ negative inversions of ``u``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .sgnperm import (
     Permutation,
     SignedPermutation,
@@ -105,16 +103,40 @@ def is_diagonal_symmetric(path: LatticePath) -> bool:
     return path == reflect_path(path)
 
 
-@dataclass(frozen=True)
-class PathRepresentation:
+class _Record:
+    # A frozen record: __init__ stores the fields in vars(self) in their
+    # order, and nothing is set or deleted afterwards.  Records compare and
+    # hash as the tuple of their field values, within one class only; the
+    # classes hashed in hot loops spell __hash__ out, which costs less.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class PathRepresentation(_Record):
     """A diagonal-symmetric path plus its column labels."""
 
-    path: LatticePath
-    lambda_x: Permutation
-
-    def __post_init__(self) -> None:
-        if len(self.path) != 2 * len(self.lambda_x):
+    def __init__(self, path: LatticePath, lambda_x: Permutation) -> None:
+        vars(self).update(path=path, lambda_x=lambda_x)
+        if len(path) != 2 * len(lambda_x):
             raise ValueError(f"a path of 2n steps needs n labels: {self}")
+
+    def __hash__(self):
+        return hash((self.path, self.lambda_x))
 
     def lambda_y(self, k: int) -> int:
         """Row label of row ``k``; forced by symmetry, never stored."""
@@ -196,12 +218,11 @@ def path_from_height(f: HeightFunction) -> LatticePath:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class HeightClassification:
-    self_adjoint: bool
-    fixed_point_free: bool
-    center: int
-    fixed_point: int | None
+class HeightClassification(_Record):
+    def __init__(self, self_adjoint: bool, fixed_point_free: bool, center: int,
+                 fixed_point: int | None) -> None:
+        vars(self).update(self_adjoint=self_adjoint, fixed_point_free=fixed_point_free,
+                          center=center, fixed_point=fixed_point)
 
 
 def classify_height(f: HeightFunction) -> HeightClassification:

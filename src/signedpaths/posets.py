@@ -36,7 +36,6 @@ Cover lists and DOT files label each element once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Hashable, Sequence
@@ -45,6 +44,7 @@ from .sgnperm import (
     _checked, _inversion_masks, _inversion_pairs, check_enumeration_cap, enumerate_group,
     group_order, is_even_signed,
 )
+from .pathrep import _Record
 from .threshold import ThresholdPair, _tg_walk
 
 __all__ = [
@@ -62,17 +62,16 @@ __all__ = [
 MAX_POSET_BITS = 2**32  # the most a build stores: B_6 and A_8 fit, no rank-7 B, D or TG
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(_Record):
     """Outcome of a lattice check.
 
     When ``is_lattice`` is false, ``witness`` holds a pair of elements
     lacking a meet or a join and ``missing`` says which bound failed.
     """
 
-    is_lattice: bool
-    witness: tuple[Hashable, Hashable] | None = None
-    missing: str | None = None
+    def __init__(self, is_lattice: bool, witness: tuple[Hashable, Hashable] | None = None,
+                 missing: str | None = None) -> None:
+        vars(self).update(is_lattice=is_lattice, witness=witness, missing=missing)
 
 
 class FinitePoset:

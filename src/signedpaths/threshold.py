@@ -24,13 +24,12 @@ pair of converters.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
-from dataclasses import dataclass, field
 from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from . import barred, pathrep
+from .pathrep import _Record
 from .sgnperm import (
     _inversion_pairs,
     Permutation,
@@ -77,27 +76,30 @@ __all__ = [
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(_Record):
     """A simple labeled graph on vertex set [n]."""
 
-    n: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"a graph needs a nonnegative vertex count, not {self.n}")
-        edges = set()
-        for a, b in self.edges:
-            if not (isinstance(a, int) and isinstance(b, int)):
+    def __init__(self, n: int, edges: Iterable[Edge] = frozenset()) -> None:
+        # type(x) is int, as in graph_from_json: a bool is no vertex
+        if type(n) is not int:
+            raise ValueError(f"a graph needs an integer vertex count, not {n!r}")
+        if n < 0:
+            raise ValueError(f"a graph needs a nonnegative vertex count, not {n}")
+        pairs = set()
+        for a, b in edges:
+            if not (type(a) is int and type(b) is int):
                 raise ValueError(f"edge ends must be integers: ({a!r}, {b!r})")
-            edges.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "edges", frozenset(edges))
-        for a, b in self.edges:
+            pairs.add((min(a, b), max(a, b)))
+        edges = frozenset(pairs)
+        for a, b in edges:
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"edge ({a},{b}) leaves the vertex set [{self.n}]")
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"edge ({a},{b}) leaves the vertex set [{n}]")
+        vars(self).update(n=n, edges=edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
 
 def graph(n: int, edges: Iterable[Iterable[int]] = ()) -> SimpleGraph:
@@ -260,21 +262,20 @@ def height_from_edges(edges: Iterable[Edge], n: int) -> pathrep.HeightFunction:
 # Signed permutations <-> threshold pairs
 
 
-@dataclass(frozen=True)
-class ThresholdPair:
+class ThresholdPair(_Record):
     """A threshold graph bundled with a degree ordering of it."""
 
-    w: Permutation
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", as_permutation(self.w))
-        g = SimpleGraph(len(self.w), self.edges)
-        object.__setattr__(self, "edges", g.edges)
+    def __init__(self, w: Permutation, edges: Iterable[Edge]) -> None:
+        w = as_permutation(w)
+        g = SimpleGraph(len(w), edges)
         if not is_threshold(g):
             raise ValueError("edge set is not threshold")
-        if not is_degree_ordering(g, self.w):
-            raise ValueError(f"{self.w} is not a degree ordering of the edge set")
+        if not is_degree_ordering(g, w):
+            raise ValueError(f"{w} is not a degree ordering of the edge set")
+        vars(self).update(w=w, edges=g.edges)
+
+    def __hash__(self):
+        return hash((self.w, self.edges))
 
 
 def _labels_and_edges(u: SignedPermutation) -> tuple[Permutation, frozenset[Edge]]:
@@ -613,6 +614,8 @@ def graph_from_json(text: str) -> SimpleGraph:
     """Read the object of :func:`graph_dict`: an integer ``n`` and a list of
     integer pairs, ``edges``, which may be left out.  Anything else is a
     ``ValueError``."""
+    import json
+
     data = json.loads(text)
     if not isinstance(data, dict) or type(data.get("n")) is not int:
         raise ValueError(f"a graph needs an integer n: {text}")

@@ -100,6 +100,20 @@ def test_importing_one_module_loads_only_its_imports():
     assert out.stdout == "['signedpaths', 'signedpaths.kernels']\n"
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_json():
+    # a fresh interpreter, as each CLI request is: dataclasses alone costs
+    # more than most requests' own work.  json is loaded by the commands
+    # that parse or dump a document, which verify's JSON report does not
+    src = str(Path(signedpaths.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, signedpaths.cli as cli; loaded = lambda: sorted({'dataclasses', 'json'} & set(sys.modules)); "
+            "print(loaded()); cli.run(['verify', '--identity', 'main', '--max-n', '2', '--format', 'json']); "
+            "print(loaded())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]") and '"identity": "main"' in out.stdout
+
+
 OBJECT_MODULES = ["barred", "pathrep", "posets", "sgnperm", "threshold"]
 COUNTING_MODULES = ["eulerian", "kernels"]
 

@@ -99,6 +99,18 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="^edge ends must be integers: "):
             graph(3, iter([edge]))
 
+    @pytest.mark.parametrize("make", [
+        lambda: SimpleGraph(True),
+        lambda: SimpleGraph(2, {(True, 2)}),
+        lambda: SimpleGraph(2, {(1, False)}),
+    ], ids=["bool n", "bool first end", "bool second end"])
+    def test_bools_are_not_vertices(self, make):
+        # a bool is an int subclass, but graph_from_json refuses one, so the
+        # constructor does too: every graph it builds reads back from JSON
+        refused = "^(a graph needs an integer vertex count, not|edge ends must be integers:) "
+        with pytest.raises(ValueError, match=refused):
+            make()
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -536,9 +548,10 @@ class TestCountsAndText:
 
     @pytest.mark.parametrize("n", range(6))
     def test_trusted_graphs_rebuild(self, n):
-        # the enumerators skip SimpleGraph's checks; the validating
-        # constructor must accept and reproduce what they build
-        for g in itertools.chain(enumerate_graphs(n), enumerate_threshold_graphs(n)):
+        # the enumerators and the decoder skip SimpleGraph's checks; the
+        # validating constructor must accept and reproduce what they build
+        decoded = (threshold_from_sbp(sbp_from_threshold(g)) for g in enumerate_threshold_graphs(n))
+        for g in itertools.chain(enumerate_graphs(n), enumerate_threshold_graphs(n), decoded):
             rebuilt = SimpleGraph(g.n, g.edges)
             assert type(g) is SimpleGraph
             assert g == rebuilt and hash(g) == hash(rebuilt)
