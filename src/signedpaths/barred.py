@@ -46,8 +46,7 @@ from .sgnperm import (
     descent_set,
     group_order,
 )
-from . import pathrep
-from .pathrep import _Record
+from . import _Record, _trusted, pathrep
 
 __all__ = [
     "SimplyBarredPermutation",
@@ -72,6 +71,7 @@ __all__ = [
     "parse_sbp",
     "format_sbp",
     "audit_psi",
+    "audit_psi_cost",
     "audit_theta",
     "audit_theta_cost",
 ]
@@ -88,9 +88,6 @@ class _Barred(_Record):
             raise ValueError(f"bars must lie in {lo}..{n}: {sorted(bars)}")
         vars(self).update(w=w, bars=bars)
 
-    def __hash__(self):
-        return hash((self.w, self.bars))
-
 
 class SimplyBarredPermutation(_Barred):
     """A permutation with bars at positions from ``{1..n}``."""
@@ -102,16 +99,6 @@ class LooselyBarredPermutation(_Barred):
     """A permutation with bars at positions from ``{0..n}``."""
 
     _lowest_bar = 0
-
-
-def _trusted(cls, **fields):
-    # A frozen record (pathrep._Record) from fields that are valid by
-    # construction: skips the checks of the class's __init__, which the
-    # public constructors keep.  Fields must already have their normal form
-    # (tuples, frozensets, sorted edge pairs) so equality and hashing agree.
-    obj = object.__new__(cls)
-    vars(obj).update(fields)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +396,15 @@ def audit_theta(n: int) -> tuple[int, str | None]:
 
 def audit_theta_cost(n: int) -> int:
     """:func:`audit_theta`'s checks: 2^(n+1) bar sets for each of the
-    2^(n-1) descent classes (one at n = 0), 4^n from n = 1 on.
-    :func:`audit_psi` checks half as many bar sets."""
+    2^(n-1) descent classes (one at n = 0), 4^n from n = 1 on."""
     check_enumeration_cap(n)
     return 2 ** (max(n - 1, 0) + n + 1)
+
+
+def audit_psi_cost(n: int) -> int:
+    """:func:`audit_psi`'s checks: 2^n bar sets for each descent class, half
+    of :func:`audit_theta_cost`, which asks the enumeration cap."""
+    return audit_theta_cost(n) // 2
 
 
 # ---------------------------------------------------------------------------

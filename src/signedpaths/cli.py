@@ -34,10 +34,11 @@ reads no histogram), a machine word of a formula row entry
 charged on its own, the formula side of ``verify``, a relation bit of each
 N x N ``poset``, an edge slot (C(n, 2) per graph) for ``threshold --list``
 and the bijtgsbps and tgdo audits, a check of one descent class with one
-bar set for psi and theta (``barred.audit_theta_cost``), an entry of
-chi's renaming tables, and a grid cell for ``render``.  A walk over a rank-n
-family is first refused above ``sgnperm.MAX_ENUMERATION_N`` (12) or below
-0, whatever the budget, and only then priced at its exact cost.
+bar set for psi and theta (``barred.audit_psi_cost``, ``audit_theta_cost``),
+an entry of chi's renaming tables (``sgnperm.audit_chi_cost``), and a grid
+cell for ``render``.  A walk over a rank-n family is first refused above
+``sgnperm.MAX_ENUMERATION_N`` (12) or below 0, whatever the budget, and
+only then priced at its exact cost.
 """
 
 from __future__ import annotations
@@ -170,14 +171,11 @@ def _verify_json(name: str, ok: bool, reports: list[IdentityReport]) -> str:
 
 
 # audit -> (the library audit, its price, which asks the enumeration cap
-# first: the checks of psi and theta, one per descent class and bar set,
-# the renaming table entries of chi, 2(n - 1) for each first letter, or the
-# edge slots of the threshold graphs that tgdo, which refuses n = 0 itself,
-# and bijtgsbps walk)
+# first; tgdo and bijtgsbps are charged the edge slots of the graphs they walk)
 _AUDITS = {
-    "psi": (barred.audit_psi, lambda n: barred.audit_theta_cost(n) // 2),
+    "psi": (barred.audit_psi, barred.audit_psi_cost),
     "theta": (barred.audit_theta, barred.audit_theta_cost),
-    "chi": (sgnperm.audit_chi, lambda n: sgnperm.check_enumeration_cap(n) or 2 * n * (n - 1)),
+    "chi": (sgnperm.audit_chi, sgnperm.audit_chi_cost),
     "tgdo": (threshold.audit_tgdo, threshold.listing_cost),
     "bijtgsbps": (threshold.audit_bijtgsbps, threshold.listing_cost),
 }
@@ -209,10 +207,10 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         )
         listing = threshold.enumerate_threshold_graphs(args.n)
     show_counts = args.counts or not args.list
-    try:
-        data = threshold_counts(args.n, args.max_elements) if show_counts else None
-    except AssertionError as exc:  # the two counting formulas disagree
-        print(f"threshold at n={args.n}: FAILED, {exc}")
+    data = threshold_counts(args.n, args.max_elements) if show_counts else None
+    if data is not None and not data.holds:  # the two counting formulas disagree
+        print(f"threshold at n={args.n}: FAILED, by degree classes {data.total}, "
+              f"by partition descents {sum(data.by_partition_descents)}")
         return 1
     if args.format == "json":
         import json

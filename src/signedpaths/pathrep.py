@@ -24,6 +24,7 @@ negative inversions of ``u``.
 
 from __future__ import annotations
 
+from . import _Record
 from .sgnperm import (
     Permutation,
     SignedPermutation,
@@ -103,30 +104,6 @@ def is_diagonal_symmetric(path: LatticePath) -> bool:
     return path == reflect_path(path)
 
 
-class _Record:
-    # A frozen record: __init__ stores the fields in vars(self) in their
-    # order, and nothing is set or deleted afterwards.  Records compare and
-    # hash as the tuple of their field values, within one class only; the
-    # classes hashed in hot loops spell __hash__ out, which costs less.
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
-    def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-
 class PathRepresentation(_Record):
     """A diagonal-symmetric path plus its column labels."""
 
@@ -134,9 +111,6 @@ class PathRepresentation(_Record):
         vars(self).update(path=path, lambda_x=lambda_x)
         if len(path) != 2 * len(lambda_x):
             raise ValueError(f"a path of 2n steps needs n labels: {self}")
-
-    def __hash__(self):
-        return hash((self.path, self.lambda_x))
 
     def lambda_y(self, k: int) -> int:
         """Row label of row ``k``; forced by symmetry, never stored."""

@@ -44,7 +44,7 @@ from .sgnperm import (
     _checked, _inversion_masks, _inversion_pairs, check_enumeration_cap, enumerate_group,
     group_order, is_even_signed,
 )
-from .pathrep import _Record
+from . import _Record
 from .threshold import ThresholdPair, _tg_walk
 
 __all__ = [

@@ -68,6 +68,7 @@ __all__ = [
     "parse_signed",
     "format_signed",
     "audit_chi",
+    "audit_chi_cost",
 ]
 
 # Exhaustive enumeration is capped so a typo cannot ask for 13!*2^13 tuples.
@@ -356,6 +357,12 @@ def audit_chi(n: int) -> tuple[int, str | None]:
         ):
             return 0, f"chi renaming tables broke at x = {x}"
     return n * group_order(n - 1, "B"), None
+
+
+def audit_chi_cost(n: int) -> int:
+    """:func:`audit_chi`'s renaming table entries, 2(n - 1) for each x: 2n(n - 1)."""
+    check_enumeration_cap(n)
+    return 2 * n * (n - 1)
 
 
 def window_decomposition(u: SignedPermutation) -> tuple[Permutation, frozenset[int]]:

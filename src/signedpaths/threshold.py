@@ -28,8 +28,7 @@ import operator
 from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
-from . import barred, pathrep
-from .pathrep import _Record
+from . import _Record, _trusted, barred, pathrep
 from .sgnperm import (
     _inversion_pairs,
     Permutation,
@@ -97,9 +96,6 @@ class SimpleGraph(_Record):
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"edge ({a},{b}) leaves the vertex set [{n}]")
         vars(self).update(n=n, edges=edges)
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
 
 
 def graph(n: int, edges: Iterable[Iterable[int]] = ()) -> SimpleGraph:
@@ -255,7 +251,7 @@ def height_from_edges(edges: Iterable[Edge], n: int) -> pathrep.HeightFunction:
     """
     pair = ThresholdPair(tuple(range(1, n + 1)), SimpleGraph(n, edges).edges)  # n < 0 refused
     # f(0) = n; bit 0 is never a neighbour, so f(x) = 0 for an isolated x
-    return pathrep.as_height([n] + [(r | 1).bit_length() - 1 for r in _nbrs(pair.edges, n)[1:]])
+    return (n, *[(r | 1).bit_length() - 1 for r in _nbrs(pair.edges, n)[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +269,6 @@ class ThresholdPair(_Record):
         if not is_degree_ordering(g, w):
             raise ValueError(f"{w} is not a degree ordering of the edge set")
         vars(self).update(w=w, edges=g.edges)
-
-    def __hash__(self):
-        return hash((self.w, self.edges))
 
 
 def _labels_and_edges(u: SignedPermutation) -> tuple[Permutation, frozenset[Edge]]:
@@ -309,7 +302,7 @@ def edges_from_signed(u: SignedPermutation) -> frozenset[Edge]:
 def tg_pair(u: SignedPermutation) -> ThresholdPair:
     """The pair (column labels, edge set) of ``u``."""
     w, edges = _labels_and_edges(as_window(u))
-    return barred._trusted(ThresholdPair, w=w, edges=edges)
+    return _trusted(ThresholdPair, w=w, edges=edges)
 
 
 def signed_from_tg(pair: ThresholdPair) -> SignedPermutation:
@@ -387,7 +380,7 @@ def audit_tgdo(n: int) -> tuple[int, str | None]:
 
 
 def _text(edges: frozenset[Edge], n: int) -> str:
-    return format_graph(SimpleGraph(n, edges))
+    return format_graph(_trusted(SimpleGraph, n=n, edges=edges))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +396,7 @@ def sbp_from_threshold(g: SimpleGraph) -> barred.SimplyBarredPermutation:
     """
     bs = _encode(_threshold_classes(g))
     cuts = itertools.accumulate(len(b) for b in bs[:-1])
-    return barred.SimplyBarredPermutation(tuple(itertools.chain(*bs)), frozenset(cuts))
+    return _trusted(barred.SimplyBarredPermutation, w=tuple(itertools.chain(*bs)), bars=frozenset(cuts))
 
 
 def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
@@ -415,7 +408,7 @@ def threshold_from_sbp(sbp: barred.SimplyBarredPermutation) -> SimpleGraph:
     bs, n = barred.blocks(sbp), len(sbp.w)
     if n >= 2 and len(bs[0]) < 2:
         raise ValueError(f"{sbp} must have a first block of at least two letters")
-    return barred._trusted(SimpleGraph, n=n, edges=_decode(bs))
+    return _trusted(SimpleGraph, n=n, edges=_decode(bs))
 
 
 def _encode(classes: list) -> list[tuple[int, ...]]:
@@ -509,7 +502,7 @@ def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     check_enumeration_cap(n)
     # the edge masks in turn: pairs sorted and in range, so no checks
     for mask in range(2 ** comb(n, 2)):
-        yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, n))
+        yield _trusted(SimpleGraph, n=n, edges=_mask_edges(mask, n))
 
 
 def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
@@ -528,7 +521,7 @@ def enumerate_threshold_graphs(n: int) -> Iterator[SimpleGraph]:
     """
     check_enumeration_cap(n)
     for mask, _ in _walk(n):
-        yield barred._trusted(SimpleGraph, n=n, edges=_mask_edges(mask, n))
+        yield _trusted(SimpleGraph, n=n, edges=_mask_edges(mask, n))
 
 
 def listing_cost(n: int) -> int:
@@ -574,7 +567,7 @@ def _tg_walk(n: int) -> Iterator[tuple[ThresholdPair, int]]:
     for mask, deg in _walk(n):
         edges = _mask_edges(mask, n)
         for w in _orderings(_classes(deg, n)):
-            yield barred._trusted(ThresholdPair, w=w, edges=edges), mask
+            yield _trusted(ThresholdPair, w=w, edges=edges), mask
 
 
 def parse_graph(text: str) -> SimpleGraph:

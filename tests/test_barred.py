@@ -44,6 +44,7 @@ from signedpaths.sgnperm import (
     enumerate_group,
     is_smooth,
 )
+from signedpaths.threshold import enumerate_threshold_graphs, sbp_from_threshold
 
 ANCHOR = SimplyBarredPermutation((7, 4, 2, 3, 1, 6, 5), frozenset({2, 3, 6}))
 ANCHOR_IMAGE = (-2, 3, 1, 6, -4, -7, 5)
@@ -129,6 +130,8 @@ class TestTrustedConstruction:
             self.assert_rebuilds(theta(lbp), sbp_cls)
         for u in enumerate_group(n, "B"):
             self.assert_rebuilds(psi_inverse(u), sbp_cls)
+        for g in enumerate_threshold_graphs(n):
+            self.assert_rebuilds(sbp_from_threshold(g), sbp_cls)
 
 
 class TestUpperAntidiagonal:

@@ -532,6 +532,14 @@ class TestThresholdCommand:
 
         monkeypatch.setattr(eulerian, "_rows", wrong)
 
+    def test_disagreeing_counts_are_a_verdict(self, monkeypatch):
+        # the record says the formulas disagree; nothing is raised
+        assert threshold_counts(5).holds
+        self.wrong_type_a_row(monkeypatch)
+        counts = threshold_counts(5)
+        assert counts.holds is False
+        assert (counts.total, sum(counts.by_partition_descents)) == (332, 348)
+
     def test_disagreeing_counts_exit_one(self, capsys, monkeypatch):
         # one line naming n, no traceback
         self.wrong_type_a_row(monkeypatch)
@@ -596,6 +604,10 @@ class TestRenderCommand:
         # argparse may hand the "--" value over as a list: still a bad window
         err = run_err(capsys, ["render", *argv])
         assert err == "error: dangling sign in '--'\n"
+
+    def test_perm_as_the_last_token_is_a_usage_error(self, capsys):
+        err = run_err(capsys, ["render", "--perm"])
+        assert "argument --perm: expected one argument" in err
 
     def test_window_of_non_integers_is_one_error_line(self, capsys):
         err = run_err(capsys, ["render", "--perm", "1,,2"])

@@ -3,6 +3,7 @@ hashing as the tuple of the fields, and a ``Name(field=value, ...)`` repr."""
 
 import pytest
 
+import signedpaths
 from signedpaths.barred import LooselyBarredPermutation, SbpClassification, SimplyBarredPermutation
 from signedpaths.eulerian import IdentityReport, IdentityRow, ThresholdCounts
 from signedpaths.pathrep import HeightClassification, PathRepresentation
@@ -31,6 +32,16 @@ IDS = [type(record).__name__ for record, _ in RECORDS]
 
 def values(record, fields):
     return tuple(getattr(record, name) for name in fields)
+
+
+def test_every_record_takes_its_behaviour_from_the_one_base():
+    # the object and counting sides share the package root's _Record, and
+    # no class spells out a method of its own
+    base = signedpaths._Record
+    names = ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
+    assert len({type(record) for record, _ in RECORDS}) == 11
+    for record, _ in RECORDS:
+        assert [getattr(type(record), name) for name in names] == [vars(base)[name] for name in names]
 
 
 @pytest.mark.parametrize("record, fields", RECORDS, ids=IDS)

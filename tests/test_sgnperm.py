@@ -453,6 +453,7 @@ class TestTextForms:
         assert parse_signed("-2,3,1,6,-4,-7,5") == ANCHOR
         assert parse_signed("-231") == (-2, 3, 1)
         assert parse_signed("1") == (1,)
+        assert parse_signed("-2 3 1") == parse_signed(" -23 1 ") == (-2, 3, 1)
 
     def test_parse_rejects_garbage(self):
         for text in ("", "--1", "1,1", "102", "1-", "a"):

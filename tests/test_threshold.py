@@ -795,6 +795,21 @@ class TestAudits:
         monkeypatch.setattr(threshold, "as_window", forbidden)
         assert audit_tgdo(4) == (group_order(4, "D"), None)
 
+    def test_encoders_validate_nothing_they_built(self, monkeypatch):
+        # the graph handed in is checked; the diagram and the height
+        # function built from it are not
+        def encode():
+            graphs = [g for g in enumerate_threshold_graphs(4) if is_degree_ordering(g, (1, 2, 3, 4))]
+            return [(sbp_from_threshold(g), height_from_edges(g.edges, 4)) for g in graphs]
+
+        def forbidden(*args):
+            raise AssertionError("validator called")
+
+        expected = encode()
+        monkeypatch.setattr(SimplyBarredPermutation, "__init__", forbidden)
+        monkeypatch.setattr(threshold.pathrep, "as_height", forbidden)
+        assert encode() == expected and len(expected) > 1
+
 
 class TestTgdoCredit:
     # audit_tgdo round-trips each graph at its canonical ordering and
